@@ -22,8 +22,6 @@ from .green import verify_resolvent_identities, verify_schur_identity, verify_tw
 from .model import build_box, explicit_geometry, lambda_plus, load_model_config, sample_configuration
 from .rng import trial_stream
 
-MC_SUBCOMMANDS = {"moments", "decay", "finite-volume", "wegner", "regularity", "apriori", "averaging", "conditional"}
-
 _ENV_THREADS = "ALLOYLAB_THREADS"
 
 
@@ -419,9 +417,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
-    if args.command in MC_SUBCOMMANDS and args.seed is None:
-        # a config-file seed may still cover it; checked again in the command
-        pass
     try:
         return args.fn(args)
     except (ValueError, OSError) as err:

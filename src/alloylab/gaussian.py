@@ -279,10 +279,7 @@ def holder_constant_probe(a: float, sigma: float, L_values) -> dict[int, float]:
             m = x + L
             if l < 1:
                 continue
-            if m == 0:
-                _, gamma = gaussian_conditional(a, sigma, l, 0)
-            else:
-                _, gamma = gaussian_conditional(a, sigma, l, m)
+            _, gamma = gaussian_conditional(a, sigma, l, m)
             best = min(best, math.sqrt(max(gamma, 0.0)))
         out[int(L)] = best
     return out

@@ -25,7 +25,6 @@ from .model import (
     connected_components,
     exterior_boundary,
     interior_boundary,
-    neighbors,
     site_add,
 )
 
@@ -182,13 +181,8 @@ def verify_two_step_schur(model: ModelConfig, omega: Configuration, geometry: Bo
     K = H_ring.entries - B_ring - z * np.eye(len(lst_ring), dtype=complex)
 
     # hopping between L1 and the ring (entries of Delta)
-    C = np.zeros((len(lst1), len(lst_ring)))
-    ring_pos = {s: j for j, s in enumerate(lst_ring)}
-    for i, x in enumerate(lst1):
-        for y in neighbors(x):
-            j = ring_pos.get(y)
-            if j is not None:
-                C[i, j] = 1.0
+    idx_ring = [geometry.index_of(s) for s in lst_ring]
+    C = adjacency_matrix(geometry)[np.ix_(idx1, idx_ring)]
 
     H1 = assemble_hamiltonian(model, omega, geo1)
     S = H1.entries - z * np.eye(len(lst1), dtype=complex) - C @ np.linalg.solve(K, C.T.astype(complex))

@@ -33,6 +33,7 @@ __all__ = [
     "interior_boundary",
     "exterior_boundary",
     "lambda_plus",
+    "SitePotential",
     "potential_value",
     "assemble_hamiltonian",
     "sample_configuration",
@@ -378,7 +379,6 @@ class DisorderDensity:
             raise ValueError(f"unknown density kind {kind!r}")
         self.l1 = 1.0
         self.support_radius = max(abs(self.a), abs(self.b))
-        self._cdf_cache = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -514,6 +514,34 @@ def lambda_plus(geometry, u: SingleSitePotential) -> set[Site]:
     return {site_sub(x, t) for x in sites for t in supp}
 
 
+class SitePotential:
+    """V(x) = sum_k omega_k u(x - k) on a geometry, as a map of the couplings.
+
+    ``coupling_sites`` is lambda_plus(geometry, u), sorted; a coupling vector
+    lists omega_k in that order.  ``positions[j, i]`` is the position of
+    x_i - t_j in ``coupling_sites`` for the j-th site t_j of the sorted supp u,
+    and ``values[j] = u(t_j)``.
+    """
+
+    def __init__(self, geometry: BoxGeometry, u: SingleSitePotential):
+        supp = u.support()
+        shifts = np.array(geometry.sites)[None, :, :] - np.array(supp)[:, None, :]
+        keys, inverse = np.unique(shifts.reshape(-1, geometry.dimension), axis=0, return_inverse=True)
+        self.coupling_sites: tuple[Site, ...] = tuple(map(tuple, keys.tolist()))
+        self.positions = inverse.reshape(len(supp), len(geometry))
+        self.values = np.array([u.value(t) for t in supp])
+
+    def __call__(self, omega_vec: np.ndarray) -> np.ndarray:
+        """V on the geometry's sites, for couplings ordered like ``coupling_sites``."""
+        terms = self.values[:, None] * omega_vec[self.positions]
+        V = np.zeros(terms.shape[1])
+        # add the terms one by one in the order of supp u, as potential_value
+        # does: np.add.reduce may sum pairwise and change the last bits
+        for row in terms:
+            V += row
+        return V
+
+
 def potential_value(u: SingleSitePotential, omega: Configuration, x) -> float:
     """V(x) = sum_k omega_k u(x - k), an exact finite sum over supp u."""
     x = _as_site(x)
@@ -528,10 +556,10 @@ def potential_value(u: SingleSitePotential, omega: Configuration, x) -> float:
 
 def assemble_hamiltonian(model: ModelConfig, omega: Configuration, geometry: BoxGeometry) -> HamiltonianMatrix:
     """H = -Delta_Gamma + lambda V_Gamma as a dense real symmetric matrix."""
-    n = len(geometry)
+    potential = SitePotential(geometry, model.potential)
+    omega_vec = np.array([omega.values[k] for k in potential.coupling_sites])  # KeyError names a missing site
     H = -adjacency_matrix(geometry)
-    diag = np.array([potential_value(model.potential, omega, x) for x in geometry.sites])
-    H[np.arange(n), np.arange(n)] = model.coupling * diag
+    np.fill_diagonal(H, model.coupling * potential(omega_vec))
     return HamiltonianMatrix(geometry, H)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averaging import _fractional_prefactor
 from .green import annulus
 from .model import (
     BoxGeometry,
@@ -21,12 +22,12 @@ from .model import (
     ModelConfig,
     SingleSitePotential,
     Site,
+    SitePotential,
     _as_site,
     adjacency_matrix,
     explicit_geometry,
     exterior_boundary,
     l1_norm,
-    lambda_plus,
     site_sub,
 )
 from .rng import trial_stream
@@ -89,59 +90,51 @@ class DisorderSampler:
     """Precomputed assembly data: per trial only the diagonal changes.
 
     The hopping part of H is fixed by the geometry; the random diagonal is
-    U @ omega with U[i, j] = u(x_i - k_j) over the influencing sites k_j.
+    lambda V, with V built by the SitePotential that assemble_hamiltonian also
+    uses, from one coupling per site of ``potential.coupling_sites``.
     """
 
     def __init__(self, model: ModelConfig, geometry: BoxGeometry):
         self.model = model
         self.geometry = geometry
-        self.coupling_sites = tuple(sorted(lambda_plus(geometry, model.potential)))
+        self.potential = SitePotential(geometry, model.potential)
         self.hopping = -adjacency_matrix(geometry)
-        n, m = len(geometry), len(self.coupling_sites)
-        U = np.zeros((n, m))
-        for j, k in enumerate(self.coupling_sites):
-            for i, x in enumerate(geometry.sites):
-                U[i, j] = model.potential.value(site_sub(x, k))
-        self.U = U
 
     def omega(self, seed: int, trial: int) -> np.ndarray:
         rng = trial_stream(seed, trial)
-        return np.asarray(self.model.density.sample(rng, size=len(self.coupling_sites)))
+        return np.asarray(self.model.density.sample(rng, size=len(self.potential.coupling_sites)))
 
     def hamiltonian(self, omega_vec: np.ndarray) -> np.ndarray:
         H = self.hopping.copy()
-        np.fill_diagonal(H, self.model.coupling * (self.U @ omega_vec))
+        np.fill_diagonal(H, self.model.coupling * self.potential(omega_vec))
         return H
 
     def green_column(self, omega_vec: np.ndarray, z: complex, x) -> np.ndarray:
-        """Column G(z; ., x) via one linear solve, with one retried perturbation.
-
-        A singular solve is retried once with the imaginary part of z nudged;
-        a second failure aborts the trial loudly rather than dropping it.
-        """
+        """Column G(z; ., x) via one linear solve; a singular solve raises LinAlgError."""
         H = self.hamiltonian(omega_vec)
         n = H.shape[0]
         rhs = np.zeros(n, dtype=complex)
         rhs[self.geometry.index_of(x)] = 1.0
-        M = H - z * np.eye(n, dtype=complex)
-        try:
-            return np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            z_retry = complex(z.real, z.imag + math.copysign(1e-10 * (1 + abs(z)), z.imag or 1.0))
-            M = H - z_retry * np.eye(n, dtype=complex)
-            return np.linalg.solve(M, rhs)
+        return np.linalg.solve(H - z * np.eye(n, dtype=complex), rhs)
+
+
+def _check_average_args(geometry: BoxGeometry, z: complex, s: float, *sites) -> tuple[Site, ...]:
+    """Contract of every disorder average: Im z != 0 (H - z invertible for every
+    draw), exponent in (0, 1), sites in the geometry; returns the sites normalized."""
+    if complex(z).imag == 0:
+        raise ValueError("z must have nonzero imaginary part for the disorder average")
+    if not 0.0 < s < 1.0:
+        raise ValueError("fractional exponent must lie in (0, 1)")
+    sites = tuple(_as_site(x) for x in sites)
+    if any(x not in geometry for x in sites):
+        raise ValueError("the probed sites must lie in the geometry")
+    return sites
 
 
 def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
                     x, y, trials: int, seed: int, threads: int = 1) -> MomentEstimate:
     """Unbiased MC mean of |G(z; x, y)|^s over i.i.d. disorder."""
-    if complex(z).imag == 0:
-        raise ValueError("z must have nonzero imaginary part for the disorder average")
-    if not 0.0 < s_exp < 1.0:
-        raise ValueError("fractional exponent must lie in (0, 1)")
-    x, y = _as_site(x), _as_site(y)
-    if x not in geometry or y not in geometry:
-        raise ValueError("x and y must lie in the geometry")
+    x, y = _check_average_args(geometry, z, s_exp, x, y)
     sampler = DisorderSampler(model, geometry)
     iy = geometry.index_of(y)
 
@@ -160,10 +153,6 @@ def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp
 
 # ---------------------------------------------------------------------------
 # explicit one-dimensional constants
-
-
-def _fractional_prefactor(s: float) -> float:
-    return 2.0 ** s * s ** (-s) / (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -340,6 +329,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     if model.dimension != 1:
         raise ValueError("decay profiles are one-dimensional")
     geometry = explicit_geometry([(k,) for k in range(box_sites)])
+    (x,) = _check_average_args(geometry, z, s, (0,))
     supp = sorted(k[0] for k in model.potential.support())
     n = supp[-1] + 1
     r = largest_gap(model.potential)
@@ -364,9 +354,6 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
         min_dist = 2 * (n + r)
 
     sampler = DisorderSampler(model, geometry)
-    x = (0,)
-    ix = 0
-
     cols = np.empty((trials, len(geometry)))
 
     def one(trial: int) -> float:
@@ -437,7 +424,7 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     multiplies by L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}, leaving
     out only the non-explicit prefactor of the criterion.
     """
-    x = _as_site(x)
+    (x,) = _check_average_args(region, z, s, x)
     ann = annulus(region, x, L, model.potential)
     depleted_sites = region.site_set() - ann.W_x
     if x not in depleted_sites:

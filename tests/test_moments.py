@@ -14,6 +14,7 @@ from alloylab.model import (
     explicit_geometry,
 )
 from alloylab.moments import (
+    DisorderSampler,
     apriori_moment_trend,
     decay_profile,
     estimate_moment,
@@ -229,6 +230,20 @@ def test_decay_profile_gapped_support():
             assert row["pass"], row
 
 
+def test_decay_profile_rejects_real_energy():
+    # lambda = 0 on a 3-site chain: z = 0 is an exact eigenvalue of -Delta
+    m = ModelConfig(1, 0.0, SingleSitePotential.delta(1), uniform01())
+    with pytest.raises(ValueError, match="imaginary part"):
+        decay_profile(m, 3, 0.0, 0.5, trials=5, seed=0)
+
+
+def test_singular_solve_raises():
+    m = ModelConfig(1, 0.0, SingleSitePotential.delta(1), uniform01())
+    sampler = DisorderSampler(m, chain(1))
+    with pytest.raises(np.linalg.LinAlgError):
+        sampler.green_column(np.array([0.5]), 0j, (0,))
+
+
 # ---------------------------------------------------------------------------
 # finite-volume screening sum
 
@@ -273,6 +288,18 @@ def test_finite_volume_2d_runs():
     res = finite_volume_sum(m, region, (0, 0), 0.5j, 0.3, L=2, trials=25, seed=2)
     assert res["raw_sum"] > 0.0
     assert math.isfinite(res["scaled"])
+
+
+@pytest.mark.parametrize("z, s, x, message", [
+    (0.5, 0.3, (0,), "imaginary part"),
+    (0.5j, 1.2, (0,), "exponent"),
+    (0.5j, 0.3, (11,), "lie in the geometry"),
+])
+def test_finite_volume_enforces_the_average_contract(z, s, x, message):
+    m = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())
+    region = explicit_geometry([(k,) for k in range(-10, 11)])
+    with pytest.raises(ValueError, match=message):
+        finite_volume_sum(m, region, x, z, s, L=2, trials=5, seed=1)
 
 
 # ---------------------------------------------------------------------------
