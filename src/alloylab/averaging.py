@@ -53,6 +53,23 @@ def _fractional_prefactor(s: float) -> float:
     return 2.0 ** s * s ** (-s) / (1.0 - s)
 
 
+def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column MC mean and standard error of samples stacked along axis 0.
+
+    Each column is reduced as its own contiguous 1-D array, so it matches
+    np.mean / np.std(ddof=1) of that column alone bit for bit; an axis-0
+    reduction sums row by row instead.  A single trial or a constant column
+    (e.g. no disorder) has stderr 0.
+    """
+    samples = np.asarray(samples, dtype=float)
+    trials = len(samples)
+    columns = np.ascontiguousarray(np.atleast_2d(samples.T))
+    mean = np.array([np.mean(c) for c in columns])
+    stderr = np.array([np.std(c, ddof=1) / math.sqrt(trials) if trials > 1 and np.ptp(c) > 0.0 else 0.0
+                       for c in columns])
+    return mean.reshape(samples.shape[1:]), stderr.reshape(samples.shape[1:])
+
+
 def _integrate(f, density: DisorderDensity, singular_points) -> tuple[float, float]:
     """Adaptive quadrature of f * rho over the support, split at singularities."""
     lo, hi = density.a, density.b
@@ -142,6 +159,8 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
         raise ValueError("sum_k alpha_k V_k must be invertible")
     if not 0.0 < t < 1.0:
         raise ValueError("exponent t must lie in (0, 1)")
+    if trials < 1:
+        raise ValueError("need at least one trial")
 
     rng = trial_stream(seed, 0)
     draws = density.sample(rng, size=(trials, N + 1))
@@ -152,14 +171,13 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
         for r, V in zip(draws[i], Vs):
             M += r * V
         vals[i] = math.exp(-p * _logabsdet(M))
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean, stderr = _mean_stderr(vals)
 
     ratio = 0.0 if N == 0 else max(abs(alpha[i]) / abs(alpha[0]) for i in range(1, N + 1))
     R = density.support_radius
     bound = (math.exp(-p * logdet_comb) * abs(alpha[0]) ** t * (1.0 + ratio) ** (N * t)
              * _fractional_prefactor(t) * (2.0 * R) ** (N * t) * density.linf ** ((N + 1) * t))
-    return AverageCheck(mean, bound, 3.0 * stderr, "monte-carlo")
+    return AverageCheck(float(mean), bound, 3.0 * float(stderr), "monte-carlo")
 
 
 def norm_inverse_check(V: np.ndarray) -> tuple[float, float]:

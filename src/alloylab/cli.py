@@ -247,7 +247,7 @@ def cmd_regularity(args) -> int:
     x = (0,) * d
     y = tuple([args.separation] + [0] * (d - 1))
     rep = spectra.pair_regularity_probability(model, args.L, x, y, (args.emin, args.emax),
-                                              args.grid, args.m, args.trials, seed)
+                                              args.grid, args.m, args.trials, seed, args.threads)
     out = Output(args.out)
     out.table(["energy", "frequency"],
               [[float(E), float(f)] for E, f in zip(rep.energies, rep.per_energy_frequency)])
@@ -318,6 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="base path for CSV outputs")
         sp.add_argument("--seed", type=int, default=None,
                         help="random seed" + (" (required for MC)" if mc else ""))
+
+    def trial_flags(sp, trials: int):  # only the subcommands that run MC trials
+        sp.add_argument("--trials", type=int, default=trials)
         sp.add_argument("--threads", type=int,
                         default=int(os.environ.get(_ENV_THREADS, "1")),
                         help="worker thread cap (env %s)" % _ENV_THREADS)
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=0.25)
     sp.add_argument("--energy", type=float, default=0.0)
     sp.add_argument("--imag", type=float, default=0.5)
-    sp.add_argument("--trials", type=int, default=1000)
+    trial_flags(sp, 1000)
     sp.set_defaults(fn=cmd_moments)
 
     sp = sub.add_parser("decay", help="moment decay profile vs the explicit bound")
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=0.5)
     sp.add_argument("--energy", type=float, default=0.0)
     sp.add_argument("--imag", type=float, default=0.5)
-    sp.add_argument("--trials", type=int, default=5000)
+    trial_flags(sp, 5000)
     sp.set_defaults(fn=cmd_decay)
 
     sp = sub.add_parser("finite-volume", help="screened moment sum across the annulus")
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=0.3)
     sp.add_argument("--energy", type=float, default=0.0)
     sp.add_argument("--imag", type=float, default=0.5)
-    sp.add_argument("--trials", type=int, default=500)
+    trial_flags(sp, 500)
     sp.set_defaults(fn=cmd_finite_volume)
 
     sp = sub.add_parser("wegner", help="eigenvalue-count MC vs the exact bound")
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, default=6)
     sp.add_argument("--emin", type=float, default=-0.1)
     sp.add_argument("--emax", type=float, default=0.1)
-    sp.add_argument("--trials", type=int, default=2000)
+    trial_flags(sp, 2000)
     sp.set_defaults(fn=cmd_wegner)
 
     sp = sub.add_parser("poscomb", help="leading derivative, radius and positive combination")
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--emax", type=float, default=1.0)
     sp.add_argument("--grid", type=int, default=21)
     sp.add_argument("--m", type=float, default=0.2)
-    sp.add_argument("--trials", type=int, default=200)
+    trial_flags(sp, 200)
     sp.set_defaults(fn=cmd_regularity)
 
     sp = sub.add_parser("conditional", help="Gaussian conditional formulas and the pinned interval")
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", type=int, default=15, help="number of chain sites (radius in d>1)")
     sp.add_argument("--s", type=float, default=1.0 / 3.0)
     sp.add_argument("--imag", type=float, default=0.5)
-    sp.add_argument("--trials", type=int, default=800)
+    trial_flags(sp, 800)
     sp.set_defaults(fn=cmd_apriori)
 
     return p

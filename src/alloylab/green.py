@@ -19,6 +19,7 @@ from .model import (
     SingleSitePotential,
     Site,
     _as_site,
+    _site_set,
     adjacency_matrix,
     assemble_hamiltonian,
     build_box,
@@ -97,7 +98,7 @@ class DepletedOperators:
 
 def depleted(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inner_sites) -> DepletedOperators:
     """Deplete the hopping between ``inner_sites`` and the rest of the geometry."""
-    inner = {_as_site(s) for s in inner_sites} if not isinstance(inner_sites, BoxGeometry) else set(inner_sites.sites)
+    inner = _site_set(inner_sites)
     if not inner <= geometry.site_set():
         raise ValueError("inner region must be contained in the geometry")
     H = assemble_hamiltonian(model, omega, geometry)
@@ -117,7 +118,7 @@ def schur_B(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inn
     interior boundary of L and is independent of couplings that only act
     inside L.
     """
-    inner = {s for s in inner_sites} if not isinstance(inner_sites, BoxGeometry) else set(inner_sites.sites)
+    inner = _site_set(inner_sites)
     if not inner <= geometry.site_set():
         raise ValueError("inner region must be contained in the geometry")
     inner_list = [s for s in geometry.sites if s in inner]
@@ -138,7 +139,7 @@ def schur_B(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inn
 def verify_schur_identity(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
                           inner_sites, z: complex) -> float:
     """Max-abs discrepancy of P_L G P_L* = (H_L - B - z)^{-1} on L x L."""
-    inner = {s for s in inner_sites} if not isinstance(inner_sites, BoxGeometry) else set(inner_sites.sites)
+    inner = _site_set(inner_sites)
     inner_list = [s for s in geometry.sites if s in inner]
     inner_geo = BoxGeometry(tuple(inner_list))
     H_full = assemble_hamiltonian(model, omega, geometry)
@@ -154,8 +155,8 @@ def verify_schur_identity(model: ModelConfig, omega: Configuration, geometry: Bo
 def verify_two_step_schur(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
                           inner1, inner2, z: complex) -> float:
     """Nested-complement identity for L1 inside L2 with int-boundary(L2) disjoint from L1."""
-    s1 = {s for s in inner1} if not isinstance(inner1, BoxGeometry) else set(inner1.sites)
-    s2 = {s for s in inner2} if not isinstance(inner2, BoxGeometry) else set(inner2.sites)
+    s1 = _site_set(inner1)
+    s2 = _site_set(inner2)
     if not s1 <= s2 or not s2 <= geometry.site_set():
         raise ValueError("need inner1 within inner2 within the geometry")
     if interior_boundary(s2) & s1:

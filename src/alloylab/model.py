@@ -148,9 +148,14 @@ def explicit_geometry(sites) -> BoxGeometry:
     return BoxGeometry(tuple(sorted({_as_site(s) for s in sites})))
 
 
+def _site_set(sites) -> set[Site]:
+    """A BoxGeometry, or an iterable of ints, lists or tuples, as a set of site tuples."""
+    return set(sites.sites) if isinstance(sites, BoxGeometry) else {_as_site(s) for s in sites}
+
+
 def interior_boundary(sites) -> set[Site]:
     """Sites of the set with fewer than 2d neighbors inside the set."""
-    pts = {_as_site(s) for s in (sites.sites if isinstance(sites, BoxGeometry) else sites)}
+    pts = _site_set(sites)
     if not pts:
         raise ValueError("empty site set")
     d = len(next(iter(pts)))
@@ -159,7 +164,7 @@ def interior_boundary(sites) -> set[Site]:
 
 def exterior_boundary(sites) -> set[Site]:
     """Sites outside the set that are l1-adjacent to it."""
-    pts = {_as_site(s) for s in (sites.sites if isinstance(sites, BoxGeometry) else sites)}
+    pts = _site_set(sites)
     if not pts:
         raise ValueError("empty site set")
     out = set()
@@ -172,7 +177,7 @@ def exterior_boundary(sites) -> set[Site]:
 
 def connected_components(sites) -> list[set[Site]]:
     """Connected components under l1-adjacency (flood fill)."""
-    remaining = {_as_site(s) for s in (sites.sites if isinstance(sites, BoxGeometry) else sites)}
+    remaining = _site_set(sites)
     comps = []
     while remaining:
         seed = next(iter(remaining))
@@ -509,9 +514,8 @@ def lambda_plus(geometry, u: SingleSitePotential) -> set[Site]:
     omega_k enters V(x) exactly when u(x - k) != 0, so the influencing set
     is { x - t : x in the geometry, t in supp u }.
     """
-    sites = geometry.sites if isinstance(geometry, BoxGeometry) else [_as_site(s) for s in geometry]
     supp = u.support()
-    return {site_sub(x, t) for x in sites for t in supp}
+    return {site_sub(x, t) for x in _site_set(geometry) for t in supp}
 
 
 class SitePotential:

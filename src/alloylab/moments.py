@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import _fractional_prefactor
+from .averaging import _fractional_prefactor, _mean_stderr
 from .green import annulus
 from .model import (
     BoxGeometry,
@@ -56,20 +56,17 @@ __all__ = [
 
 
 def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
-    """Evaluate fn(trial_index) for each trial, collected in index order.
+    """fn(trial_index) for each trial in index order: shape (trials,) for scalars, (trials, k) for rows.
 
     Each trial derives its own random stream from (seed, index), so the
-    result array is bitwise identical no matter how many workers run.
+    result is bitwise identical no matter how many workers run.
     """
-    out = np.empty(trials)
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if threads <= 1:
-        for t in range(trials):
-            out[t] = fn(t)
-        return out
+        return np.array([fn(t) for t in range(trials)])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for t, val in zip(range(trials), pool.map(fn, range(trials))):
-            out[t] = val
-    return out
+        return np.array(list(pool.map(fn, range(trials))))
 
 
 @dataclass(frozen=True)
@@ -131,6 +128,12 @@ def _check_average_args(geometry: BoxGeometry, z: complex, s: float, *sites) -> 
     return sites
 
 
+def _check_coupling(coupling: float) -> None:
+    """The closed-form bounds divide by a power of lambda, so they need lambda > 0."""
+    if coupling <= 0.0:
+        raise ValueError(f"the bound needs a positive coupling lambda, got {coupling}")
+
+
 def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
                     x, y, trials: int, seed: int, threads: int = 1) -> MomentEstimate:
     """Unbiased MC mean of |G(z; x, y)|^s over i.i.d. disorder."""
@@ -142,13 +145,8 @@ def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp
         col = sampler.green_column(sampler.omega(seed, trial), z, x)
         return abs(col[iy]) ** s_exp
 
-    vals = run_trials(one, trials, threads)
-    mean = float(np.mean(vals))
-    if trials > 1 and np.ptp(vals) > 0.0:
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(trials))
-    else:
-        stderr = 0.0  # degenerate distribution (e.g. no disorder)
-    return MomentEstimate(mean, stderr, trials, s_exp, x, y, complex(z))
+    mean, stderr = _mean_stderr(run_trials(one, trials, threads))
+    return MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y, complex(z))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +179,7 @@ def one_d_constants(u: SingleSitePotential, density: DisorderDensity,
         raise ValueError("one-dimensional potentials only")
     if not 0.0 < s < 1.0:
         raise ValueError("exponent s must lie in (0, 1)")
-    if coupling <= 0.0:
-        raise ValueError("the decay constants need a positive coupling")
+    _check_coupling(coupling)
     supp = [k[0] for k in u.support()]
     n = max(supp) + 1
     if supp != list(range(n)):
@@ -248,11 +245,9 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
         raise ValueError("one-dimensional potentials only")
     if not 0.0 < s < 1.0:
         raise ValueError("exponent s must lie in (0, 1)")
-    supp = sorted(k[0] for k in u.support())
-    if supp[0] != 0:
-        raise ValueError("normalize supp u so that min supp = 0")
-    n = supp[-1] + 1
-    r = largest_gap(u)
+    _check_coupling(coupling)
+    r = largest_gap(u)  # also checks min supp u = 0
+    n = max(k[0] for k in u.support()) + 1
     R = density.support_radius
     rows = []
     for i in range(n + r):
@@ -330,47 +325,27 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
         raise ValueError("decay profiles are one-dimensional")
     geometry = explicit_geometry([(k,) for k in range(box_sites)])
     (x,) = _check_average_args(geometry, z, s, (0,))
-    supp = sorted(k[0] for k in model.potential.support())
-    n = supp[-1] + 1
     r = largest_gap(model.potential)
+    step = max(k[0] for k in model.potential.support()) + 1 + r  # n + r, and r = 0 when connected
+    exponent = s / step
     if model.coupling == 0.0:
-        # flat diagnostic profile; no decay bound applies without disorder
-        consts = None
-        exponent = s / (n + r)
-        step = n + r
-        bound_fn = lambda dist: math.inf
-        min_dist = len(geometry) + 1
-    elif r == 0:
-        consts = one_d_constants(model.potential, model.density, model.coupling, s)
-        exponent = s / n
-        step = n
-        bound_fn = consts.bound
-        min_dist = 2 * n
+        # flat diagnostic profile: no decay bound applies without disorder, so
+        # min_dist lies past the box and no distance is compared to a bound
+        consts, min_dist = None, len(geometry) + 1
     else:
-        consts = gap_constants(model.potential, model.density, model.coupling, s)
-        exponent = s / (n + r)
-        step = n + r
-        bound_fn = consts.bound
-        min_dist = 2 * (n + r)
+        consts = (one_d_constants if r == 0 else gap_constants)(model.potential, model.density,
+                                                                model.coupling, s)
+        min_dist = 2 * step
 
     sampler = DisorderSampler(model, geometry)
-    cols = np.empty((trials, len(geometry)))
 
-    def one(trial: int) -> float:
+    def one(trial: int) -> np.ndarray:
         col = sampler.green_column(sampler.omega(seed, trial), z, x)
-        cols[trial] = np.abs(col) ** exponent
-        return 0.0
+        return np.abs(col) ** exponent
 
-    run_trials(one, trials, threads)
-    estimates = []
-    for iy in range(1, len(geometry)):
-        vals = cols[:, iy]
-        mean = float(np.mean(vals))
-        if trials > 1 and np.ptp(vals) > 0.0:
-            stderr = float(np.std(vals, ddof=1) / math.sqrt(trials))
-        else:
-            stderr = 0.0
-        estimates.append(MomentEstimate(mean, stderr, trials, exponent, x, (iy,), complex(z)))
+    means, stderrs = _mean_stderr(run_trials(one, trials, threads))
+    estimates = [MomentEstimate(float(means[iy]), float(stderrs[iy]), trials, exponent, x, (iy,), complex(z))
+                 for iy in range(1, len(geometry))]
 
     dists, logs, weights = [], [], []
     for est in estimates:
@@ -391,7 +366,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     rows = []
     for est in estimates:
         dist = est.y[0]
-        bound = bound_fn(dist) if dist >= min_dist else math.inf
+        bound = consts.bound(dist) if dist >= min_dist else math.inf
         rows.append({
             "distance": dist,
             "mean": est.mean,
@@ -425,6 +400,7 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     out only the non-explicit prefactor of the criterion.
     """
     (x,) = _check_average_args(region, z, s, x)
+    _check_coupling(model.coupling)
     ann = annulus(region, x, L, model.potential)
     depleted_sites = region.site_set() - ann.W_x
     if x not in depleted_sites:
@@ -436,16 +412,12 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
 
     sampler = DisorderSampler(model, sub)
     idx = [sub.index_of(w) for w in boundary]
-    acc = np.empty((trials, len(boundary)))
 
-    def one(trial: int) -> float:
+    def one(trial: int) -> np.ndarray:
         col = sampler.green_column(sampler.omega(seed, trial), z, x)
-        acc[trial] = np.abs(col[idx]) ** exponent
-        return 0.0
+        return np.abs(col[idx]) ** exponent
 
-    run_trials(one, trials, threads)
-    means = acc.mean(axis=0)
-    stderrs = acc.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(len(boundary))
+    means, stderrs = _mean_stderr(run_trials(one, trials, threads))
     raw = float(means.sum())
     lam = model.coupling
     xi = max(lam ** (-exponent), lam ** (-2 * s))
@@ -499,6 +471,7 @@ def nonlocal_apriori_bound(u: SingleSitePotential, density: DisorderDensity,
     """
     if not 0.0 < s < 1.0:
         raise ValueError("exponent s must lie in (0, 1)")
+    _check_coupling(coupling)
     if density.deriv_l1 is None:
         raise ValueError("density must have an integrable derivative")
     info = exponential_weights(u)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .averaging import _mean_stderr
 from .model import (
     BoxGeometry,
     ModelConfig,
@@ -25,7 +26,7 @@ from .model import (
     lambda_plus,
     sample_configuration,
 )
-from .moments import DisorderSampler, run_trials
+from .moments import DisorderSampler, _check_coupling, run_trials
 from .poscomb import wegner_coefficients
 
 __all__ = [
@@ -72,6 +73,7 @@ class WegnerReport:
 def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
               threads: int = 1) -> WegnerReport:
     """MC mean eigenvalue count in the interval against the exact count bound."""
+    _check_coupling(model.coupling)
     a, b = float(interval[0]), float(interval[1])
     geometry = build_box(l, (0,) * model.dimension)
     sampler = DisorderSampler(model, geometry)
@@ -82,9 +84,7 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
         ev = np.linalg.eigvalsh(H)
         return float(np.sum((ev >= a) & (ev <= b)))
 
-    counts = run_trials(one, trials, threads)
-    mean = float(np.mean(counts))
-    stderr = float(np.std(counts, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean, stderr = map(float, _mean_stderr(run_trials(one, trials, threads)))
     bound = (1.0 / (2.0 * model.coupling) * model.density.total_variation
              * (b - a) * coeff["t_l1_total"])
     return WegnerReport((a, b), l, mean, stderr, trials, bound,
@@ -144,7 +144,8 @@ class RegularityReport:
 
 
 def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
-                                grid_points: int, m: float, trials: int, seed: int) -> RegularityReport:
+                                grid_points: int, m: float, trials: int, seed: int,
+                                threads: int = 1) -> RegularityReport:
     """Frequency of "for every grid energy, one of the two boxes is regular".
 
     The boxes must be separated enough that their couplings are independent;
@@ -166,24 +167,22 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     idx_y = [box_y.index_of(w) for w in sorted(interior_boundary(box_y))]
     thresh = math.exp(-m * L)
 
-    per_energy = np.zeros(len(energies))
-    pair_ok = 0
-    for t in range(trials):
+    def one(t: int) -> np.ndarray:  # 0/1 flag per grid energy, then the all-energies flag
         omega = sample_configuration(model, need, seed + 1000003 * t)
         eig_x = np.linalg.eigh(assemble_hamiltonian(model, omega, box_x).entries)
         eig_y = None
-        ok_all = True
-        for i, E in enumerate(energies):
+        flags = []
+        for E in energies:
             ok = _is_regular(eig_x, E, box_x.index_of(x), idx_x, thresh)
             if not ok:
                 if eig_y is None:
                     eig_y = np.linalg.eigh(assemble_hamiltonian(model, omega, box_y).entries)
                 ok = _is_regular(eig_y, E, box_y.index_of(y), idx_y, thresh)
-            per_energy[i] += ok
-            ok_all = ok_all and ok
-        pair_ok += ok_all
-    return RegularityReport(L, x, y, m, energies,
-                            tuple(per_energy / trials), pair_ok / trials, trials,
+            flags.append(ok)
+        return np.array(flags + [all(flags)], dtype=float)
+
+    freq, _ = _mean_stderr(run_trials(one, trials, threads))
+    return RegularityReport(L, x, y, m, energies, tuple(freq[:-1]), float(freq[-1]), trials,
                             "grid approximation of the energy continuum; upper-bias estimate")
 
 

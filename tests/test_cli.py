@@ -199,8 +199,33 @@ def test_missing_seed_rejected(tmp_path):
 
 
 def test_threads_flag_bitwise_stable(model_cfg, tmp_path):
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    base = ["decay", "--config", str(model_cfg), "--trials", "64", "--box", "12", "--seed", "3"]
-    assert run(base + ["--threads", "1", "--out", str(out1)]) == 0
-    assert run(base + ["--threads", "3", "--out", str(out2)]) == 0
-    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+    for argv in (["decay", "--trials", "64", "--box", "12"],
+                 ["finite-volume", "--region", "8", "--L", "3", "--trials", "24"],
+                 ["wegner", "--l", "4", "--trials", "40"],
+                 ["regularity", "--L", "3", "--separation", "12", "--grid", "5", "--trials", "12"]):
+        out1, out2 = tmp_path / (argv[0] + "1"), tmp_path / (argv[0] + "3")
+        base = argv + ["--config", str(model_cfg), "--seed", "3"]
+        assert run(base + ["--threads", "1", "--out", str(out1)]) == 0
+        assert run(base + ["--threads", "3", "--out", str(out2)]) == 0
+        assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes(), argv[0]
+
+
+def test_threads_flag_only_on_trial_subcommands(model_cfg):
+    for name in ("spectrum", "green-identities", "averaging", "poscomb", "conditional"):
+        assert run([name, "--config", str(model_cfg), "--threads", "2"]) == 1, name
+
+
+@pytest.mark.parametrize("coupling, argv", [
+    (50.0, ["moments", "--trials", "0"]),
+    (50.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "0"]),
+    (0.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "4"]),
+    (0.0, ["wegner", "--l", "3", "--trials", "4"]),
+], ids=["moments-no-trials", "finite-volume-no-trials", "finite-volume-zero-coupling", "wegner-zero-coupling"])
+def test_contract_violations_exit_1(model_cfg, tmp_path, capsys, coupling, argv):
+    cfg = json.loads(model_cfg.read_text())
+    cfg["lambda"] = coupling
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o.csv").exists()

@@ -244,6 +244,26 @@ def test_two_step_schur_rejects_touching_boundary():
         verify_two_step_schur(m, omega, g, [(3,)], [(k,) for k in range(3, 7)], 0.5j)
 
 
+@pytest.mark.parametrize("as_given", [lambda k: k, lambda k: [k], lambda k: (k,)],
+                         ids=["int", "list", "tuple"])
+def test_inner_sites_given_as_ints_lists_or_tuples(as_given):
+    m = make_model(d=1, lam=3.0, u_vals={(0,): 1.0, (1,): -0.5})
+    g = chain(12)
+    omega = sample_configuration(m, lambda_plus(g, m.potential), seed=6)
+    z = 0.1 + 0.8j
+
+    def residuals(site):
+        inner1, inner2 = [site(k) for k in range(5, 7)], [site(k) for k in range(3, 9)]
+        return (verify_schur_identity(m, omega, g, inner1, z),
+                verify_two_step_schur(m, omega, g, inner1, inner2, z),
+                *verify_resolvent_identities(m, omega, g, inner1, z),
+                schur_B(m, omega, g, inner1, z).tobytes())
+
+    got = residuals(as_given)
+    assert got == residuals(lambda k: (k,))
+    assert max(got[:4]) < 1e-9
+
+
 def test_resolvent_identities_trivial_and_random():
     m = make_model(d=1, lam=1.0, u_vals={(0,): 1.0, (1,): -1.0})
     g = chain(10)

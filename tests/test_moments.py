@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from alloylab.averaging import detgen_check
 from alloylab.model import (
     BoxGeometry,
     DisorderDensity,
@@ -25,8 +26,10 @@ from alloylab.moments import (
     nonlocal_apriori_bound,
     one_d_constants,
     polynomial_root_criterion,
+    run_trials,
     w_xy,
 )
+from alloylab.spectra import pair_regularity_probability, wegner_mc
 
 
 def uniform01():
@@ -300,6 +303,48 @@ def test_finite_volume_enforces_the_average_contract(z, s, x, message):
     region = explicit_geometry([(k,) for k in range(-10, 11)])
     with pytest.raises(ValueError, match=message):
         finite_volume_sum(m, region, x, z, s, L=2, trials=5, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: finite_volume_sum(m, chain(21), (10,), 0.5j, 0.3, L=2, trials=5, seed=1),
+    lambda m: wegner_mc(m, 4, (-0.1, 0.1), trials=5, seed=1),
+    lambda m: nonlocal_apriori_bound(m.potential, DisorderDensity("raised_cosine", (0, 1)), m.coupling, 0.3),
+    lambda m: gap_constants(m.potential, m.density, m.coupling, 0.5, search_samples=50),
+], ids=["finite_volume_sum", "wegner_mc", "nonlocal_apriori_bound", "gap_constants"])
+def test_bounds_need_a_positive_coupling(call):
+    # lambda = 0 is a valid model, but every one of these bounds divides by a power of it
+    u = SingleSitePotential.from_values({(0,): 1.0, (2,): -0.5})
+    with pytest.raises(ValueError, match="positive coupling"):
+        call(ModelConfig(1, 0.0, u, uniform01()))
+
+
+# ---------------------------------------------------------------------------
+# the trial engine
+
+
+def test_run_trials_stacks_scalars_and_rows_in_index_order():
+    rows = run_trials(lambda t: np.array([t, 2.0 * t]), 5, threads=3)
+    assert rows.shape == (5, 2)
+    assert rows.tolist() == [[t, 2.0 * t] for t in range(5)]
+    assert run_trials(float, 4).tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+_DELTA = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: run_trials(float, n),
+    lambda n: estimate_moment(_DELTA, chain(6), 0.5j, 0.3, (0,), (3,), n, seed=1),
+    lambda n: decay_profile(_DELTA, 6, 0.5j, 0.5, n, seed=1),
+    lambda n: finite_volume_sum(_DELTA, chain(21), (10,), 0.5j, 0.3, L=2, trials=n, seed=1),
+    lambda n: wegner_mc(_DELTA, 3, (-0.1, 0.1), n, seed=1),
+    lambda n: pair_regularity_probability(_DELTA, 2, (0,), (6,), (-1, 1), 3, 0.1, n, seed=1),
+    lambda n: detgen_check(np.eye(1), [np.eye(1)], [1.0], uniform01(), 0.5, trials=n),
+], ids=["run_trials", "estimate_moment", "decay_profile", "finite_volume_sum", "wegner_mc",
+        "pair_regularity_probability", "detgen_check"])
+def test_estimators_reject_an_empty_trial_count(call):
+    with pytest.raises(ValueError, match="at least one trial"):
+        call(0)
 
 
 # ---------------------------------------------------------------------------

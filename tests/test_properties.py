@@ -1,15 +1,21 @@
-"""Properties of Hamiltonian assembly and the exact identities over random inputs.
+"""Properties of Hamiltonian assembly, the exact identities and the MC reduction.
 
 Models are drawn in d = 1 and d = 2 with a sign-changing finite profile u on
 1-4 sites or a truncated exponential tail (up to 25 sites), on random site
 sets of a small box, with random couplings omega.  Assembly is compared bit
-for bit; the identities are checked against the pinned 1e-9 tolerance.
+for bit; the identities are checked against the pinned 1e-9 tolerance.  The
+mean/stderr reduction is checked column by column, bit for bit, on random
+per-trial sample arrays.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from alloylab.averaging import _mean_stderr
 from alloylab.green import verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
 from alloylab.model import (
     Configuration,
@@ -120,3 +126,29 @@ def test_schur_and_resolvent_identities_on_random_inner_sets(setup, z, data):
         inner1 = set(data.draw(subsets(core)))
         outer = inner1 | exterior_boundary(inner1) | set(data.draw(subsets(geometry.sites)))
         assert verify_two_step_schur(model, omega, geometry, inner1, outer, z) <= 1e-9
+
+
+@st.composite
+def trial_samples(draw):
+    """(trials, k) samples, trials >= 1, with some columns held constant."""
+    trials, k = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    samples = draw(arrays(np.float64, (trials, k), elements=st.floats(-1e3, 1e3)))
+    constant = draw(arrays(np.bool_, k))
+    samples[:, constant] = draw(st.floats(-1e3, 1e3))
+    return samples
+
+
+@PROPERTY
+@given(trial_samples())
+def test_mean_stderr_reduces_each_column_alone(samples):
+    mean, stderr = _mean_stderr(samples)
+    assert mean.shape == stderr.shape == (samples.shape[1],)
+    for j in range(samples.shape[1]):
+        column = samples[:, j].copy()
+        m1, s1 = _mean_stderr(column)
+        assert same_bits(mean[j], m1) and same_bits(stderr[j], s1)
+        assert same_bits(m1, np.mean(column))
+        if len(column) == 1 or np.ptp(column) == 0.0:  # every column held constant lands here
+            assert s1 == 0.0  # where np.std can read a few ulps above 0
+        else:
+            assert same_bits(s1, np.std(column, ddof=1) / math.sqrt(len(column)))
