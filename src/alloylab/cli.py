@@ -85,6 +85,18 @@ def _load(args) -> tuple:
     return model, seed
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --threads, and of its default from the environment."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, like any other value under 1
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (from --threads or {_ENV_THREADS}), got {text!r}")
+    return value
+
+
 def _require_seed(args, seed):
     if seed is None:
         raise SystemExit("this subcommand needs --seed (or a seed in the config)")
@@ -321,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def trial_flags(sp, trials: int):  # only the subcommands that run MC trials
         sp.add_argument("--trials", type=int, default=trials)
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get(_ENV_THREADS, "1")),
+        # a string default goes through the type only when this subcommand
+        # runs without --threads, so a bad environment value fails here alone
+        sp.add_argument("--threads", type=_positive_int,
+                        default=os.environ.get(_ENV_THREADS, "1"),
                         help="worker thread cap (env %s)" % _ENV_THREADS)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one disorder realization")

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .averaging import _fractional_prefactor, _mean_stderr
 from .green import annulus
@@ -59,13 +60,17 @@ def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
     """fn(trial_index) for each trial in index order: shape (trials,) for scalars, (trials, k) for rows.
 
     Each trial derives its own random stream from (seed, index), so the
-    result is bitwise identical no matter how many workers run.
+    result is bitwise identical no matter how many workers run.  At most
+    ``trials`` workers are started, however large ``threads`` is.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads}")
+    workers = min(threads, trials)
+    if workers == 1:
         return np.array([fn(t) for t in range(trials)])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.array(list(pool.map(fn, range(trials))))
 
 
@@ -89,6 +94,11 @@ class DisorderSampler:
     The hopping part of H is fixed by the geometry; the random diagonal is
     lambda V, with V built by the SitePotential that assemble_hamiltonian also
     uses, from one coupling per site of ``potential.coupling_sites``.
+
+    The Green column comes from a banded LU (LAPACK ``gbsv``).  The
+    half-bandwidth k is measured from the hopping matrix: 1 for a chain,
+    side^(d-1) for a lexicographically ordered box, and up to n - 1 for an
+    arbitrary site order, which is still exact, only slower.
     """
 
     def __init__(self, model: ModelConfig, geometry: BoxGeometry):
@@ -96,6 +106,12 @@ class DisorderSampler:
         self.geometry = geometry
         self.potential = SitePotential(geometry, model.potential)
         self.hopping = -adjacency_matrix(geometry)
+        rows, cols = np.nonzero(self.hopping)
+        self.half_bandwidth = k = int(np.max(np.abs(rows - cols), initial=0))
+        # gbsv layout: a[i, j] at row 2k + i - j; rows 0..k-1 hold the LU fill-in
+        self._band = np.zeros((3 * k + 1, len(geometry)), dtype=complex)
+        self._band[2 * k + rows - cols, cols] = self.hopping[rows, cols]
+        self._gbsv = get_lapack_funcs("gbsv", (self._band,))
 
     def omega(self, seed: int, trial: int) -> np.ndarray:
         rng = trial_stream(seed, trial)
@@ -107,12 +123,16 @@ class DisorderSampler:
         return H
 
     def green_column(self, omega_vec: np.ndarray, z: complex, x) -> np.ndarray:
-        """Column G(z; ., x) via one linear solve; a singular solve raises LinAlgError."""
-        H = self.hamiltonian(omega_vec)
-        n = H.shape[0]
-        rhs = np.zeros(n, dtype=complex)
+        """Column G(z; ., x) via one banded solve; a singular H - z raises LinAlgError."""
+        k = self.half_bandwidth
+        ab = self._band.copy()
+        ab[2 * k] = self.model.coupling * self.potential(omega_vec) - z
+        rhs = np.zeros(ab.shape[1], dtype=complex)
         rhs[self.geometry.index_of(x)] = 1.0
-        return np.linalg.solve(H - z * np.eye(n, dtype=complex), rhs)
+        _, _, col, info = self._gbsv(k, k, ab, rhs, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"H - z is singular: zero pivot {info} in the banded LU")
+        return col
 
 
 def _check_average_args(geometry: BoxGeometry, z: complex, s: float, *sites) -> tuple[Site, ...]:

@@ -215,6 +215,26 @@ def test_threads_flag_only_on_trial_subcommands(model_cfg):
         assert run([name, "--config", str(model_cfg), "--threads", "2"]) == 1, name
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "abc"])
+def test_threads_flag_must_be_a_positive_integer(model_cfg, tmp_path, capsys, threads):
+    argv = ["moments", "--trials", "4", "--config", str(model_cfg), "--out", str(tmp_path / "o")]
+    assert run(argv + ["--threads", threads]) == 1
+    assert "error: argument --threads: expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_bad_threads_environment_fails_only_the_trial_subcommands(model_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ALLOYLAB_THREADS", "abc")
+    assert run(["spectrum", "--config", str(model_cfg), "--box", "3"]) == 0
+    assert run(["poscomb", "--config", str(model_cfg), "--l", "2"]) == 0
+    capsys.readouterr()
+    moments = ["moments", "--trials", "4", "--config", str(model_cfg), "--out", str(tmp_path / "o")]
+    assert run(moments) == 1
+    assert "ALLOYLAB_THREADS), got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+    assert run(moments + ["--threads", "2"]) == 0  # the flag overrides the environment
+
+
 @pytest.mark.parametrize("coupling, argv", [
     (50.0, ["moments", "--trials", "0"]),
     (50.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "0"]),

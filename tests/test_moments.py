@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from alloylab import moments
 from alloylab.averaging import detgen_check
 from alloylab.model import (
     BoxGeometry,
     DisorderDensity,
     ModelConfig,
     SingleSitePotential,
+    build_box,
     explicit_geometry,
 )
 from alloylab.moments import (
@@ -242,9 +244,24 @@ def test_decay_profile_rejects_real_energy():
 
 def test_singular_solve_raises():
     m = ModelConfig(1, 0.0, SingleSitePotential.delta(1), uniform01())
-    sampler = DisorderSampler(m, chain(1))
-    with pytest.raises(np.linalg.LinAlgError):
-        sampler.green_column(np.array([0.5]), 0j, (0,))
+    # lambda = 0: H - z is 0 on one site, and -Delta on two sites has eigenvalue 1
+    for n, z in ((1, 0j), (2, 1 + 0j)):
+        sampler = DisorderSampler(m, chain(n))
+        with pytest.raises(np.linalg.LinAlgError):
+            sampler.green_column(np.full(n, 0.5), z, (0,))
+
+
+@pytest.mark.parametrize("geometry, k", [
+    (chain(1), 0),
+    (chain(7), 1),
+    (explicit_geometry([(0,), (2,), (4,)]), 0),  # no hopping between the sites
+    (build_box(2, (0, 0)), 5),  # lexicographic order: a neighbour is one box side away
+    (build_box(1, (0, 0, 0)), 9),
+    (BoxGeometry(((0,), (2,), (1,))), 2),  # unsorted sites widen the band
+], ids=["one-site", "chain", "isolated-sites", "d2-box", "d3-box", "unsorted"])
+def test_half_bandwidth_is_measured_from_the_geometry(geometry, k):
+    m = ModelConfig(geometry.dimension, 1.0, SingleSitePotential.delta(geometry.dimension), uniform01())
+    assert DisorderSampler(m, geometry).half_bandwidth == k
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +344,34 @@ def test_run_trials_stacks_scalars_and_rows_in_index_order():
     assert rows.shape == (5, 2)
     assert rows.tolist() == [[t, 2.0 * t] for t in range(5)]
     assert run_trials(float, 4).tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_trials_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="at least one thread"):
+        run_trials(float, 4, threads)
+
+
+@pytest.mark.parametrize("trials, threads, workers", [(3, 10 ** 9, 3), (5, 2, 2), (1, 10 ** 9, None)])
+def test_run_trials_starts_at_most_one_worker_per_trial(monkeypatch, trials, threads, workers):
+    started = []
+
+    class Recorder:  # stands in for the pool, so no thread is started
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", Recorder)
+    assert run_trials(float, trials, threads).tolist() == [float(t) for t in range(trials)]
+    assert started == ([] if workers is None else [workers])
 
 
 _DELTA = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())

@@ -1,9 +1,12 @@
-"""Properties of Hamiltonian assembly, the exact identities and the MC reduction.
+"""Properties of Hamiltonian assembly, the exact identities, the banded Green
+column and the MC reduction.
 
 Models are drawn in d = 1 and d = 2 with a sign-changing finite profile u on
 1-4 sites or a truncated exponential tail (up to 25 sites), on random site
 sets of a small box, with random couplings omega.  Assembly is compared bit
 for bit; the identities are checked against the pinned 1e-9 tolerance.  The
+banded Green column is checked against a dense solve on boxes, chains, holed,
+annulus-depleted, one-site and unsorted geometries in d = 1, 2, 3.  The
 mean/stderr reduction is checked column by column, bit for bit, on random
 per-trial sample arrays.
 """
@@ -16,8 +19,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from alloylab.averaging import _mean_stderr
-from alloylab.green import verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
+from alloylab.green import annulus, verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
 from alloylab.model import (
+    BoxGeometry,
     Configuration,
     DisorderDensity,
     ModelConfig,
@@ -126,6 +130,47 @@ def test_schur_and_resolvent_identities_on_random_inner_sets(setup, z, data):
         inner1 = set(data.draw(subsets(core)))
         outer = inner1 | exterior_boundary(inner1) | set(data.draw(subsets(geometry.sites)))
         assert verify_two_step_schur(model, omega, geometry, inner1, outer, z) <= 1e-9
+
+
+@st.composite
+def solve_setups(draw):
+    """(sampler, omega, z, x): a geometry that the banded solve must handle exactly."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    origin = (0,) * d
+    # supp u in {0, 1}^d keeps the annulus of finite_volume_sum small in d = 3
+    offsets = draw(st.sets(st.tuples(*[st.integers(0, 1)] * d), max_size=2))
+    u = SingleSitePotential({k: draw(_u_value) for k in {origin} | offsets})
+    kind = draw(st.sampled_from(["box", "holes", "annulus", "one-site", "unsorted"]))
+    if kind == "annulus":
+        L = u.diameter_linf() + 2
+        region = build_box(L + draw(st.integers(1, 1 if d == 3 else 3)), origin)
+        geometry = region.subset(region.site_set() - annulus(region, origin, L, u).W_x)
+    elif kind == "one-site":
+        geometry = explicit_geometry([draw(st.tuples(*[st.integers(-3, 3)] * d))])
+    else:
+        geometry = build_box(draw(st.integers(1, {1: 15, 2: 4, 3: 2}[d])), origin)
+        if kind == "holes":
+            geometry = explicit_geometry(draw(subsets(geometry.sites)))
+        elif kind == "unsorted":
+            geometry = BoxGeometry(tuple(draw(st.permutations(geometry.sites))))
+    sampler = DisorderSampler(ModelConfig(d, draw(st.floats(0.0, 10.0)), u, DisorderDensity("uniform", (0, 1))),
+                              geometry)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    omega_vec = rng.uniform(-1.0, 1.0, len(sampler.potential.coupling_sites))
+    return sampler, omega_vec, draw(energies), draw(st.sampled_from(geometry.sites))
+
+
+@PROPERTY
+@given(solve_setups())
+def test_banded_green_column_matches_the_dense_solve(setup):
+    sampler, omega_vec, z, x = setup
+    n = len(sampler.geometry)
+    e_x = np.zeros(n, dtype=complex)
+    e_x[sampler.geometry.index_of(x)] = 1.0
+    want = np.linalg.solve(sampler.hamiltonian(omega_vec) - z * np.eye(n), e_x)
+    got = sampler.green_column(omega_vec, z, x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @st.composite
