@@ -53,6 +53,12 @@ def _fractional_prefactor(s: float) -> float:
     return 2.0 ** s * s ** (-s) / (1.0 - s)
 
 
+def _check_trials(trials: int) -> None:
+    """The contract of every MC estimator: at least one trial, checked before any stream is derived."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+
+
 def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     """Per-column MC mean and standard error of samples stacked along axis 0.
 
@@ -159,18 +165,17 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
         raise ValueError("sum_k alpha_k V_k must be invertible")
     if not 0.0 < t < 1.0:
         raise ValueError("exponent t must lie in (0, 1)")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
 
     rng = trial_stream(seed, 0)
     draws = density.sample(rng, size=(trials, N + 1))
-    vals = np.empty(trials)
+    # one stack of A + sum_k r_k V_k, summed in the order of k, and one slogdet;
+    # math.exp per trial, since np.exp may differ from it in the last ulp
+    M = np.broadcast_to(A, (trials, n, n)).copy()
+    for k, V in enumerate(Vs):
+        M += draws[:, k, None, None] * V
     p = t / n
-    for i in range(trials):
-        M = A.copy()
-        for r, V in zip(draws[i], Vs):
-            M += r * V
-        vals[i] = math.exp(-p * _logabsdet(M))
+    vals = np.array([math.exp(-p * float(ld)) for ld in np.linalg.slogdet(M)[1]])  # -inf when singular
     mean, stderr = _mean_stderr(vals)
 
     ratio = 0.0 if N == 0 else max(abs(alpha[i]) / abs(alpha[0]) for i in range(1, N + 1))

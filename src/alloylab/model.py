@@ -431,12 +431,22 @@ class DisorderDensity:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size)
+    def sample(self, rng, size=None):
+        """Draws by inverse transform from one Generator, or one row per Generator.
+
+        ``rng`` is a Generator, or an iterable of them: row t is then the
+        t-th Generator's ``random(size)``, and the whole block goes through
+        one density transform.  The transform is elementwise, so every row is
+        bit for bit what sampling its Generator alone gives.
+        """
+        if isinstance(rng, np.random.Generator):
+            u = rng.random(size)
+        else:
+            u = np.array([g.random(size) for g in rng])
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * u
         out = self.quantile(u)
-        return float(out) if size is None else out
+        return float(out) if np.ndim(out) == 0 else out
 
     # -- checks -------------------------------------------------------------
 

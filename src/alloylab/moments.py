@@ -1,9 +1,10 @@
 """Monte Carlo fractional moments of Green functions and the explicit bounds.
 
 The centerpiece is E|G(z; x, y)|^s over the disorder, estimated trial by
-trial with per-trial random streams, and compared against the explicit 1-D
-decay constants, the gap-construction bounds, the finite-volume screening
-sum, and the non-local a-priori bound from the exponential-weight transform.
+trial with per-trial random streams (drawn as one block per estimator), and
+compared against the explicit 1-D decay constants, the gap-construction
+bounds, the finite-volume screening sum, and the non-local a-priori bound
+from the exponential-weight transform.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .averaging import _fractional_prefactor, _mean_stderr
+from .averaging import _check_trials, _fractional_prefactor, _mean_stderr
 from .green import annulus
 from .model import (
     BoxGeometry,
@@ -59,19 +60,22 @@ __all__ = [
 def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
     """fn(trial_index) for each trial in index order: shape (trials,) for scalars, (trials, k) for rows.
 
-    Each trial derives its own random stream from (seed, index), so the
-    result is bitwise identical no matter how many workers run.  At most
-    ``trials`` workers are started, however large ``threads`` is.
+    A trial depends only on its index (its disorder is row ``trial`` of the
+    estimator's ``DisorderSampler.omega`` block), so the result is bitwise
+    identical no matter how many workers run.  With w = min(threads, trials)
+    workers, the trials are cut into w contiguous index ranges, one
+    ``pool.map`` task each, and the results are stacked in trial order.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads}")
     workers = min(threads, trials)
     if workers == 1:
         return np.array([fn(t) for t in range(trials)])
+    chunks = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(fn, range(trials))))
+        parts = list(pool.map(lambda chunk: [fn(t) for t in chunk], chunks))
+    return np.array([result for part in parts for result in part])
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,8 @@ class DisorderSampler:
     The hopping part of H is fixed by the geometry; the random diagonal is
     lambda V, with V built by the SitePotential that assemble_hamiltonian also
     uses, from one coupling per site of ``potential.coupling_sites``.
+    ``omega`` draws the couplings of all of an estimator's trials as one
+    block, through one density transform.
 
     The Green column comes from a banded LU (LAPACK ``gbsv``).  The
     half-bandwidth k is measured from the hopping matrix: 1 for a chain,
@@ -113,9 +119,19 @@ class DisorderSampler:
         self._band[2 * k + rows - cols, cols] = self.hopping[rows, cols]
         self._gbsv = get_lapack_funcs("gbsv", (self._band,))
 
-    def omega(self, seed: int, trial: int) -> np.ndarray:
-        rng = trial_stream(seed, trial)
-        return np.asarray(self.model.density.sample(rng, size=len(self.potential.coupling_sites)))
+    def omega(self, seed: int, trials: int) -> np.ndarray:
+        """Couplings of trials 0..trials-1 as one (trials, |coupling_sites|) block.
+
+        Row t is drawn from ``trial_stream(seed, t)``, exactly as a single
+        trial would draw it, and the whole block goes through one
+        ``DisorderDensity.sample`` call, so the bisection quantile runs once
+        per estimator, not once per trial.  The block holds trials x
+        |coupling_sites| doubles: 5000 x 61, about 2.4 MB, at the ``decay``
+        defaults.
+        """
+        _check_trials(trials)
+        streams = (trial_stream(seed, t) for t in range(trials))
+        return self.model.density.sample(streams, size=len(self.potential.coupling_sites))
 
     def hamiltonian(self, omega_vec: np.ndarray) -> np.ndarray:
         H = self.hopping.copy()
@@ -160,9 +176,10 @@ def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp
     x, y = _check_average_args(geometry, z, s_exp, x, y)
     sampler = DisorderSampler(model, geometry)
     iy = geometry.index_of(y)
+    omegas = sampler.omega(seed, trials)
 
     def one(trial: int) -> float:
-        col = sampler.green_column(sampler.omega(seed, trial), z, x)
+        col = sampler.green_column(omegas[trial], z, x)
         return abs(col[iy]) ** s_exp
 
     mean, stderr = _mean_stderr(run_trials(one, trials, threads))
@@ -277,17 +294,15 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
         raise ValueError("every length-(r+1) window must meet supp u; r is inconsistent")
     d0 = 1.0 / ((n + r) * (r + 1) ** (r / 2.0))
 
-    rng = trial_stream(seed, 0)
-    best_alpha, best_dist = None, -1.0
-    for _ in range(search_samples):
-        cand = rng.random(r + 1)
-        dist = min(abs(float(row @ cand)) / nv for row, nv in zip(rows, norms))
-        if dist > best_dist:
-            best_dist, best_alpha = dist, cand
-    if best_alpha is None or best_dist < d0 / 2.0:
+    # all candidates in one block (the same numbers as successive random(r + 1)
+    # draws); the first candidate farthest from every hyperplane wins
+    cands = trial_stream(seed, 0).random((search_samples, r + 1))
+    dists = np.min(np.abs(cands @ np.array(rows).T) / norms, axis=1)
+    best_dist = float(np.max(dists, initial=-1.0))
+    if best_dist < d0 / 2.0:
         raise RuntimeError("hyperplane search failed to reach the guaranteed distance; "
                            f"best {best_dist:.3g} < d0/2 = {d0 / 2.0:.3g}")
-    alpha = best_alpha
+    alpha = cands[int(np.argmax(dists))]
     pref = _fractional_prefactor(s)
 
     ratio = 0.0 if r == 0 else max(abs(alpha[i]) / abs(alpha[0]) for i in range(1, r + 1))
@@ -358,9 +373,10 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
         min_dist = 2 * step
 
     sampler = DisorderSampler(model, geometry)
+    omegas = sampler.omega(seed, trials)
 
     def one(trial: int) -> np.ndarray:
-        col = sampler.green_column(sampler.omega(seed, trial), z, x)
+        col = sampler.green_column(omegas[trial], z, x)
         return np.abs(col) ** exponent
 
     means, stderrs = _mean_stderr(run_trials(one, trials, threads))
@@ -432,9 +448,10 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
 
     sampler = DisorderSampler(model, sub)
     idx = [sub.index_of(w) for w in boundary]
+    omegas = sampler.omega(seed, trials)
 
     def one(trial: int) -> np.ndarray:
-        col = sampler.green_column(sampler.omega(seed, trial), z, x)
+        col = sampler.green_column(omegas[trial], z, x)
         return np.abs(col[idx]) ** exponent
 
     means, stderrs = _mean_stderr(run_trials(one, trials, threads))

@@ -1,5 +1,6 @@
 """Properties of Hamiltonian assembly, the exact identities, the banded Green
-column and the MC reduction.
+column, the batched disorder draws, the vectorised searches and the MC
+reduction.
 
 Models are drawn in d = 1 and d = 2 with a sign-changing finite profile u on
 1-4 sites or a truncated exponential tail (up to 25 sites), on random site
@@ -8,17 +9,20 @@ for bit; the identities are checked against the pinned 1e-9 tolerance.  The
 banded Green column is checked against a dense solve on boxes, chains, holed,
 annulus-depleted, one-site and unsorted geometries in d = 1, 2, 3.  The
 mean/stderr reduction is checked column by column, bit for bit, on random
-per-trial sample arrays.
+per-trial sample arrays.  The per-estimator disorder block, the stacked
+quantile, the gap-construction search and the stacked determinant average
+are each checked bit for bit against the one-trial-at-a-time path they
+replace.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from alloylab.averaging import _mean_stderr
+from alloylab.averaging import _mean_stderr, detgen_check
 from alloylab.green import annulus, verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
 from alloylab.model import (
     BoxGeometry,
@@ -35,7 +39,8 @@ from alloylab.model import (
     lambda_plus,
     potential_value,
 )
-from alloylab.moments import DisorderSampler
+from alloylab.moments import DisorderSampler, gap_constants
+from alloylab.rng import trial_stream
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -197,3 +202,122 @@ def test_mean_stderr_reduces_each_column_alone(samples):
             assert s1 == 0.0  # where np.std can read a few ulps above 0
         else:
             assert same_bits(s1, np.std(column, ddof=1) / math.sqrt(len(column)))
+
+
+# ---------------------------------------------------------------------------
+# batched disorder draws
+
+
+@st.composite
+def densities(draw):
+    """uniform, raised-cosine or piecewise-linear, on a random support."""
+    kind = draw(st.sampled_from(["uniform", "raised_cosine", "piecewise_linear"]))
+    a = draw(st.floats(-5.0, 5.0))
+    width = draw(st.floats(0.1, 10.0))
+    if kind != "piecewise_linear":
+        return DisorderDensity(kind, (a, a + width))
+    cuts = sorted(draw(st.sets(st.integers(1, 99), max_size=4)))  # knots at least width/100 apart
+    ts = [a + width * c / 100 for c in [0, *cuts, 100]]
+    ys = draw(st.lists(st.floats(0.0, 2.0), min_size=len(ts), max_size=len(ts)))
+    assume(sum(ys) > 0.1)
+    return DisorderDensity(kind, list(zip(ts, ys)))
+
+
+@PROPERTY
+@given(densities(), st.integers(1, 6), st.integers(1, 40), st.integers(-2 ** 31, 2 ** 31))
+def test_omega_block_rows_are_the_single_trial_draws(density, trials, sites, seed):
+    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
+    sampler = DisorderSampler(ModelConfig(1, 1.0, u, density), explicit_geometry([(k,) for k in range(sites)]))
+    m = len(sampler.potential.coupling_sites)
+    block = sampler.omega(seed, trials)
+    assert block.shape == (trials, m)
+    for t in range(trials):
+        assert same_bits(block[t], density.sample(trial_stream(seed, t), size=m))
+
+
+@PROPERTY
+@given(densities(), st.integers(1, 8), st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+def test_quantile_is_invariant_to_stacking(density, rows, cols, seed):
+    q = np.random.default_rng(seed).random((rows, cols))
+    stacked = density.quantile(q)
+    for t in range(rows):
+        assert same_bits(stacked[t], density.quantile(q[t].copy()))
+
+
+@PROPERTY
+@given(densities(), st.floats(0.0, 1.0))
+def test_quantile_inverts_the_cdf_inside_the_support(density, frac):
+    t = density.a + frac * (density.b - density.a)
+    # where the density is small the cdf is flat and the inverse is ill-conditioned
+    assume(float(density.pdf(t)) >= 0.05 * density.linf)
+    assert abs(float(density.quantile(density.cdf(t))) - t) <= 1e-12 * max(1.0, abs(t))
+
+
+# ---------------------------------------------------------------------------
+# vectorised searches against their one-at-a-time loops
+
+
+def _hyperplane_search_loop(u, search_samples, seed):
+    """The gap-construction search one candidate at a time: (alpha, distance)."""
+    supp = sorted(k[0] for k in u.support())
+    n, r = supp[-1] + 1, max(b - a - 1 for a, b in zip(supp, supp[1:]))
+    rows = [np.array([u.value((i - k,)) for k in range(r + 1)]) for i in range(n + r)]
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    rng = trial_stream(seed, 0)
+    best_alpha, best_dist = None, -1.0
+    for _ in range(search_samples):
+        cand = rng.random(r + 1)
+        dist = min(abs(float(row @ cand)) / nv for row, nv in zip(rows, norms))
+        if dist > best_dist:
+            best_dist, best_alpha = dist, cand
+    return best_alpha, best_dist
+
+
+@st.composite
+def gapped_potentials(draw):
+    """1-D u with 0 in its support and at least one gap."""
+    n = draw(st.integers(3, 9))
+    inner = draw(st.sets(st.integers(1, n - 2), max_size=n - 3))
+    return SingleSitePotential({(k,): draw(_u_value) for k in {0, n - 1} | inner})
+
+
+@PROPERTY
+@given(gapped_potentials(), st.integers(1, 200), st.integers(0, 2 ** 31))
+def test_gap_search_matches_the_candidate_loop(u, search_samples, seed):
+    alpha, dist = _hyperplane_search_loop(u, search_samples, seed)
+    try:
+        got = gap_constants(u, DisorderDensity("uniform", (0, 1)), 10.0, 0.5, search_samples, seed)
+    except RuntimeError:  # the loop's best must then fall short of d0 / 2 as well
+        supp = sorted(k[0] for k in u.support())
+        n, r = supp[-1] + 1, max(b - a - 1 for a, b in zip(supp, supp[1:]))
+        assert dist < 0.5 / ((n + r) * (r + 1) ** (r / 2.0))
+        return
+    assert got.alpha == tuple(float(a) for a in alpha)
+    if search_samples == 1:  # numpy sends a one-row product through gemv, not gemm, and
+        # gemv may round a distance differently from the loop's dot in the last ulp
+        assert math.isclose(got.min_distance, dist, rel_tol=4 * np.finfo(float).eps)
+    else:
+        assert same_bits(np.float64(got.min_distance), np.float64(dist))
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 60), st.floats(0.05, 0.95),
+       st.integers(0, 2 ** 32 - 1))
+def test_stacked_detgen_matches_the_per_trial_determinants(n, count, trials, t, seed):
+    gen = np.random.default_rng(seed)
+    A = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    Vs = [gen.normal(size=(n, n)) for _ in range(count)]
+    alpha = np.ones(count)
+    assume(abs(np.linalg.det(sum(Vs))) > 1e-6)
+    density = DisorderDensity("uniform", (-1, 1))
+    got = detgen_check(A, Vs, alpha, density, t, trials=trials, seed=seed)
+    draws = density.sample(trial_stream(seed, 0), size=(trials, count))
+    vals = []
+    for row in draws:
+        M = A.astype(complex)
+        for r, V in zip(row, Vs):
+            M += r * V
+        vals.append(math.exp(-t / n * np.linalg.slogdet(M)[1]))
+    mean, stderr = _mean_stderr(np.array(vals))
+    assert same_bits(np.float64(got.integral_value), mean)
+    assert same_bits(np.float64(got.error), 3.0 * stderr)
