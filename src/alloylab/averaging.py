@@ -110,13 +110,12 @@ def graf_bound_value(density: DisorderDensity, s: float) -> float:
 
 def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageCheck:
     """integral of |xi - beta|^{-s} rho(xi) dxi against the one-pole bound."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("exponent s must lie in (0, 1)")
+    bound = graf_bound_value(density, s)  # checks the exponent before any quadrature
     beta = complex(beta)
     singular = [beta.real] if abs(beta.imag) < 1e-14 else []
     f = lambda t: abs(t - beta) ** (-s)
     val, err = _integrate(f, density, singular)
-    return AverageCheck(val, graf_bound_value(density, s), err, "quadrature")
+    return AverageCheck(val, bound, err, "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +162,7 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     sign, logdet_comb = np.linalg.slogdet(comb)
     if sign == 0 or not np.isfinite(logdet_comb):
         raise ValueError("sum_k alpha_k V_k must be invertible")
-    if not 0.0 < t < 1.0:
-        raise ValueError("exponent t must lie in (0, 1)")
+    pref = _fractional_prefactor(t)
     _check_trials(trials)
 
     rng = trial_stream(seed, 0)
@@ -181,7 +179,7 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     ratio = 0.0 if N == 0 else max(abs(alpha[i]) / abs(alpha[0]) for i in range(1, N + 1))
     R = density.support_radius
     bound = (math.exp(-p * logdet_comb) * abs(alpha[0]) ** t * (1.0 + ratio) ** (N * t)
-             * _fractional_prefactor(t) * (2.0 * R) ** (N * t) * density.linf ** ((N + 1) * t))
+             * pref * (2.0 * R) ** (N * t) * density.linf ** ((N + 1) * t))
     return AverageCheck(float(mean), bound, 3.0 * float(stderr), "monte-carlo")
 
 

@@ -80,9 +80,18 @@ class Output:
 
 
 def _load(args) -> tuple:
+    """(model, seed) from --config and --seed; a subcommand that draws disorder needs a seed."""
     model, cfg_seed = load_model_config(args.config)
     seed = args.seed if args.seed is not None else cfg_seed
+    if seed is None and args.needs_seed:
+        raise SystemExit("this subcommand needs --seed (or a seed in the config)")
     return model, seed
+
+
+def _instances(args) -> range:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
+    return range(args.instances)
 
 
 def _positive_int(text: str) -> int:
@@ -97,19 +106,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _require_seed(args, seed):
-    if seed is None:
-        raise SystemExit("this subcommand needs --seed (or a seed in the config)")
-    return int(seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 
 def cmd_spectrum(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     geometry = build_box(args.box, (0,) * model.dimension)
     omega = sample_configuration(model, lambda_plus(geometry, model.potential), seed)
     H = model_mod.assemble_hamiltonian(model, omega, geometry)
@@ -124,11 +126,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_green_identities(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     rng = trial_stream(seed, 0)
     rows, worst = [], 0.0
     d = model.dimension
-    for i in range(args.instances):
+    for i in _instances(args):
         radius = int(rng.integers(6, 13)) if d == 1 else int(rng.integers(2, 4))
         geometry = build_box(radius, (0,) * d)
         omega = sample_configuration(model, lambda_plus(geometry, model.potential), seed + i)
@@ -148,12 +149,11 @@ def cmd_green_identities(args) -> int:
 
 def cmd_averaging(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     rng = trial_stream(seed, 1)
     rho = model.density
     rows = []
     ok = True
-    for i in range(args.instances):
+    for i in _instances(args):
         s = float(rng.uniform(0.2, 0.8))
         n = int(rng.integers(1, 4))
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -177,7 +177,6 @@ def cmd_averaging(args) -> int:
 
 def cmd_moments(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     geometry = build_box(args.box, (0,) * model.dimension)
     z = complex(args.energy, args.imag)
     x = (0,) * model.dimension
@@ -193,7 +192,6 @@ def cmd_moments(args) -> int:
 
 def cmd_decay(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     if args.coupling is not None:
         model = model_mod.ModelConfig(model.dimension, args.coupling, model.potential, model.density)
     z = complex(args.energy, args.imag)
@@ -211,7 +209,6 @@ def cmd_decay(args) -> int:
 
 def cmd_finite_volume(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     region = build_box(args.region, (0,) * model.dimension)
     z = complex(args.energy, args.imag)
     res = moments.finite_volume_sum(model, region, (0,) * model.dimension, z,
@@ -227,7 +224,6 @@ def cmd_finite_volume(args) -> int:
 
 def cmd_wegner(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     rep = spectra.wegner_mc(model, args.l, (args.emin, args.emax), args.trials, seed, args.threads)
     out = Output(args.out)
     out.table(["interval_min", "interval_max", "l", "mean_count", "stderr", "trials", "bound"],
@@ -254,7 +250,6 @@ def cmd_poscomb(args) -> int:
 
 def cmd_regularity(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     d = model.dimension
     x = (0,) * d
     y = tuple([args.separation] + [0] * (d - 1))
@@ -269,7 +264,6 @@ def cmd_regularity(args) -> int:
 
 def cmd_conditional(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     rows = []
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
@@ -293,7 +287,6 @@ def cmd_conditional(args) -> int:
 
 def cmd_apriori(args) -> int:
     model, seed = _load(args)
-    seed = _require_seed(args, seed)
     info = moments.nonlocal_apriori_bound(model.potential, model.density, model.coupling, args.s)
     if model.dimension == 1:
         geometry = explicit_geometry([(k,) for k in range(args.box)])
@@ -330,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="base path for CSV outputs")
         sp.add_argument("--seed", type=int, default=None,
                         help="random seed" + (" (required for MC)" if mc else ""))
+        sp.set_defaults(needs_seed=mc)
 
     def trial_flags(sp, trials: int):  # only the subcommands that run MC trials
         sp.add_argument("--trials", type=int, default=trials)

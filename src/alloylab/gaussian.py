@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SingleSitePotential
+from .model import SingleSitePotential, _chain_support
 from .rng import trial_stream
 
 __all__ = [
@@ -60,10 +60,8 @@ def negexample_constants(u: SingleSitePotential) -> NegexampleConstants:
     forced near 1 by the conditioning; m is the u-mass on Theta_1 and
     c = n u_max / u_min controls the interval half-width.
     """
-    if u.dimension != 1:
-        raise ValueError("construction is one-dimensional")
-    supp = [k[0] for k in u.support()]
-    n = max(supp) + 1
+    supp = _chain_support(u)
+    n = supp[-1] + 1
     if supp != list(range(n)):
         raise ValueError("supp u must be the connected block {0..n-1}")
     vals = {k: u.value((k,)) for k in supp}

@@ -34,7 +34,6 @@ __all__ = [
     "DepletedOperators",
     "AnnulusGeometry",
     "green",
-    "green_entry",
     "depleted",
     "schur_B",
     "verify_schur_identity",
@@ -75,17 +74,6 @@ def green(H: HamiltonianMatrix, z: complex) -> GreenMatrix:
     return GreenMatrix(H.geometry, z, entries)
 
 
-def green_entry(H: HamiltonianMatrix, z: complex, x, y) -> complex:
-    """Single Green function entry via one linear solve."""
-    if x not in H.geometry or y not in H.geometry:
-        return 0.0 + 0.0j
-    n = len(H.geometry)
-    rhs = np.zeros(n, dtype=complex)
-    rhs[H.geometry.index_of(y)] = 1.0
-    col = np.linalg.solve(H.entries - z * np.eye(n, dtype=complex), rhs)
-    return complex(col[H.geometry.index_of(x)])
-
-
 @dataclass(frozen=True)
 class DepletedOperators:
     """H^L (bonds across the L boundary removed) and the coupling T = H^L - H."""
@@ -121,34 +109,27 @@ def schur_B(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inn
     inner = _site_set(inner_sites)
     if not inner <= geometry.site_set():
         raise ValueError("inner region must be contained in the geometry")
-    inner_list = [s for s in geometry.sites if s in inner]
-    ext_list = [s for s in geometry.sites if s not in inner]
-    nL = len(inner_list)
-    if not ext_list:
-        return np.zeros((nL, nL), dtype=complex)
-    ext_geo = BoxGeometry(tuple(ext_list))
+    if len(inner) == len(geometry):
+        return np.zeros((len(inner), len(inner)), dtype=complex)
+    ext_geo = geometry.subset(geometry.site_set() - inner)
     H_ext = assemble_hamiltonian(model, omega, ext_geo)
-    A = adjacency_matrix(geometry)
-    idx_in = [geometry.index_of(s) for s in inner_list]
-    idx_ext = [geometry.index_of(s) for s in ext_list]
-    C = A[np.ix_(idx_in, idx_ext)]  # Delta entries between L and the exterior
-    G_ext = np.linalg.inv(H_ext.entries - z * np.eye(len(ext_list), dtype=complex))
+    in_inner = np.array([s in inner for s in geometry.sites])
+    C = adjacency_matrix(geometry)[np.ix_(in_inner, ~in_inner)]  # Delta entries between L and the exterior
+    G_ext = np.linalg.inv(H_ext.entries - z * np.eye(len(ext_geo), dtype=complex))
     return C @ G_ext @ C.T
 
 
 def verify_schur_identity(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
                           inner_sites, z: complex) -> float:
     """Max-abs discrepancy of P_L G P_L* = (H_L - B - z)^{-1} on L x L."""
-    inner = _site_set(inner_sites)
-    inner_list = [s for s in geometry.sites if s in inner]
-    inner_geo = BoxGeometry(tuple(inner_list))
+    inner_geo = geometry.subset(_site_set(inner_sites))
     H_full = assemble_hamiltonian(model, omega, geometry)
     G = green(H_full, z)
-    idx = [geometry.index_of(s) for s in inner_list]
+    idx = [geometry.index_of(s) for s in inner_geo.sites]
     lhs = G.entries[np.ix_(idx, idx)]
     H_in = assemble_hamiltonian(model, omega, inner_geo)
-    B = schur_B(model, omega, geometry, inner, z)
-    rhs = np.linalg.inv(H_in.entries - B - z * np.eye(len(inner_list), dtype=complex))
+    B = schur_B(model, omega, geometry, inner_geo.sites, z)
+    rhs = np.linalg.inv(H_in.entries - B - z * np.eye(len(inner_geo), dtype=complex))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -162,31 +143,26 @@ def verify_two_step_schur(model: ModelConfig, omega: Configuration, geometry: Bo
     if interior_boundary(s2) & s1:
         raise ValueError("interior boundary of the outer region must avoid the inner region")
 
-    lst1 = [s for s in geometry.sites if s in s1]
-    lst_ring = [s for s in geometry.sites if s in (s2 - s1)]
-    geo1 = BoxGeometry(tuple(lst1))
-    geo_ring = BoxGeometry(tuple(lst_ring))
+    geo1, geo2, geo_ring = geometry.subset(s1), geometry.subset(s2), geometry.subset(s2 - s1)
 
     H_full = assemble_hamiltonian(model, omega, geometry)
     G = green(H_full, z)
-    idx1 = [geometry.index_of(s) for s in lst1]
+    idx1 = [geometry.index_of(s) for s in geo1.sites]
     lhs = G.entries[np.ix_(idx1, idx1)]
 
     B2 = schur_B(model, omega, geometry, s2, z)  # on inner2, ordered like geometry
-    lst2 = [s for s in geometry.sites if s in s2]
-    pos2 = {s: i for i, s in enumerate(lst2)}
-    ring_idx2 = [pos2[s] for s in lst_ring]
+    ring_idx2 = [geo2.index_of(s) for s in geo_ring.sites]
     B_ring = B2[np.ix_(ring_idx2, ring_idx2)]
 
     H_ring = assemble_hamiltonian(model, omega, geo_ring)
-    K = H_ring.entries - B_ring - z * np.eye(len(lst_ring), dtype=complex)
+    K = H_ring.entries - B_ring - z * np.eye(len(geo_ring), dtype=complex)
 
     # hopping between L1 and the ring (entries of Delta)
-    idx_ring = [geometry.index_of(s) for s in lst_ring]
+    idx_ring = [geometry.index_of(s) for s in geo_ring.sites]
     C = adjacency_matrix(geometry)[np.ix_(idx1, idx_ring)]
 
     H1 = assemble_hamiltonian(model, omega, geo1)
-    S = H1.entries - z * np.eye(len(lst1), dtype=complex) - C @ np.linalg.solve(K, C.T.astype(complex))
+    S = H1.entries - z * np.eye(len(geo1), dtype=complex) - C @ np.linalg.solve(K, C.T.astype(complex))
     rhs = np.linalg.inv(S)
     return float(np.max(np.abs(lhs - rhs)))
 

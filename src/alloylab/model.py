@@ -3,9 +3,10 @@
 The operator under study is H = -Delta + lambda * V on a finite subset of Z^d,
 where Delta is the discrete hopping Laplacian without its diagonal part and
 V(x) = sum_k omega_k u(x - k) couples i.i.d. random variables omega_k through
-a fixed profile u.  Everything here is dense: boxes stay at desk scale
-(a few thousand sites), where dense LU and eigensolves are simpler and
-exactly reproducible.
+a fixed profile u.  Hamiltonians are assembled as dense matrices: boxes stay
+at desk scale (a few thousand sites), where dense solves and eigensolves are
+simple and exactly reproducible.  Only the Monte Carlo trials in ``moments``
+solve for a Green column in band storage instead.
 """
 
 from __future__ import annotations
@@ -262,21 +263,7 @@ class SingleSitePotential:
 
     def tail_l1_error(self) -> float:
         """Upper bound on the l1 mass discarded by truncating the tail."""
-        if self.tail_amplitude is None:
-            return 0.0
-        d = self.dimension
-        a, rad = self.tail_rate, self.truncation_radius
-        # number of sites with |k|_1 = m is bounded by 2^d * binom(m+d-1, d-1) <= (2m+1)^d / max(1,m)^(d-1)... use exact count
-        total = 0.0
-        m = rad + 1
-        while True:
-            count = _l1_sphere_count(d, m)
-            term = count * self.tail_amplitude * math.exp(-a * m)
-            total += term
-            if term < 1e-300 or term < 1e-16 * total:
-                break
-            m += 1
-        return total
+        return _tail_sum(self, 0)
 
     def diameter_linf(self) -> int:
         supp = self.support()
@@ -326,6 +313,35 @@ def _l1_sphere_count(d: int, m: int) -> int:
     return total
 
 
+def _tail_sum(u: SingleSitePotential, degree: int) -> float:
+    """sum over |k|_1 > truncation radius of |tail(k)| (|k|_1 + degree)^degree.
+
+    Bounds the l1 mass (degree 0) and the degree-th derivative mass that the
+    truncation drops; the series runs until its terms stop mattering.
+    """
+    if u.tail_amplitude is None:
+        return 0.0
+    total = 0.0
+    m = u.truncation_radius + 1
+    while True:
+        term = (_l1_sphere_count(u.dimension, m) * u.tail_amplitude * math.exp(-u.tail_rate * m)
+                * float(m + degree) ** degree)
+        total += term
+        if term < 1e-300 or term < 1e-16 * total:
+            return total
+        m += 1
+
+
+def _chain_support(u: SingleSitePotential) -> list[int]:
+    """supp u of a one-dimensional profile as sorted offsets, which must start at 0."""
+    if u.dimension != 1:
+        raise ValueError("one-dimensional potentials only")
+    supp = [k[0] for k in u.support()]
+    if supp[0] != 0:
+        raise ValueError("normalize supp u so that min supp = 0")
+    return supp
+
+
 # ---------------------------------------------------------------------------
 # disorder density
 
@@ -372,6 +388,8 @@ class DisorderDensity:
             ys = [y / mass for y in ys]
             self.knots_t = np.array(ts)
             self.knots_y = np.array(ys)
+            seg = (self.knots_y[:-1] + self.knots_y[1:]) / 2 * np.diff(self.knots_t)
+            self._knot_mass = np.concatenate([[0.0], np.cumsum(seg)])
             self.a, self.b = ts[0], ts[-1]
             self.linf = max(ys)
             jumps = abs(ys[0]) + abs(ys[-1])  # jumps onto/off the support
@@ -406,9 +424,6 @@ class DisorderDensity:
             x = np.clip((t - self.a) / (self.b - self.a), 0.0, 1.0)
             return x - np.sin(2 * np.pi * x) / (2 * np.pi)
         ts, ys = self.knots_t, self.knots_y
-        if not hasattr(self, "_knot_mass"):
-            seg = (ys[:-1] + ys[1:]) / 2 * np.diff(ts)
-            self._knot_mass = np.concatenate([[0.0], np.cumsum(seg)])
         tc = np.clip(t, self.a, self.b)
         idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
         t0, t1 = ts[idx], ts[idx + 1]
@@ -578,12 +593,15 @@ def assemble_hamiltonian(model: ModelConfig, omega: Configuration, geometry: Box
 
 
 def sample_configuration(model: ModelConfig, sites, seed: int) -> Configuration:
-    """One i.i.d. draw per site; a pure function of (seed, site)."""
-    values = {}
-    for s in sorted({_as_site(x) for x in sites}):
-        rng = site_stream(seed, s)
-        values[s] = float(model.density.sample(rng))
-    return Configuration(values, seed=seed)
+    """One i.i.d. draw per site; a pure function of (seed, site).
+
+    Each site draws from its own ``site_stream``, and all draws go through
+    one density transform, which is elementwise, so every value is what
+    sampling that site's stream alone gives.
+    """
+    keys = sorted({_as_site(x) for x in sites})
+    draws = model.density.sample([site_stream(seed, s) for s in keys])
+    return Configuration(dict(zip(keys, draws.tolist())), seed=seed)
 
 
 # ---------------------------------------------------------------------------

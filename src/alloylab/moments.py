@@ -26,6 +26,7 @@ from .model import (
     Site,
     SitePotential,
     _as_site,
+    _chain_support,
     adjacency_matrix,
     explicit_geometry,
     exterior_boundary,
@@ -48,7 +49,6 @@ __all__ = [
     "nonlocal_apriori_bound",
     "w_xy",
     "polynomial_root_criterion",
-    "apriori_moment_trend",
     "run_trials",
 ]
 
@@ -156,8 +156,7 @@ def _check_average_args(geometry: BoxGeometry, z: complex, s: float, *sites) -> 
     draw), exponent in (0, 1), sites in the geometry; returns the sites normalized."""
     if complex(z).imag == 0:
         raise ValueError("z must have nonzero imaginary part for the disorder average")
-    if not 0.0 < s < 1.0:
-        raise ValueError("fractional exponent must lie in (0, 1)")
+    _fractional_prefactor(s)  # raises unless the exponent lies in (0, 1)
     sites = tuple(_as_site(x) for x in sites)
     if any(x not in geometry for x in sites):
         raise ValueError("the probed sites must lie in the geometry")
@@ -212,23 +211,20 @@ class OneDConstants:
 def one_d_constants(u: SingleSitePotential, density: DisorderDensity,
                     coupling: float, s: float) -> OneDConstants:
     """Explicit decay constants for connected supp u = {0..n-1} in d = 1."""
-    if u.dimension != 1:
-        raise ValueError("one-dimensional potentials only")
-    if not 0.0 < s < 1.0:
-        raise ValueError("exponent s must lie in (0, 1)")
+    pref = _fractional_prefactor(s)
     _check_coupling(coupling)
-    supp = [k[0] for k in u.support()]
-    n = max(supp) + 1
+    supp = _chain_support(u)
+    n = supp[-1] + 1
     if supp != list(range(n)):
         raise ValueError("supp u must be connected {0..n-1}; use gap_constants otherwise")
     vals = [u.value((k,)) for k in range(n)]
     prod_all = abs(math.prod(vals))
     C_u = prod_all ** (-s / n)
-    C_rho = density.linf ** s * _fractional_prefactor(s)
+    C_rho = density.linf ** s * pref
     C = C_u * C_rho / coupling ** s
     prefix_products = [abs(math.prod(vals[: i + 1])) for i in range(n)]
     C_u_plus = max(p ** (-s / n) for p in prefix_products)
-    C_rho_plus = max(density.linf ** s, density.linf ** (s / n)) * _fractional_prefactor(s)
+    C_rho_plus = max(density.linf ** s, density.linf ** (s / n)) * pref
     C_plus = C_u_plus * C_rho_plus * max(coupling ** (-s), coupling ** (-s / n))
     mu = -math.log(C)
     threshold = (C_u * C_rho) ** (1.0 / s)  # lambda above this gives C < 1
@@ -260,13 +256,8 @@ class GapConstants:
 
 def largest_gap(u: SingleSitePotential) -> int:
     """Number of sites in the largest run missing from supp u (0 if connected)."""
-    supp = sorted(k[0] for k in u.support())
-    if supp[0] != 0:
-        raise ValueError("normalize supp u so that min supp = 0")
-    best = 0
-    for a, b in zip(supp, supp[1:]):
-        best = max(best, b - a - 1)
-    return best
+    supp = _chain_support(u)
+    return max((b - a - 1 for a, b in zip(supp, supp[1:])), default=0)
 
 
 def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: float,
@@ -278,12 +269,9 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
     least half the volume-argument radius d0; existence is guaranteed because
     those neighborhoods cover at most half the cube.
     """
-    if u.dimension != 1:
-        raise ValueError("one-dimensional potentials only")
-    if not 0.0 < s < 1.0:
-        raise ValueError("exponent s must lie in (0, 1)")
+    pref = _fractional_prefactor(s)
     _check_coupling(coupling)
-    r = largest_gap(u)  # also checks min supp u = 0
+    r = largest_gap(u)  # also checks d = 1 and min supp u = 0
     n = max(k[0] for k in u.support()) + 1
     R = density.support_radius
     rows = []
@@ -298,15 +286,17 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
     # draws); the first candidate farthest from every hyperplane wins
     cands = trial_stream(seed, 0).random((search_samples, r + 1))
     dists = np.min(np.abs(cands @ np.array(rows).T) / norms, axis=1)
-    best_dist = float(np.max(dists, initial=-1.0))
-    if best_dist < d0 / 2.0:
+    if np.max(dists, initial=-1.0) < d0 / 2.0:
         raise RuntimeError("hyperplane search failed to reach the guaranteed distance; "
-                           f"best {best_dist:.3g} < d0/2 = {d0 / 2.0:.3g}")
+                           f"best {np.max(dists, initial=-1.0):.3g} < d0/2 = {d0 / 2.0:.3g}")
     alpha = cands[int(np.argmax(dists))]
-    pref = _fractional_prefactor(s)
+    # the chosen alpha's distance from one dot per row: the block product may
+    # round differently (BLAS gemv for a single candidate)
+    dots = [float(row @ alpha) for row in rows]
+    best_dist = float(min(abs(dot) / norm for dot, norm in zip(dots, norms)))
 
     ratio = 0.0 if r == 0 else max(abs(alpha[i]) / abs(alpha[0]) for i in range(1, r + 1))
-    prod_alpha = math.prod(abs(float(row @ alpha)) * coupling for row in rows)
+    prod_alpha = math.prod(abs(dot) * coupling for dot in dots)
     D_direct = (density.linf ** ((r + 1) * s) * (2 * R) ** (r * s) * pref * abs(alpha[0]) ** s
                 * (1.0 + ratio) ** (r * s) * prod_alpha ** (-s / (n + r)))
 
@@ -318,7 +308,7 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
 
     def d_plus_direct(l: int) -> float:
         t = s * (l + 1) / (n + r)
-        prod_l = math.prod(abs(float(rows[i] @ alpha)) * coupling for i in range(l + 1))
+        prod_l = math.prod(abs(dot) * coupling for dot in dots[: l + 1])
         return (density.linf ** ((r + 1) * t) * (2 * R) ** (r * t) * pref
                 * abs(alpha[0]) ** t * (1.0 + ratio) ** (r * s) * prod_l ** (-s / (n + r)))
 
@@ -506,8 +496,7 @@ def nonlocal_apriori_bound(u: SingleSitePotential, density: DisorderDensity,
     with integrable derivative, and diameter n >= 1.  The bound is
     8 ubar^{-s} s^{-s}/(1-s) ||rho'||^s C^s lambda^{-s}.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("exponent s must lie in (0, 1)")
+    _fractional_prefactor(s)  # raises unless the exponent lies in (0, 1)
     _check_coupling(coupling)
     if density.deriv_l1 is None:
         raise ValueError("density must have an integrable derivative")
@@ -566,12 +555,7 @@ def polynomial_root_criterion(u: SingleSitePotential, max_multiplier_degree: int
     convolutions of translate coefficients).  A root within 1e-9 of the
     nonnegative axis makes the verdict ambiguous.
     """
-    if u.dimension != 1:
-        raise ValueError("one-dimensional potentials only")
-    supp = sorted(k[0] for k in u.support())
-    if supp[0] != 0:
-        raise ValueError("normalize supp u so that min supp = 0")
-    n = supp[-1] + 1
+    n = _chain_support(u)[-1] + 1
     coeffs = np.array([u.value((k,)) for k in range(n)])
     # np.roots wants highest degree first
     roots = np.roots(coeffs[::-1]) if n > 1 else np.array([])
@@ -597,28 +581,3 @@ def polynomial_root_criterion(u: SingleSitePotential, max_multiplier_degree: int
             return out
         conv = np.convolve(conv, [1.0, 1.0])
     raise RuntimeError(f"no positivizing multiplier up to degree {max_multiplier_degree}")
-
-
-# ---------------------------------------------------------------------------
-# empirical boundedness trend (the a-priori constants are not explicit)
-
-
-def apriori_moment_trend(model_factory, couplings, geometry: BoxGeometry, s: float,
-                         z_values, x, y, trials: int, seed: int, threads: int = 1) -> dict:
-    """Moment table over an energy grid and a coupling ladder.
-
-    The a-priori bound's constants are not explicit, so this reports the
-    moments E|G(z;x,y)|^{s/(2|Theta|)} for each z and coupling, for trend
-    checks (bounded over z, non-increasing in the coupling within MC error).
-    """
-    table = {}
-    for lam in couplings:
-        model = model_factory(lam)
-        theta_count = len(model.potential.support())
-        exponent = s / (2 * theta_count)
-        row = []
-        for z in z_values:
-            est = estimate_moment(model, geometry, z, exponent, x, y, trials, seed, threads)
-            row.append(est)
-        table[lam] = row
-    return {"table": table, "z_values": list(z_values)}

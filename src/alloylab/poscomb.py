@@ -15,7 +15,7 @@ from .model import (
     SingleSitePotential,
     Site,
     _as_site,
-    _l1_sphere_count,
+    _tail_sum,
     build_box,
     l1_norm,
     site_sub,
@@ -86,21 +86,8 @@ def generating_derivative(u: SingleSitePotential, I) -> float:
 
 def derivative_truncation_error(u: SingleSitePotential, I) -> float:
     """Bound on the tail of D^I F(1) discarded by truncating u."""
-    if u.tail_amplitude is None:
-        return 0.0
-    I = tuple(int(i) for i in I)
-    d, a, rad = u.dimension, u.tail_rate, u.truncation_radius
-    deg = sum(I)
-    total = 0.0
-    m = rad + 1
-    while True:
-        # |prod ff(k_j, i_j)| <= (|k|_1 + deg)^deg for |k|_1 = m
-        term = _l1_sphere_count(d, m) * u.tail_amplitude * math.exp(-a * m) * float(m + deg) ** deg
-        total += term
-        if term < 1e-300 or term < 1e-16 * total:
-            break
-        m += 1
-    return total
+    # |prod ff(k_j, i_j)| <= (|k|_1 + |I|)^|I|
+    return _tail_sum(u, sum(int(i) for i in I))
 
 
 @dataclass(frozen=True)
@@ -229,16 +216,6 @@ def wegner_coefficients(u: SingleSitePotential, l: int,
         "t_l1_total": total,
         "bound_exponent": 2 * d + sum(lead.I0),
     }
-
-
-def t_vector(u: SingleSitePotential, l: int, lead: LeadingDerivative | None = None) -> dict[Site, float]:
-    """The explicit map k -> 2 k^I0 / c_u on the R_l-box (0 elsewhere)."""
-    if lead is None:
-        lead = find_I0(u)
-    C, alpha = exponential_envelope(u)
-    _, R_int = compute_R_l(C, alpha, lead.c_u, lead.I0, l, u.dimension)
-    box_R = build_box(R_int, (0,) * u.dimension)
-    return {k: 2.0 * power(k, lead.I0) / lead.c_u for k in box_R.sites}
 
 
 def nexp_guard(M: float, alpha: float, n: float) -> bool:

@@ -50,10 +50,14 @@ def eigenvalues(H) -> np.ndarray:
     return np.linalg.eigvalsh(M)
 
 
+def _check_interval(a: float, b: float) -> None:
+    if a > b:
+        raise ValueError(f"need a <= b, got [{a}, {b}]")
+
+
 def count_in_interval(H, a: float, b: float) -> int:
     """Number of eigenvalues in the closed interval [a, b]."""
-    if a > b:
-        raise ValueError("need a <= b")
+    _check_interval(a, b)
     ev = eigenvalues(H)
     return int(np.sum((ev >= a) & (ev <= b)))
 
@@ -75,6 +79,7 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     """MC mean eigenvalue count in the interval against the exact count bound."""
     _check_coupling(model.coupling)
     a, b = float(interval[0]), float(interval[1])
+    _check_interval(a, b)
     geometry = build_box(l, (0,) * model.dimension)
     sampler = DisorderSampler(model, geometry)
     coeff = wegner_coefficients(model.potential, l)
@@ -154,6 +159,8 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     the estimate upward, so the report says so.  Each box is diagonalized at
     most once per trial, the y box only once some energy needs it.
     """
+    if grid_points < 1:
+        raise ValueError(f"need at least one grid energy, got {grid_points}")
     x, y = _as_site(x), _as_site(y)
     diam = model.potential.diameter_linf()
     sep = max(abs(a - b) for a, b in zip(x, y))

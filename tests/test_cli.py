@@ -240,7 +240,14 @@ def test_bad_threads_environment_fails_only_the_trial_subcommands(model_cfg, tmp
     (50.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "0"]),
     (0.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "4"]),
     (0.0, ["wegner", "--l", "3", "--trials", "4"]),
-], ids=["moments-no-trials", "finite-volume-no-trials", "finite-volume-zero-coupling", "wegner-zero-coupling"])
+    (50.0, ["green-identities", "--instances", "0"]),
+    (50.0, ["green-identities", "--instances", "-2"]),
+    (50.0, ["averaging", "--instances", "0"]),
+    (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--grid", "0"]),
+    (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "0.1", "--emax", "-0.1"]),
+], ids=["moments-no-trials", "finite-volume-no-trials", "finite-volume-zero-coupling", "wegner-zero-coupling",
+        "green-identities-no-instances", "green-identities-negative-instances", "averaging-no-instances",
+        "regularity-no-grid", "wegner-reversed-interval"])
 def test_contract_violations_exit_1(model_cfg, tmp_path, capsys, coupling, argv):
     cfg = json.loads(model_cfg.read_text())
     cfg["lambda"] = coupling

@@ -7,7 +7,6 @@ from alloylab.green import (
     annulus,
     depleted,
     green,
-    green_entry,
     schur_B,
     separates,
     verify_resolvent_identities,
@@ -60,17 +59,6 @@ def test_green_2x2_oracle():
     want = np.array([[-2j, 1.0], [1.0, -2j]]) / det
     assert np.max(np.abs(G.entries - want)) < 1e-14
     assert G.residual(H) < 1e-12
-
-
-def test_green_entry_matches_full_inverse():
-    m = make_model(d=1, lam=2.0, u_vals={(0,): 1.0, (1,): -0.5})
-    g = chain(7)
-    omega = sample_configuration(m, lambda_plus(g, m.potential), seed=21)
-    H = assemble_hamiltonian(m, omega, g)
-    G = green(H, 0.3 + 0.8j)
-    val = green_entry(H, 0.3 + 0.8j, (1,), (5,))
-    assert abs(val - G.at((1,), (5,))) < 1e-12
-    assert green_entry(H, 0.3 + 0.8j, (99,), (5,)) == 0.0
 
 
 def test_green_norm_resolvent_bound():

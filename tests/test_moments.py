@@ -18,7 +18,6 @@ from alloylab.model import (
 )
 from alloylab.moments import (
     DisorderSampler,
-    apriori_moment_trend,
     decay_profile,
     estimate_moment,
     exponential_weights,
@@ -515,32 +514,6 @@ def test_root_criterion_negative_leading_sign():
     res = polynomial_root_criterion(u)
     assert res["passes"] is True
     assert np.all(res["w"] >= 0)
-
-
-# ---------------------------------------------------------------------------
-# empirical a-priori trend
-
-
-def test_apriori_trend_bounded_and_monotone():
-    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
-    rho = uniform01()
-    g = chain(14)
-
-    def factory(lam):
-        return ModelConfig(1, lam, u, rho)
-
-    res = apriori_moment_trend(factory, [8.0, 16.0, 32.0], g, 0.5,
-                               [0.3j, 1.0 + 0.3j, -1.0 + 0.3j], (3,), (9,),
-                               trials=400, seed=8)
-    lams = sorted(res["table"])
-    # bounded over the z grid and non-increasing in the coupling within 3 sigma
-    for lam in lams:
-        for est in res["table"][lam]:
-            assert est.mean < 2.0
-    for z_idx in range(3):
-        for a, b in zip(lams, lams[1:]):
-            ea, eb = res["table"][a][z_idx], res["table"][b][z_idx]
-            assert eb.mean <= ea.mean + 3 * (ea.stderr + eb.stderr)
 
 
 def test_moment_2d_box_and_swap_symmetry():

@@ -17,7 +17,6 @@ from alloylab.poscomb import (
     nexp_guard,
     prop1_sum,
     prop2_min,
-    t_vector,
     wegner_coefficients,
 )
 
@@ -239,12 +238,6 @@ def test_wegner_coefficients_scaling():
     u2 = SingleSitePotential.from_values({(0,): 2.0, (1,): -2.0})
     o1, o2 = wegner_coefficients(u, 2), wegner_coefficients(u2, 2)
     assert o2["c_u"] == pytest.approx(2 * o1["c_u"], abs=1e-12)
-    # doubling u halves the coefficient vectors at fixed radius
-    t1, t2 = t_vector(u, 2), t_vector(u2, 2)
-    shared = set(t1) & set(t2)
-    assert shared
-    for k in shared:
-        assert t2[k] == pytest.approx(t1[k] / 2.0, abs=1e-12)
 
 
 def test_nexp_guard():

@@ -18,7 +18,7 @@ replace.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -38,9 +38,10 @@ from alloylab.model import (
     interior_boundary,
     lambda_plus,
     potential_value,
+    sample_configuration,
 )
 from alloylab.moments import DisorderSampler, gap_constants
-from alloylab.rng import trial_stream
+from alloylab.rng import site_stream, trial_stream
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -236,6 +237,17 @@ def test_omega_block_rows_are_the_single_trial_draws(density, trials, sites, see
 
 
 @PROPERTY
+@given(densities(), st.integers(1, 2), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_configuration_draws_are_the_per_site_scalar_draws(density, d, radius, seed):
+    model = ModelConfig(d, 1.0, SingleSitePotential.delta(d), density)
+    sites = build_box(radius, (0,) * d).sites
+    omega = sample_configuration(model, sites, seed)
+    assert set(omega.values) == set(sites)
+    for site in sites:
+        assert same_bits(np.float64(omega[site]), np.float64(density.sample(site_stream(seed, site))))
+
+
+@PROPERTY
 @given(densities(), st.integers(1, 8), st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
 def test_quantile_is_invariant_to_stacking(density, rows, cols, seed):
     q = np.random.default_rng(seed).random((rows, cols))
@@ -283,6 +295,8 @@ def gapped_potentials(draw):
 
 @PROPERTY
 @given(gapped_potentials(), st.integers(1, 200), st.integers(0, 2 ** 31))
+# one candidate: numpy's block product (BLAS gemv) lands 18 eps from the loop's dot here
+@example(SingleSitePotential({(0,): 0.484375, (2,): -0.4375, (8,): 1.0}), 1, 0)
 def test_gap_search_matches_the_candidate_loop(u, search_samples, seed):
     alpha, dist = _hyperplane_search_loop(u, search_samples, seed)
     try:
@@ -293,11 +307,7 @@ def test_gap_search_matches_the_candidate_loop(u, search_samples, seed):
         assert dist < 0.5 / ((n + r) * (r + 1) ** (r / 2.0))
         return
     assert got.alpha == tuple(float(a) for a in alpha)
-    if search_samples == 1:  # numpy sends a one-row product through gemv, not gemm, and
-        # gemv may round a distance differently from the loop's dot in the last ulp
-        assert math.isclose(got.min_distance, dist, rel_tol=4 * np.finfo(float).eps)
-    else:
-        assert same_bits(np.float64(got.min_distance), np.float64(dist))
+    assert same_bits(np.float64(got.min_distance), np.float64(dist))
 
 
 @PROPERTY
