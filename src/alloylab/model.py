@@ -11,6 +11,7 @@ solve for a Green column in band storage instead.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -386,6 +387,7 @@ class DisorderDensity:
             if mass <= 0:
                 raise ValueError("density must have positive mass")
             ys = [y / mass for y in ys]
+            self._ts, self._ys = ts, ys
             self.knots_t = np.array(ts)
             self.knots_y = np.array(ys)
             seg = (self.knots_y[:-1] + self.knots_y[1:]) / 2 * np.diff(self.knots_t)
@@ -400,21 +402,25 @@ class DisorderDensity:
             raise ValueError("atomic disorder measures are not supported; use a density")
         else:
             raise ValueError(f"unknown density kind {kind!r}")
+        # interior abscissae where rho has a kink, for quadrature to split at
+        self.breakpoints = self._ts[1:-1] if kind == "piecewise_linear" else []
         self.l1 = 1.0
         self.support_radius = max(abs(self.a), abs(self.b))
 
     # -- evaluation ---------------------------------------------------------
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
+    def pdf(self, t: float) -> float:
+        """rho at one abscissa, 0 outside [a, b]."""
+        a, b = self.a, self.b
+        if not a <= t <= b:
+            return 0.0
         if self.kind == "uniform":
-            return np.where((t >= self.a) & (t <= self.b), 1.0 / (self.b - self.a), 0.0)
+            return 1.0 / (b - a)
         if self.kind == "raised_cosine":
-            x = (t - self.a) / (self.b - self.a)
-            inside = (x >= 0) & (x <= 1)
-            return np.where(inside, (1.0 - np.cos(2 * np.pi * np.clip(x, 0, 1))) / (self.b - self.a), 0.0)
-        vals = np.interp(t, self.knots_t, self.knots_y, left=0.0, right=0.0)
-        return np.where((t >= self.a) & (t <= self.b), vals, 0.0)
+            return (1.0 - math.cos(2 * math.pi * ((t - a) / (b - a)))) / (b - a)
+        i = min(bisect.bisect_right(self._ts, t), len(self._ts) - 1)  # rho(b) is the last knot value
+        t0, t1, y0, y1 = self._ts[i - 1], self._ts[i], self._ys[i - 1], self._ys[i]
+        return (y1 - y0) / (t1 - t0) * (t - t0) + y0 if t < t1 else y1
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -466,7 +472,7 @@ class DisorderDensity:
     # -- checks -------------------------------------------------------------
 
     def mass_by_quadrature(self) -> float:
-        val, _ = quad(lambda t: float(self.pdf(t)), self.a, self.b, limit=200)
+        val, _ = quad(self.pdf, self.a, self.b, points=self.breakpoints or None, limit=200)
         return val
 
     def __repr__(self):

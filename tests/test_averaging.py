@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from alloylab.averaging import (
+    _det_power,
     det_average_check,
     detgen_check,
     dissipative_average_check,
@@ -57,6 +58,40 @@ def test_det_average_scalar_exact():
     chk = det_average_check(np.zeros((1, 1)), np.eye(1), uniform01(), 0.5)
     assert chk.integral_value == pytest.approx(2.0, abs=1e-8)  # int_0^1 r^{-1/2}
     assert chk.bound_value == pytest.approx(4.0, abs=1e-12)
+
+
+def test_det_average_real_root_inside_the_support():
+    # the pencil root r = 1/2 is a breakpoint: int_0^1 |r - 1/2|^{-1/2} dr = 2 sqrt(2)
+    chk = det_average_check(np.array([[-0.5]]), np.eye(1), uniform01(), 0.5)
+    assert chk.integral_value == pytest.approx(2 * math.sqrt(2), abs=1e-8)
+
+
+def test_root_product_integrand_is_infinite_on_a_root():
+    roots = [0.5, 2.0 + 1.0j]
+    assert _det_power(0.5, 0.0, roots, 0.25) == math.inf
+    assert _det_power(0.0, 0.0, roots, 0.25) == pytest.approx(abs(0.5 * (2.0 + 1.0j)) ** -0.25, rel=1e-15)
+
+
+def _pdf_evaluations(density, beta) -> int:
+    """Integrand evaluations of one graf_check, counted by wrapping the density's pdf."""
+    calls = 0
+    pdf = density.pdf
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return pdf(t)
+
+    density.pdf = counting
+    graf_check(density, 0.5, beta)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [0.7, 0.3 + 0.2j, 1.5])
+def test_density_kink_costs_at_most_twice_the_evaluations(beta):
+    # without the knot as a breakpoint quad bisects around the kink: 3.5-19x the evaluations on these poles
+    kinked = DisorderDensity("piecewise_linear", [(0, 0), (0.3, 1.5), (1, 0)])
+    assert _pdf_evaluations(kinked, beta) <= 2 * _pdf_evaluations(uniform01(), beta)
 
 
 def test_det_average_smooth_case():
