@@ -50,6 +50,7 @@ from .moments import (
     MomentEstimate,
     decay_profile,
     estimate_moment,
+    estimate_moments,
     finite_volume_sum,
     gap_constants,
     nonlocal_apriori_bound,

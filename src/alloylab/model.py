@@ -49,7 +49,7 @@ Site = tuple[int, ...]
 def _as_site(x) -> Site:
     if isinstance(x, int):
         return (x,)
-    return tuple(int(c) for c in x)
+    return tuple(map(int, x))
 
 
 def l1_norm(x: Site) -> int:
@@ -390,7 +390,8 @@ class DisorderDensity:
             self._ts, self._ys = ts, ys
             self.knots_t = np.array(ts)
             self.knots_y = np.array(ys)
-            seg = (self.knots_y[:-1] + self.knots_y[1:]) / 2 * np.diff(self.knots_t)
+            self._rise, self._run = np.diff(self.knots_y), np.diff(self.knots_t)
+            seg = (self.knots_y[:-1] + self.knots_y[1:]) / 2 * self._run
             self._knot_mass = np.concatenate([[0.0], np.cumsum(seg)])
             self.a, self.b = ts[0], ts[-1]
             self.linf = max(ys)
@@ -429,14 +430,13 @@ class DisorderDensity:
         if self.kind == "raised_cosine":
             x = np.clip((t - self.a) / (self.b - self.a), 0.0, 1.0)
             return x - np.sin(2 * np.pi * x) / (2 * np.pi)
-        ts, ys = self.knots_t, self.knots_y
-        tc = np.clip(t, self.a, self.b)
-        idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
-        t0, t1 = ts[idx], ts[idx + 1]
-        y0, y1 = ys[idx], ys[idx + 1]
-        dt = tc - t0
-        y_t = y0 + (y1 - y0) * dt / (t1 - t0)
-        return np.clip(self._knot_mass[idx] + (y0 + y_t) / 2 * dt, 0.0, 1.0)
+        ts = self.knots_t
+        tc = np.minimum(np.maximum(t, self.a), self.b)
+        idx = np.minimum(np.searchsorted(ts, tc, side="right") - 1, len(ts) - 2)  # >= 0, as tc >= ts[0]
+        y0 = self.knots_y[idx]
+        dt = tc - ts[idx]
+        y_t = y0 + self._rise[idx] * dt / self._run[idx]
+        return np.minimum(np.maximum(self._knot_mass[idx] + (y0 + y_t) / 2 * dt, 0.0), 1.0)
 
     def quantile(self, q):
         """Inverse CDF by vectorized bisection; deterministic to ~1e-14."""
@@ -566,14 +566,12 @@ class SitePotential:
         self.positions = inverse.reshape(len(supp), len(geometry))
         self.values = np.array([u.value(t) for t in supp])
 
-    def __call__(self, omega_vec: np.ndarray) -> np.ndarray:
-        """V on the geometry's sites, for couplings ordered like ``coupling_sites``."""
-        terms = self.values[:, None] * omega_vec[self.positions]
-        V = np.zeros(terms.shape[1])
-        # add the terms one by one in the order of supp u, as potential_value
-        # does: np.add.reduce may sum pairwise and change the last bits
-        for row in terms:
-            V += row
+    def __call__(self, omega: np.ndarray) -> np.ndarray:
+        """V on the sites, for couplings ordered like ``coupling_sites``, or per row of a (trials, couplings) block."""
+        V = np.zeros(omega.shape[:-1] + self.positions.shape[1:])
+        # term by term in supp-u order, as potential_value adds: np.add.reduce may sum pairwise
+        for value, pos in zip(self.values, self.positions):
+            V += value * omega[..., pos]
         return V
 
 

@@ -1,10 +1,10 @@
 """Monte Carlo fractional moments of Green functions and the explicit bounds.
 
-The centerpiece is E|G(z; x, y)|^s over the disorder, estimated trial by
-trial with per-trial random streams (drawn as one block per estimator), and
-compared against the explicit 1-D decay constants, the gap-construction
-bounds, the finite-volume screening sum, and the non-local a-priori bound
-from the exponential-weight transform.
+The centerpiece is E|G(z; x, y)|^s over the disorder, estimated trial by trial
+with per-trial random streams (drawn, and made into lambda V, as one block that
+all pairs of an estimator share), and compared against the explicit 1-D decay
+constants, the gap-construction bounds, the finite-volume screening sum, and
+the non-local a-priori bound from the exponential-weight transform.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "DecayFit",
     "DisorderSampler",
     "estimate_moment",
+    "estimate_moments",
     "one_d_constants",
     "gap_constants",
     "decay_profile",
@@ -98,8 +99,8 @@ class DisorderSampler:
     The hopping part of H is fixed by the geometry; the random diagonal is
     lambda V, with V built by the SitePotential that assemble_hamiltonian also
     uses, from one coupling per site of ``potential.coupling_sites``.
-    ``omega`` draws the couplings of all of an estimator's trials as one
-    block, through one density transform.
+    ``omega`` draws all trials' couplings as one block through one density
+    transform, and ``diagonals`` makes its lambda V; a trial takes one row.
 
     The Green column comes from a banded LU (LAPACK ``gbsv``).  The
     half-bandwidth k is measured from the hopping matrix: 1 for a chain,
@@ -133,22 +134,29 @@ class DisorderSampler:
         streams = (trial_stream(seed, t) for t in range(trials))
         return self.model.density.sample(streams, size=len(self.potential.coupling_sites))
 
-    def hamiltonian(self, omega_vec: np.ndarray) -> np.ndarray:
+    def diagonals(self, omega: np.ndarray) -> np.ndarray:
+        """lambda V for a coupling vector, or row by row for a (trials, couplings) block."""
+        return self.model.coupling * self.potential(omega)
+
+    def hamiltonian(self, diagonal: np.ndarray) -> np.ndarray:
         H = self.hopping.copy()
-        np.fill_diagonal(H, self.model.coupling * self.potential(omega_vec))
+        np.fill_diagonal(H, diagonal)
         return H
 
-    def green_column(self, omega_vec: np.ndarray, z: complex, x) -> np.ndarray:
-        """Column G(z; ., x) via one banded solve; a singular H - z raises LinAlgError."""
+    def green_column(self, diagonal: np.ndarray, z: complex, sources) -> np.ndarray:
+        """Columns G(z; ., x), x in ``sources``, as (n, len(sources)) from one banded LU; singular H - z raises."""
         k = self.half_bandwidth
         ab = self._band.copy()
-        ab[2 * k] = self.model.coupling * self.potential(omega_vec) - z
-        rhs = np.zeros(ab.shape[1], dtype=complex)
-        rhs[self.geometry.index_of(x)] = 1.0
-        _, _, col, info = self._gbsv(k, k, ab, rhs, overwrite_ab=True, overwrite_b=True)
+        ab[2 * k] = diagonal - z
+        rhs = np.zeros((ab.shape[1], len(sources)), dtype=complex, order="F")
+        for j, x in enumerate(sources):  # scalar writes: a fancy-indexed write costs as much as the solve
+            rhs[self.geometry.index_of(x), j] = 1.0
+        _, _, cols, info = self._gbsv(k, k, ab, rhs, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"H - z is singular: zero pivot {info} in the banded LU")
-        return col
+        if info < 0:
+            raise np.linalg.LinAlgError(f"gbsv rejected its argument {-info}")
+        return cols
 
 
 def _check_average_args(geometry: BoxGeometry, z: complex, s: float, *sites) -> tuple[Site, ...]:
@@ -169,20 +177,33 @@ def _check_coupling(coupling: float) -> None:
         raise ValueError(f"the bound needs a positive coupling lambda, got {coupling}")
 
 
+def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
+                     pairs, trials: int, seed: int, threads: int = 1) -> list[MomentEstimate]:
+    """Unbiased MC means of |G(z; x, y)|^s over i.i.d. disorder, one per (x, y) pair.
+
+    The pairs share one disorder block and one banded LU per trial.  |G|^s stays a scalar (np.abs
+    of an array can round differently), so each estimate is bit for bit its pair's alone."""
+    pairs = [_check_average_args(geometry, z, s_exp, x, y) for x, y in pairs]
+    if not pairs:
+        raise ValueError("need at least one (x, y) pair")
+    sources = list(dict.fromkeys(x for x, _ in pairs))
+    entries = [(geometry.index_of(y), sources.index(x)) for x, y in pairs]
+    sampler = DisorderSampler(model, geometry)
+    diagonals = sampler.diagonals(sampler.omega(seed, trials))
+
+    def one(trial: int) -> list[float]:
+        cols = sampler.green_column(diagonals[trial], z, sources)
+        return [abs(cols[iy, j]) ** s_exp for iy, j in entries]
+
+    means, stderrs = _mean_stderr(run_trials(one, trials, threads))
+    return [MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y, complex(z))
+            for (x, y), mean, stderr in zip(pairs, means, stderrs)]
+
+
 def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
                     x, y, trials: int, seed: int, threads: int = 1) -> MomentEstimate:
     """Unbiased MC mean of |G(z; x, y)|^s over i.i.d. disorder."""
-    x, y = _check_average_args(geometry, z, s_exp, x, y)
-    sampler = DisorderSampler(model, geometry)
-    iy = geometry.index_of(y)
-    omegas = sampler.omega(seed, trials)
-
-    def one(trial: int) -> float:
-        col = sampler.green_column(omegas[trial], z, x)
-        return abs(col[iy]) ** s_exp
-
-    mean, stderr = _mean_stderr(run_trials(one, trials, threads))
-    return MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y, complex(z))
+    return estimate_moments(model, geometry, z, s_exp, [(x, y)], trials, seed, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +384,10 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
         min_dist = 2 * step
 
     sampler = DisorderSampler(model, geometry)
-    omegas = sampler.omega(seed, trials)
+    diagonals = sampler.diagonals(sampler.omega(seed, trials))
 
     def one(trial: int) -> np.ndarray:
-        col = sampler.green_column(omegas[trial], z, x)
+        col = sampler.green_column(diagonals[trial], z, [x])[:, 0]
         return np.abs(col) ** exponent
 
     means, stderrs = _mean_stderr(run_trials(one, trials, threads))
@@ -438,11 +459,11 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
 
     sampler = DisorderSampler(model, sub)
     idx = [sub.index_of(w) for w in boundary]
-    omegas = sampler.omega(seed, trials)
+    diagonals = sampler.diagonals(sampler.omega(seed, trials))
 
     def one(trial: int) -> np.ndarray:
-        col = sampler.green_column(omegas[trial], z, x)
-        return np.abs(col[idx]) ** exponent
+        col = sampler.green_column(diagonals[trial], z, [x])[idx, 0]
+        return np.abs(col) ** exponent
 
     means, stderrs = _mean_stderr(run_trials(one, trials, threads))
     raw = float(means.sum())

@@ -83,10 +83,10 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     geometry = build_box(l, (0,) * model.dimension)
     sampler = DisorderSampler(model, geometry)
     coeff = wegner_coefficients(model.potential, l)
-    omegas = sampler.omega(seed, trials)
+    diagonals = sampler.diagonals(sampler.omega(seed, trials))
 
     def one(trial: int) -> float:
-        H = sampler.hamiltonian(omegas[trial])
+        H = sampler.hamiltonian(diagonals[trial])
         ev = np.linalg.eigvalsh(H)
         return float(np.sum((ev >= a) & (ev <= b)))
 

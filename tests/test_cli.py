@@ -1,10 +1,13 @@
 """End-to-end runs of the command-line experiment runner."""
 
+import csv
 import json
 
 import pytest
 
+from alloylab import moments
 from alloylab.cli import run
+from alloylab.model import DisorderDensity, explicit_geometry, load_model_config
 
 
 @pytest.fixture()
@@ -134,6 +137,45 @@ def test_apriori_subcommand(tmp_path):
                 "--out", str(tmp_path / "ap")])
     assert code == 0
     assert "nonlocal-apriori-bound" in (tmp_path / "ap_summary.csv").read_text()
+
+
+def test_apriori_draws_one_block_and_solves_once_per_trial(tmp_path, monkeypatch):
+    cfg = {
+        "dimension": 1,
+        "lambda": 10.0,
+        "potential": {"support": [[[0], 1.0], [[1], -0.25]]},
+        "density": {"kind": "raised_cosine", "params": [0, 1]},
+        "seed": 2,
+    }
+    path = tmp_path / "ap.json"
+    path.write_text(json.dumps(cfg))
+    trials, box = 40, 9
+    # the three pairs apriori probes, as separate one-pair estimates
+    model, _ = load_model_config(str(path))
+    geometry = explicit_geometry([(k,) for k in range(box)])
+    pairs = [((0,), (box - 1,)), ((box // 2,), (box // 2,)), ((0,), (box // 2,))]
+    want = [moments.estimate_moment(model, geometry, 0.5j, 0.5, x, y, trials, 2) for x, y in pairs]
+
+    counts = {"sample": 0, "trial_stream": 0, "green_column": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DisorderDensity, "sample", counting("sample", DisorderDensity.sample))
+    monkeypatch.setattr(moments, "trial_stream", counting("trial_stream", moments.trial_stream))
+    monkeypatch.setattr(moments.DisorderSampler, "green_column",
+                        counting("green_column", moments.DisorderSampler.green_column))
+    code = run(["apriori", "--config", str(path), "--box", str(box), "--trials", str(trials),
+                "--s", "0.5", "--imag", "0.5", "--out", str(tmp_path / "ap")])
+    assert code == 0
+    assert counts == {"sample": 1, "trial_stream": trials, "green_column": trials}
+    with open(tmp_path / "ap.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[:4] for row in rows] == [[str(x), str(y), repr(est.mean), repr(est.stderr)]
+                                         for (x, y), est in zip(pairs, want)]
 
 
 def test_finite_volume_subcommand(tmp_path):

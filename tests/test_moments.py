@@ -20,6 +20,7 @@ from alloylab.moments import (
     DisorderSampler,
     decay_profile,
     estimate_moment,
+    estimate_moments,
     exponential_weights,
     finite_volume_sum,
     gap_constants,
@@ -30,6 +31,7 @@ from alloylab.moments import (
     run_trials,
     w_xy,
 )
+from alloylab.rng import trial_stream
 from alloylab.spectra import pair_regularity_probability, wegner_mc
 
 
@@ -90,6 +92,31 @@ def test_moment_rejects_bad_inputs():
         estimate_moment(m, g, 1j, 1.5, (0,), (1,), 10, 0)  # s outside (0,1)
     with pytest.raises(ValueError):
         estimate_moment(m, g, 1j, 0.5, (0,), (9,), 10, 0)  # y outside
+
+
+def test_estimate_moments_needs_a_pair():
+    m = ModelConfig(1, 1.0, SingleSitePotential.delta(1), uniform01())
+    with pytest.raises(ValueError, match="at least one"):
+        estimate_moments(m, chain(4), 1j, 0.5, [], 10, 0)
+
+
+@pytest.mark.parametrize("z, s, bad", [
+    (1j, 0.5, ((0,), (9,))),  # site outside the geometry
+    (1.0, 0.5, ((0,), (1,))),  # real z
+    (1j, 1.5, ((0,), (1,))),  # s outside (0, 1)
+], ids=["site-outside", "real-z", "s-outside"])
+def test_estimate_moments_checks_every_pair_before_any_stream(monkeypatch, z, s, bad):
+    calls = []
+
+    def counting(seed, trial):
+        calls.append(trial)
+        return trial_stream(seed, trial)
+
+    monkeypatch.setattr(moments, "trial_stream", counting)
+    m = ModelConfig(1, 1.0, SingleSitePotential.delta(1), uniform01())
+    with pytest.raises(ValueError):
+        estimate_moments(m, chain(4), z, s, [((0,), (3,)), bad], 10, 0)
+    assert calls == []
 
 
 def test_moment_site_order_invariance():
@@ -247,7 +274,15 @@ def test_singular_solve_raises():
     for n, z in ((1, 0j), (2, 1 + 0j)):
         sampler = DisorderSampler(m, chain(n))
         with pytest.raises(np.linalg.LinAlgError):
-            sampler.green_column(np.full(n, 0.5), z, (0,))
+            sampler.green_column(sampler.diagonals(np.full(n, 0.5)), z, [(0,)])
+
+
+def test_illegal_gbsv_argument_raises(monkeypatch):
+    m = ModelConfig(1, 1.0, SingleSitePotential.delta(1), uniform01())
+    sampler = DisorderSampler(m, chain(3))
+    monkeypatch.setattr(sampler, "_gbsv", lambda kl, ku, ab, b, **kw: (ab, None, b, -3))
+    with pytest.raises(np.linalg.LinAlgError, match="argument 3"):
+        sampler.green_column(sampler.diagonals(np.full(3, 0.5)), 1j, [(0,)])
 
 
 @pytest.mark.parametrize("geometry, k", [

@@ -12,7 +12,9 @@ mean/stderr reduction is checked column by column, bit for bit, on random
 per-trial sample arrays.  The per-estimator disorder block, the stacked
 quantile, the gap-construction search and the stacked determinant average
 are each checked bit for bit against the one-trial-at-a-time path they
-replace.  The scalar density, the root-product determinant integrand and the
+replace, and so are the potential over a coupling block, the multi-source
+Green columns, the estimates that share one disorder block and the
+piecewise-linear cdf.  The scalar density, the root-product determinant integrand and the
 averaging checks are checked against the vectorised density and the
 slogdet/svd integrands they replace, and the pole average over a
 piecewise-linear density against its closed form.
@@ -53,7 +55,7 @@ from alloylab.model import (
     potential_value,
     sample_configuration,
 )
-from alloylab.moments import DisorderSampler, gap_constants
+from alloylab.moments import DisorderSampler, estimate_moment, estimate_moments, gap_constants
 from alloylab.rng import site_stream, trial_stream
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -118,7 +120,8 @@ def test_trial_hamiltonian_matches_site_keyed_assembly(setup):
     model, geometry, omega = setup
     need = sorted(lambda_plus(geometry, model.potential))
     omega_vec = np.array([omega[k] for k in need])
-    got = DisorderSampler(model, geometry).hamiltonian(omega_vec)
+    sampler = DisorderSampler(model, geometry)
+    got = sampler.hamiltonian(sampler.diagonals(omega_vec))
     want = assemble_hamiltonian(model, Configuration(dict(zip(need, omega_vec))), geometry).entries
     assert same_bits(got, want)
 
@@ -186,10 +189,41 @@ def test_banded_green_column_matches_the_dense_solve(setup):
     n = len(sampler.geometry)
     e_x = np.zeros(n, dtype=complex)
     e_x[sampler.geometry.index_of(x)] = 1.0
-    want = np.linalg.solve(sampler.hamiltonian(omega_vec) - z * np.eye(n), e_x)
-    got = sampler.green_column(omega_vec, z, x)
+    diagonal = sampler.diagonals(omega_vec)
+    want = np.linalg.solve(sampler.hamiltonian(diagonal) - z * np.eye(n), e_x)
+    got = sampler.green_column(diagonal, z, [x])[:, 0]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@PROPERTY
+@given(solve_setups(), st.data())
+def test_multi_source_green_columns_are_the_single_source_columns(setup, data):
+    sampler, omega_vec, z, x = setup
+    geometry = sampler.geometry
+    sources = [x, *data.draw(st.lists(st.sampled_from(geometry.sites), max_size=3))]
+    diagonal = sampler.diagonals(omega_vec)
+    cols = sampler.green_column(diagonal, z, sources)
+    assert cols.shape == (len(geometry), len(sources))
+    H = sampler.hamiltonian(diagonal) - z * np.eye(len(geometry))
+    for j, source in enumerate(sources):
+        assert same_bits(cols[:, j].copy(), sampler.green_column(diagonal, z, [source])[:, 0].copy())
+        e_x = np.zeros(len(geometry), dtype=complex)
+        e_x[geometry.index_of(source)] = 1.0
+        want = np.linalg.solve(H, e_x)
+        assert np.max(np.abs(cols[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@PROPERTY
+@given(setups(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_potential_block_rows_are_the_one_vector_calls(setup, trials, seed):
+    model, geometry, _ = setup
+    potential = SitePotential(geometry, model.potential)
+    block = np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, len(potential.coupling_sites)))
+    V = potential(block)
+    assert V.shape == (trials, len(geometry))
+    for t in range(trials):
+        assert same_bits(V[t], potential(block[t].copy()))
 
 
 @st.composite
@@ -223,9 +257,9 @@ def test_mean_stderr_reduces_each_column_alone(samples):
 
 
 @st.composite
-def densities(draw):
+def densities(draw, kinds=("uniform", "raised_cosine", "piecewise_linear")):
     """uniform, raised-cosine or piecewise-linear, on a random support."""
-    kind = draw(st.sampled_from(["uniform", "raised_cosine", "piecewise_linear"]))
+    kind = draw(st.sampled_from(kinds))
     a = draw(st.floats(-5.0, 5.0))
     width = draw(st.floats(0.1, 10.0))
     if kind != "piecewise_linear":
@@ -276,6 +310,60 @@ def test_quantile_inverts_the_cdf_inside_the_support(density, frac):
     # where the density is small the cdf is flat and the inverse is ill-conditioned
     assume(float(density.pdf(t)) >= 0.05 * density.linf)
     assert abs(float(density.quantile(density.cdf(t))) - t) <= 1e-12 * max(1.0, abs(t))
+
+
+def _old_piecewise_linear_cdf(density, t):
+    """The piecewise-linear cdf with np.clip and per-call segment slopes, which the precomputed rise/run form replaced."""
+    ts, ys = density.knots_t, density.knots_y
+    tc = np.clip(t, density.a, density.b)
+    idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
+    t0, t1 = ts[idx], ts[idx + 1]
+    y0, y1 = ys[idx], ys[idx + 1]
+    dt = tc - t0
+    y_t = y0 + (y1 - y0) * dt / (t1 - t0)
+    return np.clip(density._knot_mass[idx] + (y0 + y_t) / 2 * dt, 0.0, 1.0)
+
+
+@PROPERTY
+@given(densities(kinds=("piecewise_linear",)), st.integers(0, 2 ** 32 - 1))
+def test_piecewise_linear_cdf_matches_the_old_expression(density, seed):
+    a, b = density.a, density.b
+    edges = [*density.knots_t, *np.nextafter(density.knots_t, -np.inf), *np.nextafter(density.knots_t, np.inf)]
+    frac = np.random.default_rng(seed).uniform(-0.5, 1.5, 200)  # inside and outside the support
+    t = np.array([*edges, a - 1.0, b + 1.0, *(a + frac * (b - a))])
+    assert same_bits(density.cdf(t), _old_piecewise_linear_cdf(density, t))
+    for ti in t[:len(edges)]:
+        assert same_bits(density.cdf(ti), _old_piecewise_linear_cdf(density, ti))
+
+
+@st.composite
+def moment_setups(draw):
+    """(model, geometry, pairs): pairs with a repeated source and an x == y pair, in d = 1 or 2."""
+    model = draw(models())
+    model = ModelConfig(model.dimension, model.coupling, model.potential, draw(densities()))
+    box = build_box(3 if model.dimension == 1 else 1, (0,) * model.dimension).sites
+    geometry = explicit_geometry(draw(subsets(box)))
+    site = st.sampled_from(geometry.sites)
+    pairs = draw(st.lists(st.tuples(site, site), min_size=1, max_size=4))
+    return model, geometry, pairs + [(pairs[0][0], pairs[0][0])]
+
+
+@PROPERTY
+@given(moment_setups(), energies, st.floats(0.05, 0.95), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2]))
+def test_shared_block_estimates_are_the_one_pair_estimates(setup, z, s, trials, seed, threads):
+    model, geometry, pairs = setup
+    got = estimate_moments(model, geometry, z, s, pairs, trials, seed, threads)
+    want = [estimate_moment(model, geometry, z, s, x, y, trials, seed) for x, y in pairs]
+    assert [(e.x, e.y) for e in got] == pairs
+    assert same_bits(np.array([(e.mean, e.stderr) for e in got]), np.array([(e.mean, e.stderr) for e in want]))
+    # oracle: one source per solve and the scalar |G|^s, trial by trial (np.abs(array) ** s can differ in the last bit)
+    sampler = DisorderSampler(model, geometry)
+    diagonals = sampler.diagonals(sampler.omega(seed, trials))
+    for (x, y), est in zip(pairs, got):
+        iy = geometry.index_of(y)
+        samples = [abs(sampler.green_column(diagonals[t], z, [x])[iy, 0]) ** s for t in range(trials)]
+        assert same_bits(np.array([est.mean, est.stderr]), np.array(_mean_stderr(np.array(samples))))
 
 
 # ---------------------------------------------------------------------------
