@@ -93,6 +93,22 @@ def _pencil_roots(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(-np.linalg.solve(V, A))
 
 
+def _pencil(A, V, s: float) -> tuple:
+    """(A, V, log|det V|, roots of det(A + rV), s/n) for an average over the pencil A + rV; V must be invertible."""
+    A = np.asarray(A, dtype=complex)
+    V = np.asarray(V, dtype=complex)
+    sign, logdetV = np.linalg.slogdet(V)
+    if sign == 0 or not np.isfinite(logdetV):
+        raise ValueError("V must be invertible")
+    return A, V, logdetV, _pencil_roots(A, V), s / A.shape[0]
+
+
+def _check_dissipative(A: np.ndarray) -> None:
+    """Im A = (A - A^*) / 2i must be positive semidefinite, up to -1e-10."""
+    if float(np.min(np.linalg.eigvalsh((A - A.conj().T) / 2j))) < -1e-10:
+        raise ValueError("A must be dissipative (nonnegative imaginary part)")
+
+
 def _det_power(r: float, logdetV: float, roots, p: float) -> float:
     """|det(A + rV)|^{-p} = exp(-p (log|det V| + sum_i log|r - r_i|)) over the pencil roots r_i; +inf on a root."""
     dists = [abs(r - x) for x in roots]
@@ -123,14 +139,7 @@ def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageChec
 
 def det_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of |det(A + rV)|^{-s/n} rho(r) dr against |det V|^{-s/n} times the pole bound."""
-    A = np.asarray(A, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    n = A.shape[0]
-    sign, logdetV = np.linalg.slogdet(V)
-    if sign == 0 or not np.isfinite(logdetV):
-        raise ValueError("V must be invertible")
-    roots = _pencil_roots(A, V)
-    p = s / n
+    A, V, logdetV, roots, p = _pencil(A, V, s)
     roots_list = roots.tolist()  # one log per root at each node, not one determinant
     val, err = _integrate(lambda r: _det_power(r, logdetV, roots_list, p), density, roots.real)
     bound = math.exp(-p * logdetV) * density.l1 ** (1.0 - s) * density.linf ** s * _fractional_prefactor(s)
@@ -193,14 +202,8 @@ def norm_inverse_check(V: np.ndarray) -> tuple[float, float]:
 
 def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of ||(A + rV)^{-1}||^{s/n} rho(r) dr against the norm-determinant bound."""
-    A = np.asarray(A, dtype=complex)
-    V = np.asarray(V, dtype=complex)
+    A, V, logdetV, roots, p = _pencil(A, V, s)
     n = A.shape[0]
-    sign, logdetV = np.linalg.slogdet(V)
-    if sign == 0 or not np.isfinite(logdetV):
-        raise ValueError("V must be invertible")
-    roots = _pencil_roots(A, V)
-    p = s / n
 
     def f(r):
         svals = np.linalg.svd(A + r * V, compute_uv=False)
@@ -235,9 +238,7 @@ def dissipative_average_check(A: np.ndarray, V: np.ndarray, M1: np.ndarray, M2: 
     diag = np.diag(V)
     if not np.allclose(V, np.diag(diag)) or np.min(diag) <= 0:
         raise ValueError("V must be diagonal and strictly positive")
-    imag_part = (A - A.conj().T) / 2j
-    if float(np.min(np.linalg.eigvalsh(imag_part))) < -1e-10:
-        raise ValueError("A must be dissipative (nonnegative imaginary part)")
+    _check_dissipative(A)
 
     roots = _pencil_roots(A, V.astype(complex))
 
@@ -282,9 +283,7 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
         raise ValueError("W must be positive at the probed sites")
     if complex(z).imag >= 0:
         raise ValueError("z must lie in the lower half-plane")
-    imag_part = (A - A.conj().T) / 2j
-    if float(np.min(np.linalg.eigvalsh(imag_part))) < -1e-10:
-        raise ValueError("A must have nonnegative imaginary part")
+    _check_dissipative(A)
     if density.deriv_l1 is None:
         raise ValueError("density must have an integrable derivative (raised_cosine or end-matched piecewise_linear)")
 

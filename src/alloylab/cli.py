@@ -107,32 +107,28 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: run loads (model, seed), and each fills the Output that run writes
 
 
-def cmd_spectrum(args) -> int:
-    model, seed = _load(args)
+def cmd_spectrum(args, model, seed, out: Output) -> None:
     geometry = build_box(args.box, (0,) * model.dimension)
     omega = sample_configuration(model, lambda_plus(geometry, model.potential), seed)
     H = model_mod.assemble_hamiltonian(model, omega, geometry)
     ev = spectra.eigenvalues(H)
-    out = Output(args.out)
     out.table(["index", "eigenvalue"], [[i, float(v)] for i, v in enumerate(ev)])
     sym = float(np.max(np.abs(H.entries - H.entries.T)))
     out.check("hamiltonian-symmetry", sym, 1e-12, sym <= 1e-12)
     out.check("eigenvalue-count", float(len(ev)), None, len(ev) == len(geometry))
-    return out.write()
 
 
-def cmd_green_identities(args) -> int:
-    model, seed = _load(args)
+def cmd_green_identities(args, model, seed, out: Output) -> None:
     rng = trial_stream(seed, 0)
     rows, worst = [], 0.0
     d = model.dimension
     for i in _instances(args):
         radius = int(rng.integers(6, 13)) if d == 1 else int(rng.integers(2, 4))
         geometry = build_box(radius, (0,) * d)
-        omega = sample_configuration(model, lambda_plus(geometry, model.potential), seed + i)
+        omega = sample_configuration(model, lambda_plus(geometry, model.potential), int(rng.integers(2 ** 62)))
         z = complex(float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 2.0)))
         inner = build_box(max(0, radius - 2), (0,) * d).sites
         inner2 = build_box(radius - 1, (0,) * d).sites
@@ -141,14 +137,11 @@ def cmd_green_identities(args) -> int:
         f, s_ = verify_resolvent_identities(model, omega, geometry, inner, z)
         rows.append([i, _fmt(z), disc1, disc2, f, s_])
         worst = max(worst, disc1, disc2, f, s_)
-    out = Output(args.out)
     out.table(["instance", "z", "schur", "two_step_schur", "first_order", "second_order"], rows)
     out.check("exact-identities-max-discrepancy", worst, args.tol, worst <= args.tol)
-    return out.write()
 
 
-def cmd_averaging(args) -> int:
-    model, seed = _load(args)
+def cmd_averaging(args, model, seed, out: Output) -> None:
     rng = trial_stream(seed, 1)
     rho = model.density
     rows = []
@@ -169,34 +162,27 @@ def cmd_averaging(args) -> int:
         for name, chk in checks.items():
             rows.append([i, name, chk.integral_value, chk.bound_value, chk.margin, chk.error])
             ok = ok and chk.holds()
-    out = Output(args.out)
     out.table(["instance", "check", "integral", "bound", "margin", "error"], rows)
     out.check("averaging-bounds-hold", float(ok), None, ok)
-    return out.write()
 
 
-def cmd_moments(args) -> int:
-    model, seed = _load(args)
+def cmd_moments(args, model, seed, out: Output) -> None:
     geometry = build_box(args.box, (0,) * model.dimension)
     z = complex(args.energy, args.imag)
     x = (0,) * model.dimension
     y = tuple([args.dist] + [0] * (model.dimension - 1))
     est = moments.estimate_moment(model, geometry, z, args.s, x, y,
                                   args.trials, seed, args.threads)
-    out = Output(args.out)
     out.table(["x", "y", "z", "exponent", "mean", "stderr", "trials"],
               [[x, y, _fmt(z), args.s, est.mean, est.stderr, est.trials]])
     out.check("moment-estimate", est.mean, None, None)
-    return out.write()
 
 
-def cmd_decay(args) -> int:
-    model, seed = _load(args)
+def cmd_decay(args, model, seed, out: Output) -> None:
     if args.coupling is not None:
         model = model_mod.ModelConfig(model.dimension, args.coupling, model.potential, model.density)
     z = complex(args.energy, args.imag)
     prof = moments.decay_profile(model, args.box, z, args.s, args.trials, seed, args.threads)
-    out = Output(args.out)
     out.table(["distance", "mean", "stderr", "bound", "pass"],
               [[r["distance"], r["mean"], r["stderr"],
                 "" if math.isinf(r["bound"]) else r["bound"], r["pass"]] for r in prof["rows"]])
@@ -204,66 +190,52 @@ def cmd_decay(args) -> int:
     all_ok = all(r["pass"] for r in checked)
     out.check("1d-decay-bound", float(sum(not r["pass"] for r in checked)), 0.0, all_ok)
     out.check("decay-rate-fit", prof["fit"].slope, None, None)
-    return out.write()
 
 
-def cmd_finite_volume(args) -> int:
-    model, seed = _load(args)
+def cmd_finite_volume(args, model, seed, out: Output) -> None:
     region = build_box(args.region, (0,) * model.dimension)
     z = complex(args.energy, args.imag)
     res = moments.finite_volume_sum(model, region, (0,) * model.dimension, z,
                                     args.s, args.L, args.trials, seed, args.threads)
-    out = Output(args.out)
     out.table(["boundary_site", "mean", "stderr"],
               [[w, float(mu), float(se)] for w, mu, se in
                zip(res["boundary_sites"], res["means"], res["stderrs"])])
     out.check("screened-sum-raw", res["raw_sum"], None, None)
     out.check("screened-sum-scaled", res["scaled"], None, None)
-    return out.write()
 
 
-def cmd_wegner(args) -> int:
-    model, seed = _load(args)
+def cmd_wegner(args, model, seed, out: Output) -> None:
     rep = spectra.wegner_mc(model, args.l, (args.emin, args.emax), args.trials, seed, args.threads)
-    out = Output(args.out)
     out.table(["interval_min", "interval_max", "l", "mean_count", "stderr", "trials", "bound"],
               [[args.emin, args.emax, args.l, rep.mean_count, rep.stderr, rep.trials, rep.abstract_bound]])
     out.check("eigenvalue-count-bound", rep.mean_count + 3 * rep.stderr,
               rep.abstract_bound, rep.bound_satisfied)
-    return out.write()
 
 
-def cmd_poscomb(args) -> int:
-    model, _ = _load(args)
+def cmd_poscomb(args, model, seed, out: Output) -> None:
     lead = poscomb.find_I0(model.potential)
     coeff = poscomb.wegner_coefficients(model.potential, args.l, lead)
     p2 = poscomb.prop2_min(model.potential, args.l, coeff["R_int"], lead)
-    out = Output(args.out)
     out.table(["l", "I0", "c_u", "R", "R_int", "t_l1_total", "prop2_min"],
               [[args.l, lead.I0, lead.c_u, coeff["R"], coeff["R_int"],
                 coeff["t_l1_total"], p2]])
     tol = 10 * lead.truncation_error / max(abs(lead.c_u), 1e-300)
     out.check("positive-combination-min", p2, None, p2 >= 1.0 - tol - 1e-9)
     print(f"I0={lead.I0} c_u={lead.c_u!r} R_l={coeff['R']!r} prop2_min={p2!r}")
-    return out.write()
 
 
-def cmd_regularity(args) -> int:
-    model, seed = _load(args)
+def cmd_regularity(args, model, seed, out: Output) -> None:
     d = model.dimension
     x = (0,) * d
     y = tuple([args.separation] + [0] * (d - 1))
     rep = spectra.pair_regularity_probability(model, args.L, x, y, (args.emin, args.emax),
                                               args.grid, args.m, args.trials, seed, args.threads)
-    out = Output(args.out)
     out.table(["energy", "frequency"],
               [[float(E), float(f)] for E, f in zip(rep.energies, rep.per_energy_frequency)])
     out.check("pair-regularity-frequency", rep.pair_frequency, None, None)
-    return out.write()
 
 
-def cmd_conditional(args) -> int:
-    model, seed = _load(args)
+def cmd_conditional(args, model, seed, out: Output) -> None:
     rows = []
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
@@ -275,18 +247,15 @@ def cmd_conditional(args) -> int:
                     diff = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
                     worst = max(worst, diff)
                     rows.append([a, sigma, l, m, got[1], want[1], diff])
-    out = Output(args.out)
     out.table(["u_minus1", "sigma", "l", "m", "variance_formula", "variance_oracle", "diff"], rows)
     out.check("conditional-variance-agreement", worst, 1e-10, worst <= 1e-10)
     res = gaussian.negexample_check(model.potential, args.delta, args.delta_prime,
                                     args.attempts, seed)
     out.check("pinned-interval-violations", float(res["violations"]), 0.0,
               res["violations"] == 0 and not res["inconclusive"])
-    return out.write()
 
 
-def cmd_apriori(args) -> int:
-    model, seed = _load(args)
+def cmd_apriori(args, model, seed, out: Output) -> None:
     info = moments.nonlocal_apriori_bound(model.potential, model.density, model.coupling, args.s)
     if model.dimension == 1:
         geometry = explicit_geometry([(k,) for k in range(args.box)])
@@ -303,10 +272,8 @@ def cmd_apriori(args) -> int:
         passed = est.mean <= info["bound"] + 3 * est.stderr
         ok = ok and passed
         rows.append([x, y, est.mean, est.stderr, info["bound"], passed])
-    out = Output(args.out)
     out.table(["x", "y", "mean", "stderr", "bound", "pass"], rows)
     out.check("nonlocal-apriori-bound", float(sum(not r[-1] for r in rows)), 0.0, ok)
-    return out.write()
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +396,10 @@ def run(argv=None) -> int:
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        model, seed = _load(args)
+        out = Output(args.out)
+        args.fn(args, model, seed, out)
+        return out.write()
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

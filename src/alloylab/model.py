@@ -150,9 +150,13 @@ def explicit_geometry(sites) -> BoxGeometry:
     return BoxGeometry(tuple(sorted({_as_site(s) for s in sites})))
 
 
+def _site_list(sites) -> list[Site]:
+    """A BoxGeometry, or an iterable of ints, lists or tuples, as a list of site tuples in the given order."""
+    return [_as_site(s) for s in (sites.sites if isinstance(sites, BoxGeometry) else sites)]
+
+
 def _site_set(sites) -> set[Site]:
-    """A BoxGeometry, or an iterable of ints, lists or tuples, as a set of site tuples."""
-    return set(sites.sites) if isinstance(sites, BoxGeometry) else {_as_site(s) for s in sites}
+    return set(_site_list(sites))
 
 
 def interior_boundary(sites) -> set[Site]:

@@ -27,6 +27,7 @@ from .model import (
     SitePotential,
     _as_site,
     _chain_support,
+    _site_list,
     adjacency_matrix,
     explicit_geometry,
     exterior_boundary,
@@ -181,21 +182,21 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
                      pairs, trials: int, seed: int, threads: int = 1) -> list[MomentEstimate]:
     """Unbiased MC means of |G(z; x, y)|^s over i.i.d. disorder, one per (x, y) pair.
 
-    The pairs share one disorder block and one banded LU per trial.  |G|^s stays a scalar (np.abs
-    of an array can round differently), so each estimate is bit for bit its pair's alone."""
+    The pairs share one disorder block and one banded LU per trial; |G|^s is taken once, as
+    np.abs(block) ** s over the stacked (trials, pairs) block of G values."""
     pairs = [_check_average_args(geometry, z, s_exp, x, y) for x, y in pairs]
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
     sources = list(dict.fromkeys(x for x, _ in pairs))
-    entries = [(geometry.index_of(y), sources.index(x)) for x, y in pairs]
+    rows = np.array([geometry.index_of(y) for _, y in pairs])
+    js = np.array([sources.index(x) for x, _ in pairs])
     sampler = DisorderSampler(model, geometry)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
 
-    def one(trial: int) -> list[float]:
-        cols = sampler.green_column(diagonals[trial], z, sources)
-        return [abs(cols[iy, j]) ** s_exp for iy, j in entries]
+    def one(trial: int) -> np.ndarray:
+        return sampler.green_column(diagonals[trial], z, sources)[rows, js]
 
-    means, stderrs = _mean_stderr(run_trials(one, trials, threads))
+    means, stderrs = _mean_stderr(np.abs(run_trials(one, trials, threads)) ** s_exp)
     return [MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y, complex(z))
             for (x, y), mean, stderr in zip(pairs, means, stderrs)]
 
@@ -369,6 +370,8 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     """
     if model.dimension != 1:
         raise ValueError("decay profiles are one-dimensional")
+    if box_sites < 2:
+        raise ValueError(f"a decay profile needs at least two chain sites, got {box_sites}")
     geometry = explicit_geometry([(k,) for k in range(box_sites)])
     (x,) = _check_average_args(geometry, z, s, (0,))
     r = largest_gap(model.potential)
@@ -383,16 +386,8 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
                                                                 model.coupling, s)
         min_dist = 2 * step
 
-    sampler = DisorderSampler(model, geometry)
-    diagonals = sampler.diagonals(sampler.omega(seed, trials))
-
-    def one(trial: int) -> np.ndarray:
-        col = sampler.green_column(diagonals[trial], z, [x])[:, 0]
-        return np.abs(col) ** exponent
-
-    means, stderrs = _mean_stderr(run_trials(one, trials, threads))
-    estimates = [MomentEstimate(float(means[iy]), float(stderrs[iy]), trials, exponent, x, (iy,), complex(z))
-                 for iy in range(1, len(geometry))]
+    estimates = estimate_moments(model, geometry, z, exponent, [(x, y) for y in geometry.sites[1:]],
+                                 trials, seed, threads)
 
     dists, logs, weights = [], [], []
     for est in estimates:
@@ -457,15 +452,9 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     theta_count = len(model.potential.support())
     exponent = s / (2 * theta_count)
 
-    sampler = DisorderSampler(model, sub)
-    idx = [sub.index_of(w) for w in boundary]
-    diagonals = sampler.diagonals(sampler.omega(seed, trials))
-
-    def one(trial: int) -> np.ndarray:
-        col = sampler.green_column(diagonals[trial], z, [x])[idx, 0]
-        return np.abs(col) ** exponent
-
-    means, stderrs = _mean_stderr(run_trials(one, trials, threads))
+    estimates = estimate_moments(model, sub, z, exponent, [(x, w) for w in boundary], trials, seed, threads)
+    means = np.array([est.mean for est in estimates])
+    stderrs = np.array([est.stderr for est in estimates])
     raw = float(means.sum())
     lam = model.coupling
     xi = max(lam ** (-exponent), lam ** (-2 * s))
@@ -546,8 +535,7 @@ def w_xy(u: SingleSitePotential, x, y, window) -> dict:
     supp = u.support()
     values: dict[Site, float] = {}
     margins: dict[Site, float] = {}
-    window_sites = [_as_site(k) for k in (window.sites if isinstance(window, BoxGeometry) else window)]
-    for k in window_sites:
+    for k in _site_list(window):
         w = sum(alpha(site_sub(k, t)) * sign * u.value(t) for t in supp)
         values[k] = w
         margins[k] = w - alpha(k) * info["ubar"] / 2.0
@@ -579,13 +567,12 @@ def polynomial_root_criterion(u: SingleSitePotential, max_multiplier_degree: int
     n = _chain_support(u)[-1] + 1
     coeffs = np.array([u.value((k,)) for k in range(n)])
     # np.roots wants highest degree first
-    roots = np.roots(coeffs[::-1]) if n > 1 else np.array([])
-    scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
-    tol = 1e-9 * scale
+    roots = np.roots(coeffs[::-1])  # empty for a constant p
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     # distance from a root to the closed nonnegative real axis
-    dists = np.array([abs(r.imag) if r.real >= 0 else abs(r) for r in roots]) if len(roots) else np.array([])
-    passes = bool(np.all(dists > tol)) if len(dists) else True
-    ambiguous = bool(np.any((dists > 0.1 * tol) & (dists <= 10 * tol))) if len(dists) else False
+    dists = np.array([abs(r.imag) if r.real >= 0 else abs(r) for r in roots])
+    passes = bool(np.all(dists > tol))
+    ambiguous = bool(np.any((dists > 0.1 * tol) & (dists <= 10 * tol)))
     out = {"passes": passes, "roots": roots, "ambiguous": ambiguous}
     if not passes:
         return out

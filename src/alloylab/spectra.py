@@ -28,6 +28,7 @@ from .model import (
 )
 from .moments import DisorderSampler, _check_coupling, run_trials
 from .poscomb import wegner_coefficients
+from .rng import trial_stream
 
 __all__ = [
     "WegnerReport",
@@ -157,7 +158,8 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     The boxes must be separated enough that their couplings are independent;
     the continuum of energies is approximated by a finite grid, which biases
     the estimate upward, so the report says so.  Each box is diagonalized at
-    most once per trial, the y box only once some energy needs it.
+    most once per trial, the y box only once some energy needs it.  Trial t
+    draws its sites with a configuration seed taken from trial_stream(seed, t).
     """
     if grid_points < 1:
         raise ValueError(f"need at least one grid energy, got {grid_points}")
@@ -176,7 +178,7 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     thresh = math.exp(-m * L)
 
     def one(t: int) -> np.ndarray:  # 0/1 flag per grid energy, then the all-energies flag
-        omega = sample_configuration(model, need, seed + 1000003 * t)
+        omega = sample_configuration(model, need, int(trial_stream(seed, t).integers(2 ** 62)))
         eig_x = np.linalg.eigh(assemble_hamiltonian(model, omega, box_x).entries)
         eig_y = None
         flags = []

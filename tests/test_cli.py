@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from alloylab import moments
+from alloylab import cli, moments
 from alloylab.cli import run
-from alloylab.model import DisorderDensity, explicit_geometry, load_model_config
+from alloylab.model import DisorderDensity, explicit_geometry, load_model_config, sample_configuration
 
 
 @pytest.fixture()
@@ -56,6 +56,25 @@ def test_green_identities_subcommand(model_cfg, tmp_path):
     assert code == 0
     rows = (tmp_path / "gi_summary.csv").read_text().splitlines()
     assert rows[-1].endswith("true")
+
+
+def test_green_identity_instance_keys_do_not_collide_across_seeds(model_cfg, tmp_path, monkeypatch):
+    # an additive key seed + i would give seed 7's instance 1 the key of seed 8's instance 0
+    keys = []
+
+    def recording(model, sites, seed):
+        keys.append(seed)
+        return sample_configuration(model, sites, seed)
+
+    monkeypatch.setattr(cli, "sample_configuration", recording)
+    runs = []
+    for seed in (7, 8):
+        keys.clear()
+        assert run(["green-identities", "--config", str(model_cfg), "--instances", "3",
+                    "--seed", str(seed), "--out", str(tmp_path / f"gi{seed}")]) == 0
+        runs.append(set(keys))
+    assert len(runs[0]) == len(runs[1]) == 3
+    assert runs[0].isdisjoint(runs[1])
 
 
 def test_decay_subcommand_and_determinism(model_cfg, tmp_path):

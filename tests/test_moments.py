@@ -268,6 +268,13 @@ def test_decay_profile_rejects_real_energy():
         decay_profile(m, 3, 0.0, 0.5, trials=5, seed=0)
 
 
+def test_decay_profile_needs_a_distance():
+    # one chain site leaves no y != x to sweep
+    m = ModelConfig(1, 1.0, SingleSitePotential.delta(1), uniform01())
+    with pytest.raises(ValueError, match="at least two chain sites"):
+        decay_profile(m, 1, 0.5j, 0.5, trials=5, seed=0)
+
+
 def test_singular_solve_raises():
     m = ModelConfig(1, 0.0, SingleSitePotential.delta(1), uniform01())
     # lambda = 0: H - z is 0 on one site, and -Delta on two sites has eigenvalue 1

@@ -13,11 +13,13 @@ per-trial sample arrays.  The per-estimator disorder block, the stacked
 quantile, the gap-construction search and the stacked determinant average
 are each checked bit for bit against the one-trial-at-a-time path they
 replace, and so are the potential over a coupling block, the multi-source
-Green columns, the estimates that share one disorder block and the
-piecewise-linear cdf.  The scalar density, the root-product determinant integrand and the
-averaging checks are checked against the vectorised density and the
-slogdet/svd integrands they replace, and the pole average over a
-piecewise-linear density against its closed form.
+Green columns, the estimates that share one disorder block, the decay
+profile and finite-volume sum (against the per-trial loops they ran before
+they became estimate_moments calls) and the piecewise-linear cdf.  The
+scalar density, the root-product determinant integrand and the averaging
+checks are checked against the vectorised density and the slogdet/svd
+integrands they replace, and the pole average over a piecewise-linear
+density against its closed form.
 """
 
 import math
@@ -55,7 +57,14 @@ from alloylab.model import (
     potential_value,
     sample_configuration,
 )
-from alloylab.moments import DisorderSampler, estimate_moment, estimate_moments, gap_constants
+from alloylab.moments import (
+    DisorderSampler,
+    decay_profile,
+    estimate_moment,
+    estimate_moments,
+    finite_volume_sum,
+    gap_constants,
+)
 from alloylab.rng import site_stream, trial_stream
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -357,13 +366,61 @@ def test_shared_block_estimates_are_the_one_pair_estimates(setup, z, s, trials, 
     want = [estimate_moment(model, geometry, z, s, x, y, trials, seed) for x, y in pairs]
     assert [(e.x, e.y) for e in got] == pairs
     assert same_bits(np.array([(e.mean, e.stderr) for e in got]), np.array([(e.mean, e.stderr) for e in want]))
-    # oracle: one source per solve and the scalar |G|^s, trial by trial (np.abs(array) ** s can differ in the last bit)
+    # oracle: one source per solve, trial by trial, and |G|^s as np.abs(array) ** s over the trials' G values
     sampler = DisorderSampler(model, geometry)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
     for (x, y), est in zip(pairs, got):
         iy = geometry.index_of(y)
-        samples = [abs(sampler.green_column(diagonals[t], z, [x])[iy, 0]) ** s for t in range(trials)]
+        samples = np.abs(np.array([sampler.green_column(diagonals[t], z, [x])[iy, 0] for t in range(trials)])) ** s
         assert same_bits(np.array([est.mean, est.stderr]), np.array(_mean_stderr(np.array(samples))))
+
+
+def _per_trial_moment_loop(model, geometry, z, exponent, x, rows, trials, seed):
+    """Mean and stderr of |G(z; x, .)|^exponent at the given rows, from one source column per trial.
+
+    This is the trial loop that decay_profile and finite_volume_sum ran on their own before
+    they became estimate_moments calls."""
+    sampler = DisorderSampler(model, geometry)
+    diagonals = sampler.diagonals(sampler.omega(seed, trials))
+    samples = [np.abs(sampler.green_column(diagonals[t], z, [x])[rows, 0]) ** exponent for t in range(trials)]
+    return _mean_stderr(np.array(samples))
+
+
+@st.composite
+def chain_models(draw):
+    """d = 1 models with 0 in supp u, connected or gapped, a positive coupling and a random density."""
+    far = draw(st.sets(st.integers(1, 3), max_size=2))
+    u = SingleSitePotential({(k,): draw(_u_value) for k in {0} | far})
+    return ModelConfig(1, draw(st.floats(0.5, 50.0)), u, draw(densities()))
+
+
+@PROPERTY
+@given(chain_models(), st.integers(2, 12), energies, st.floats(0.05, 0.95), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+def test_decay_rows_are_the_per_trial_loop(model, box_sites, z, s, trials, seed, threads):
+    prof = decay_profile(model, box_sites, z, s, trials, seed, threads)
+    geometry = explicit_geometry([(k,) for k in range(box_sites)])
+    mean, stderr = _per_trial_moment_loop(model, geometry, z, prof["exponent"], (0,), slice(None), trials, seed)
+    assert [row["distance"] for row in prof["rows"]] == list(range(1, box_sites))
+    got = np.array([(row["mean"], row["stderr"]) for row in prof["rows"]])
+    assert same_bits(got, np.stack([mean[1:], stderr[1:]], axis=1))
+
+
+@PROPERTY
+@given(models(), st.integers(0, 1), st.integers(1, 3), energies, st.floats(0.05, 0.95), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.data())
+def test_finite_volume_means_are_the_per_trial_loop(model, extra_L, margin, z, s, trials, seed, threads, data):
+    model = ModelConfig(model.dimension, data.draw(st.floats(0.1, 50.0)), model.potential, data.draw(densities()))
+    diam = model.potential.diameter_linf()
+    L = diam + 2 + extra_L
+    d = model.dimension
+    region = build_box(L + diam + margin, (0,) * d)
+    res = finite_volume_sum(model, region, (0,) * d, z, s, L, trials, seed, threads)
+    sub = region.subset(region.site_set() - res["annulus"].W_x)
+    rows = [sub.index_of(w) for w in res["boundary_sites"]]
+    mean, stderr = _per_trial_moment_loop(model, sub, z, res["exponent"], (0,) * d, rows, trials, seed)
+    assert same_bits(res["means"], mean) and same_bits(res["stderrs"], stderr)
+    assert same_bits(np.float64(res["raw_sum"]), mean.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from alloylab import spectra
 from alloylab.model import (
     DisorderDensity,
     ModelConfig,
@@ -231,6 +232,25 @@ def test_pair_regularity_grid_refinement_monotone():
                                           0.25, trials=80, seed=42)
         freqs.append(rep.pair_frequency)
     assert freqs[0] >= freqs[1] >= freqs[2]  # conjunction over more events
+
+
+def test_pair_regularity_trial_keys_do_not_collide_across_seeds(monkeypatch):
+    # an additive key seed + 1000003 t would give seed 7's trial 1 the key of seed 1000010's trial 0
+    keys = []
+
+    def recording(model, sites, seed):
+        keys.append(seed)
+        return sample_configuration(model, sites, seed)
+
+    monkeypatch.setattr(spectra, "sample_configuration", recording)
+    m = ModelConfig(1, 10.0, SingleSitePotential.delta(1), uniform01())
+    runs = []
+    for seed in (7, 7 + 1000003):
+        keys.clear()
+        pair_regularity_probability(m, 2, (0,), (6,), (-1.0, 1.0), 3, 0.1, trials=3, seed=seed)
+        runs.append(set(keys))
+    assert len(runs[0]) == len(runs[1]) == 3
+    assert runs[0].isdisjoint(runs[1])
 
 
 def test_pair_regularity_separation_enforced():
