@@ -96,6 +96,8 @@ def negexample_check(u: SingleSitePotential, delta: float, delta_prime: float,
     """
     if not (delta >= delta_prime > 0):
         raise ValueError("need delta >= delta' > 0")
+    if attempts < 2:
+        raise ValueError(f"need at least 2 attempts, one proposal per coupling group, got {attempts}")
     const = negexample_constants(u)
     supp = [k[0] for k in u.support()]
     n = max(supp) + 1

@@ -2,7 +2,10 @@
 
 Conventions: G(z; i, j) = 0 whenever i or j lies outside the geometry the
 resolvent was built on, and the depleted operator H^L removes exactly the
-hopping terms on bonds crossing between L and its complement.
+hopping terms on bonds crossing between L and its complement.  The blocks of
+the identities (inner, ring and exterior blocks, the hopping C = -H[L, ext],
+the crossing-bond matrix T) are index slices of one H assembled on the whole
+geometry, so omega must cover lambda_plus of the whole geometry.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .model import (
     Site,
     _as_site,
     _site_set,
-    adjacency_matrix,
     assemble_hamiltonian,
     build_box,
     connected_components,
@@ -64,11 +66,15 @@ class GreenMatrix:
         return float(np.max(np.abs(M)))
 
 
+def _resolvent(M: np.ndarray, z: complex) -> np.ndarray:
+    """(M - z)^{-1} for a square block M."""
+    return np.linalg.inv(M - z * np.eye(len(M), dtype=complex))
+
+
 def green(H: HamiltonianMatrix, z: complex) -> GreenMatrix:
     """Invert H - z.  Caller asserts z is off the spectrum when real."""
-    n = len(H.geometry)
     try:
-        entries = np.linalg.inv(H.entries - z * np.eye(n, dtype=complex))
+        entries = _resolvent(H.entries, z)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"singular resolvent at z={z}: {err}") from err
     return GreenMatrix(H.geometry, z, entries)
@@ -84,19 +90,27 @@ class DepletedOperators:
     coupling: np.ndarray
 
 
+def _deplete(H: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H^L, T) for L = ``rows``: T = Delta - Delta^L is -H on the blocks between L and the rest."""
+    rest = np.setdiff1d(np.arange(len(H)), rows)
+    T = np.zeros_like(H)
+    T[np.ix_(rows, rest)] = -H[np.ix_(rows, rest)]
+    T[np.ix_(rest, rows)] = -H[np.ix_(rest, rows)]
+    return H + T, T
+
+
+def _schur_B(H: np.ndarray, rows: np.ndarray, z: complex) -> np.ndarray:
+    """C (H_ext - z)^{-1} C^T, with C = -H[L, ext] the hopping from L = ``rows`` to the rest."""
+    ext = np.setdiff1d(np.arange(len(H)), rows)
+    C = -H[np.ix_(rows, ext)]
+    return C @ _resolvent(H[np.ix_(ext, ext)], z) @ C.T
+
+
 def depleted(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inner_sites) -> DepletedOperators:
     """Deplete the hopping between ``inner_sites`` and the rest of the geometry."""
     inner = _site_set(inner_sites)
-    if not inner <= geometry.site_set():
-        raise ValueError("inner region must be contained in the geometry")
-    H = assemble_hamiltonian(model, omega, geometry)
-    mask_in = np.array([s in inner for s in geometry.sites])
-    cross = np.logical_xor.outer(mask_in, mask_in)
-    A = adjacency_matrix(geometry)
-    T = A * cross  # Delta - Delta^L: +1 on crossing bonds
-    Hd = H.entries + T  # -Delta^L = -Delta + T
-    inner_geo = geometry.subset(inner) if inner else None
-    return DepletedOperators(geometry, inner_geo, Hd, T)
+    Hd, T = _deplete(assemble_hamiltonian(model, omega, geometry).entries, geometry.rows(inner))
+    return DepletedOperators(geometry, geometry.subset(inner) if inner else None, Hd, T)
 
 
 def schur_B(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inner_sites, z: complex) -> np.ndarray:
@@ -104,78 +118,50 @@ def schur_B(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inn
 
     B = P_L Delta I_ext (H_ext - z)^{-1} P_ext Delta I_L; it lives on the
     interior boundary of L and is independent of couplings that only act
-    inside L.
+    inside L.  H is assembled on the whole geometry, so omega must cover
+    lambda_plus(geometry).
     """
-    inner = _site_set(inner_sites)
-    if not inner <= geometry.site_set():
-        raise ValueError("inner region must be contained in the geometry")
-    if len(inner) == len(geometry):
-        return np.zeros((len(inner), len(inner)), dtype=complex)
-    ext_geo = geometry.subset(geometry.site_set() - inner)
-    H_ext = assemble_hamiltonian(model, omega, ext_geo)
-    in_inner = np.array([s in inner for s in geometry.sites])
-    C = adjacency_matrix(geometry)[np.ix_(in_inner, ~in_inner)]  # Delta entries between L and the exterior
-    G_ext = np.linalg.inv(H_ext.entries - z * np.eye(len(ext_geo), dtype=complex))
-    return C @ G_ext @ C.T
+    return _schur_B(assemble_hamiltonian(model, omega, geometry).entries, geometry.rows(inner_sites), z)
 
 
 def verify_schur_identity(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
                           inner_sites, z: complex) -> float:
     """Max-abs discrepancy of P_L G P_L* = (H_L - B - z)^{-1} on L x L."""
-    inner_geo = geometry.subset(_site_set(inner_sites))
-    H_full = assemble_hamiltonian(model, omega, geometry)
-    G = green(H_full, z)
-    idx = [geometry.index_of(s) for s in inner_geo.sites]
-    lhs = G.entries[np.ix_(idx, idx)]
+    inner_geo = geometry.subset(inner_sites)
+    rows = geometry.rows(inner_geo)
+    lhs = green(assemble_hamiltonian(model, omega, geometry), z).entries[np.ix_(rows, rows)]
+    # H_L is assembled, not sliced: bench/test_layertrace.py pins three assemblies per check
     H_in = assemble_hamiltonian(model, omega, inner_geo)
-    B = schur_B(model, omega, geometry, inner_geo.sites, z)
-    rhs = np.linalg.inv(H_in.entries - B - z * np.eye(len(inner_geo), dtype=complex))
+    rhs = _resolvent(H_in.entries - schur_B(model, omega, geometry, inner_geo.sites, z), z)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def verify_two_step_schur(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
                           inner1, inner2, z: complex) -> float:
     """Nested-complement identity for L1 inside L2 with int-boundary(L2) disjoint from L1."""
-    s1 = _site_set(inner1)
-    s2 = _site_set(inner2)
-    if not s1 <= s2 or not s2 <= geometry.site_set():
-        raise ValueError("need inner1 within inner2 within the geometry")
+    s1, s2 = _site_set(inner1), _site_set(inner2)
+    if not s1 <= s2:
+        raise ValueError("need inner1 within inner2")
+    r1, r2, ring = geometry.rows(s1), geometry.rows(s2), geometry.rows(s2 - s1)
     if interior_boundary(s2) & s1:
         raise ValueError("interior boundary of the outer region must avoid the inner region")
 
-    geo1, geo2, geo_ring = geometry.subset(s1), geometry.subset(s2), geometry.subset(s2 - s1)
-
-    H_full = assemble_hamiltonian(model, omega, geometry)
-    G = green(H_full, z)
-    idx1 = [geometry.index_of(s) for s in geo1.sites]
-    lhs = G.entries[np.ix_(idx1, idx1)]
-
-    B2 = schur_B(model, omega, geometry, s2, z)  # on inner2, ordered like geometry
-    ring_idx2 = [geo2.index_of(s) for s in geo_ring.sites]
-    B_ring = B2[np.ix_(ring_idx2, ring_idx2)]
-
-    H_ring = assemble_hamiltonian(model, omega, geo_ring)
-    K = H_ring.entries - B_ring - z * np.eye(len(geo_ring), dtype=complex)
-
-    # hopping between L1 and the ring (entries of Delta)
-    idx_ring = [geometry.index_of(s) for s in geo_ring.sites]
-    C = adjacency_matrix(geometry)[np.ix_(idx1, idx_ring)]
-
-    H1 = assemble_hamiltonian(model, omega, geo1)
-    S = H1.entries - z * np.eye(len(geo1), dtype=complex) - C @ np.linalg.solve(K, C.T.astype(complex))
-    rhs = np.linalg.inv(S)
-    return float(np.max(np.abs(lhs - rhs)))
+    H = assemble_hamiltonian(model, omega, geometry).entries
+    lhs = _resolvent(H, z)[np.ix_(r1, r1)]
+    at = np.searchsorted(r2, ring)  # the ring's places among the rows of L2
+    B_ring = _schur_B(H, r2, z)[np.ix_(at, at)]
+    K = H[np.ix_(ring, ring)] - B_ring - z * np.eye(len(ring), dtype=complex)
+    C = -H[np.ix_(r1, ring)]  # hopping between L1 and the ring
+    S = H[np.ix_(r1, r1)] - z * np.eye(len(r1), dtype=complex) - C @ np.linalg.solve(K, C.T.astype(complex))
+    return float(np.max(np.abs(lhs - np.linalg.inv(S))))
 
 
 def verify_resolvent_identities(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
                                 inner_sites, z: complex) -> tuple[float, float]:
     """Residuals of the first- and second-order geometric resolvent identities."""
-    dep = depleted(model, omega, geometry, inner_sites)
-    n = len(geometry)
     H = assemble_hamiltonian(model, omega, geometry).entries
-    G = np.linalg.inv(H - z * np.eye(n, dtype=complex))
-    Gd = np.linalg.inv(dep.depleted - z * np.eye(n, dtype=complex))
-    T = dep.coupling
+    Hd, T = _deplete(H, geometry.rows(inner_sites))
+    G, Gd = _resolvent(H, z), _resolvent(Hd, z)
     first = float(np.max(np.abs(G - Gd - G @ T @ Gd)))
     second = float(np.max(np.abs(G - Gd - Gd @ T @ Gd - Gd @ T @ G @ T @ Gd)))
     return first, second
@@ -207,17 +193,14 @@ def annulus(geometry: BoxGeometry, x, L: int, u: SingleSitePotential) -> Annulus
     annulus actually separates x from far sites.
     """
     x = _as_site(x)
-    d = geometry.dimension
     diam = u.diameter_linf()
     if L < diam + 2:
         raise ValueError(f"need L >= diam(supp u) + 2 = {diam + 2}, got {L}")
     supp = u.support()
     gamma = geometry.site_set()
 
-    cube = build_box(L, (0,) * d)
-    B = interior_boundary(cube)
-    B_x = {site_add(b, x) for b in B}
-    cube_x = {site_add(k, x) for k in cube.sites}
+    cube_x = build_box(L, x).sites
+    B_x = interior_boundary(cube_x)
 
     hat_W = {site_add(t, b) for b in B_x for t in supp} & gamma
     hat_L = {site_add(t, b) for b in cube_x for t in supp} & gamma

@@ -6,7 +6,9 @@ V(x) = sum_k omega_k u(x - k) couples i.i.d. random variables omega_k through
 a fixed profile u.  Hamiltonians are assembled as dense matrices: boxes stay
 at desk scale (a few thousand sites), where dense solves and eigensolves are
 simple and exactly reproducible.  Only the Monte Carlo trials in ``moments``
-solve for a Green column in band storage instead.
+solve for a Green column in band storage instead.  A geometry knows its
+lattice facts once: ``rows`` maps a site set to its indices, and the cached
+``bonds`` lists the hopping pairs that the dense and banded layouts scatter.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -120,13 +123,34 @@ class BoxGeometry:
     def site_set(self) -> frozenset[Site]:
         return frozenset(self.sites)
 
+    def rows(self, sites) -> np.ndarray:
+        """Indices of the given sites in this geometry's order; raises on a site outside it."""
+        keep = _site_set(sites)
+        if not keep <= self._index.keys():
+            raise ValueError(f"sites not in geometry: {sorted(keep - self._index.keys())[:4]}")
+        return np.array(sorted(self._index[s] for s in keep), dtype=np.intp)
+
     def subset(self, sites) -> "BoxGeometry":
         """Sub-geometry on the given sites (kept in this geometry's order)."""
-        keep = {_as_site(s) for s in sites}
-        missing = keep - set(self.sites)
-        if missing:
-            raise ValueError(f"sites not in geometry: {sorted(missing)[:4]}")
-        return BoxGeometry(tuple(s for s in self.sites if s in keep))
+        return BoxGeometry(tuple(self.sites[i] for i in self.rows(sites)))
+
+    @cached_property
+    def bonds(self) -> np.ndarray:
+        """The l1-adjacent index pairs (i, j), i < j, as a read-only (bonds, 2) array in lexicographic order."""
+        pts = np.array(self.sites)
+        n, d = pts.shape
+        # the sites, then each site one step up each axis; equal points share an id
+        steps = np.concatenate([pts, *(pts + e for e in np.eye(d, dtype=pts.dtype))])
+        order = np.lexsort(steps.T)
+        first = np.concatenate([[True], np.any(np.diff(steps[order], axis=0) != 0, axis=1)])
+        ids = (np.cumsum(first) - 1)[np.argsort(order)]
+        index = np.full(ids.max() + 1, -1)
+        index[ids[:n]] = np.arange(n)
+        ahead = index[ids[n:]]  # the site one step up, or -1
+        pairs = np.sort(np.stack([np.tile(np.arange(n), d), ahead], axis=1)[ahead >= 0], axis=1)
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        pairs.flags.writeable = False
+        return pairs
 
 
 def build_box(L: int, center=0, d: int | None = None) -> BoxGeometry:
@@ -173,12 +197,7 @@ def exterior_boundary(sites) -> set[Site]:
     pts = _site_set(sites)
     if not pts:
         raise ValueError("empty site set")
-    out = set()
-    for x in pts:
-        for y in neighbors(x):
-            if y not in pts:
-                out.add(y)
-    return out
+    return {y for x in pts for y in neighbors(x)} - pts
 
 
 def connected_components(sites) -> list[set[Site]]:
@@ -532,14 +551,10 @@ class HamiltonianMatrix:
 
 
 def adjacency_matrix(geometry: BoxGeometry) -> np.ndarray:
-    """0/1 matrix of l1-adjacent in-set pairs (the hopping pattern)."""
-    n = len(geometry)
-    A = np.zeros((n, n))
-    for i, x in enumerate(geometry.sites):
-        for y in neighbors(x):
-            j = geometry._index.get(y)
-            if j is not None:
-                A[i, j] = 1.0
+    """0/1 matrix of l1-adjacent in-set pairs (the hopping pattern), scattered from ``geometry.bonds``."""
+    A = np.zeros((len(geometry), len(geometry)))
+    i, j = geometry.bonds.T
+    A[i, j] = A[j, i] = 1.0
     return A
 
 
@@ -621,12 +636,21 @@ _TAIL_KEYS = {"C", "alpha", "radius", "sign"}
 _DENS_KEYS = {"kind", "params"}
 
 
+def _section(value, name: str, keys: set | None = None):
+    """Config section ``name``: a JSON list, or with ``keys`` a JSON object that uses no other keys."""
+    if not isinstance(value, list if keys is None else dict):
+        raise ValueError(f"{name} must be a JSON {'list' if keys is None else 'object'}")
+    if keys is not None and set(value) - keys:
+        raise ValueError(f"unknown {name} keys: {sorted(set(value) - keys)}")
+    return value
+
+
 def load_model_config(path) -> tuple[ModelConfig, int | None]:
     """Load a model from a JSON config file; returns (model, default seed).
 
     Keys: dimension, lambda, potential.support = [[site, value], ...],
     potential.tail = {C, alpha, radius}, density = {kind, params}, seed.
-    Unknown keys are rejected.
+    Unknown keys and sections of the wrong JSON type are rejected.
     """
     with open(path) as fh:
         text = fh.read()
@@ -635,9 +659,7 @@ def load_model_config(path) -> tuple[ModelConfig, int | None]:
     except json.JSONDecodeError as err:
         raise ValueError(f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}") from err
 
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _section(raw, "config", _TOP_KEYS)
     for key in ("dimension", "lambda", "potential", "density"):
         if key not in raw:
             raise ValueError(f"config missing required key {key!r}")
@@ -645,12 +667,9 @@ def load_model_config(path) -> tuple[ModelConfig, int | None]:
     d = int(raw["dimension"])
     lam = float(raw["lambda"])
 
-    pot_raw = raw["potential"]
-    unknown = set(pot_raw) - _POT_KEYS
-    if unknown:
-        raise ValueError(f"unknown potential keys: {sorted(unknown)}")
+    pot_raw = _section(raw["potential"], "potential", _POT_KEYS)
     support = {}
-    for entry in pot_raw.get("support", []):
+    for entry in _section(pot_raw.get("support", []), "potential.support"):
         site, value = entry
         site = _as_site(site)
         if len(site) != d:
@@ -658,9 +677,7 @@ def load_model_config(path) -> tuple[ModelConfig, int | None]:
         support[site] = float(value)
     tail_raw = pot_raw.get("tail")
     if tail_raw is not None:
-        unknown = set(tail_raw) - _TAIL_KEYS
-        if unknown:
-            raise ValueError(f"unknown tail keys: {sorted(unknown)}")
+        _section(tail_raw, "potential.tail", _TAIL_KEYS)
         u = SingleSitePotential(support or {(0,) * d: float(tail_raw["C"])},
                                 tail_amplitude=float(tail_raw["C"]),
                                 tail_rate=float(tail_raw["alpha"]),
@@ -669,11 +686,8 @@ def load_model_config(path) -> tuple[ModelConfig, int | None]:
     else:
         u = SingleSitePotential(support)
 
-    dens_raw = raw["density"]
-    unknown = set(dens_raw) - _DENS_KEYS
-    if unknown:
-        raise ValueError(f"unknown density keys: {sorted(unknown)}")
-    density = DisorderDensity(dens_raw["kind"], dens_raw["params"])
+    dens_raw = _section(raw["density"], "density", _DENS_KEYS)
+    density = DisorderDensity(dens_raw.get("kind"), _section(dens_raw.get("params"), "density.params"))
 
     seed = raw.get("seed")
     return ModelConfig(d, lam, u, density), (int(seed) if seed is not None else None)

@@ -104,21 +104,21 @@ class DisorderSampler:
     transform, and ``diagonals`` makes its lambda V; a trial takes one row.
 
     The Green column comes from a banded LU (LAPACK ``gbsv``).  The
-    half-bandwidth k is measured from the hopping matrix: 1 for a chain,
-    side^(d-1) for a lexicographically ordered box, and up to n - 1 for an
-    arbitrary site order, which is still exact, only slower.
+    half-bandwidth k is the longest index span of ``geometry.bonds``: 1 for a
+    chain, side^(d-1) for a lexicographically ordered box, and up to n - 1 for
+    an arbitrary site order, which is still exact, only slower.
     """
 
     def __init__(self, model: ModelConfig, geometry: BoxGeometry):
         self.model = model
         self.geometry = geometry
         self.potential = SitePotential(geometry, model.potential)
-        self.hopping = -adjacency_matrix(geometry)
-        rows, cols = np.nonzero(self.hopping)
-        self.half_bandwidth = k = int(np.max(np.abs(rows - cols), initial=0))
+        self.hopping = -adjacency_matrix(geometry)  # dense, for hamiltonian() only
+        i, j = geometry.bonds.T
+        self.half_bandwidth = k = int(np.max(j - i, initial=0))
         # gbsv layout: a[i, j] at row 2k + i - j; rows 0..k-1 hold the LU fill-in
         self._band = np.zeros((3 * k + 1, len(geometry)), dtype=complex)
-        self._band[2 * k + rows - cols, cols] = self.hopping[rows, cols]
+        self._band[2 * k + i - j, j] = self._band[2 * k + j - i, i] = -1.0
         self._gbsv = get_lapack_funcs("gbsv", (self._band,))
 
     def omega(self, seed: int, trials: int) -> np.ndarray:

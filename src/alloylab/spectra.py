@@ -118,8 +118,8 @@ def regularity_check(model: ModelConfig, omega, L: int, x, E: float, m: float) -
     x = _as_site(x)
     box = build_box(L, x)
     H = assemble_hamiltonian(model, omega, box)
-    idx = [box.index_of(w) for w in sorted(interior_boundary(box))]
-    return _is_regular(np.linalg.eigh(H.entries), E, box.index_of(x), idx, math.exp(-m * L))
+    return _is_regular(np.linalg.eigh(H.entries), E, box.index_of(x), box.rows(interior_boundary(box)),
+                       math.exp(-m * L))
 
 
 def _is_regular(eig, E: float, ix: int, idx, thresh: float) -> bool:
@@ -173,8 +173,8 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     box_x = build_box(L, x)
     box_y = build_box(L, y)
     need = lambda_plus(box_x, model.potential) | lambda_plus(box_y, model.potential)
-    idx_x = [box_x.index_of(w) for w in sorted(interior_boundary(box_x))]
-    idx_y = [box_y.index_of(w) for w in sorted(interior_boundary(box_y))]
+    ix, iy = box_x.index_of(x), box_y.index_of(y)
+    idx_x, idx_y = box_x.rows(interior_boundary(box_x)), box_y.rows(interior_boundary(box_y))
     thresh = math.exp(-m * L)
 
     def one(t: int) -> np.ndarray:  # 0/1 flag per grid energy, then the all-energies flag
@@ -183,11 +183,11 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
         eig_y = None
         flags = []
         for E in energies:
-            ok = _is_regular(eig_x, E, box_x.index_of(x), idx_x, thresh)
+            ok = _is_regular(eig_x, E, ix, idx_x, thresh)
             if not ok:
                 if eig_y is None:
                     eig_y = np.linalg.eigh(assemble_hamiltonian(model, omega, box_y).entries)
-                ok = _is_regular(eig_y, E, box_y.index_of(y), idx_y, thresh)
+                ok = _is_regular(eig_y, E, iy, idx_y, thresh)
             flags.append(ok)
         return np.array(flags + [all(flags)], dtype=float)
 

@@ -247,6 +247,21 @@ def test_config_error_exit_code(tmp_path):
     assert run(["spectrum", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("edit", [
+    lambda cfg: [cfg],
+    lambda cfg: {**cfg, "potential": [1.0]},
+    lambda cfg: {**cfg, "potential": {"support": 5}},
+    lambda cfg: {**cfg, "potential": {**cfg["potential"], "tail": 3}},
+    lambda cfg: {**cfg, "density": {"kind": "uniform", "params": None}},
+], ids=["top-level-list", "potential-list", "support-number", "tail-number", "params-null"])
+def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads(model_cfg.read_text()))))
+    assert run(["spectrum", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a JSON" in err and "Traceback" not in err
+
+
 def test_missing_seed_rejected(tmp_path):
     cfg = {
         "dimension": 1,
@@ -306,9 +321,11 @@ def test_bad_threads_environment_fails_only_the_trial_subcommands(model_cfg, tmp
     (50.0, ["averaging", "--instances", "0"]),
     (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--grid", "0"]),
     (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "0.1", "--emax", "-0.1"]),
+    (50.0, ["conditional", "--attempts", "1"]),
+    (50.0, ["conditional", "--attempts", "-4"]),
 ], ids=["moments-no-trials", "finite-volume-no-trials", "finite-volume-zero-coupling", "wegner-zero-coupling",
         "green-identities-no-instances", "green-identities-negative-instances", "averaging-no-instances",
-        "regularity-no-grid", "wegner-reversed-interval"])
+        "regularity-no-grid", "wegner-reversed-interval", "conditional-one-attempt", "conditional-negative-attempts"])
 def test_contract_violations_exit_1(model_cfg, tmp_path, capsys, coupling, argv):
     cfg = json.loads(model_cfg.read_text())
     cfg["lambda"] = coupling

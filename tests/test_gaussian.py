@@ -87,6 +87,13 @@ def test_pinned_interval_rejects_bad_deltas():
         negexample_check(u, delta=0.05, delta_prime=0.2, attempts=100, seed=0)
 
 
+@pytest.mark.parametrize("attempts", [1, 0, -4])
+def test_pinned_interval_needs_a_proposal_per_coupling_group(attempts):
+    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0})
+    with pytest.raises(ValueError, match="at least 2 attempts"):
+        negexample_check(u, delta=0.2, delta_prime=0.2, attempts=attempts, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian conditionals
 

@@ -1,5 +1,7 @@
 """Green functions, depleted operators, Schur identities, annulus geometry."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -349,3 +351,25 @@ def test_geometric_factorization_right_edge():
     lhs = G.at(x, y)
     rhs = G_left.at(x, (y[0] - n,)) * G.at((y[0] - n + 1,), y)
     assert abs(lhs - rhs) < 1e-12
+
+
+def test_identity_checks_slice_one_hamiltonian(monkeypatch):
+    # the package re-exports the function green, which shadows the module name
+    green_module = importlib.import_module("alloylab.green")
+    assemble = green_module.assemble_hamiltonian
+    calls = []
+    monkeypatch.setattr(green_module, "assemble_hamiltonian", lambda *args: calls.append(1) or assemble(*args))
+    m = make_model(d=1, lam=2.0, u_vals={(0,): 1.0, (1,): -0.5})
+    g = chain(12)
+    omega = sample_configuration(m, lambda_plus(g, m.potential), seed=10)
+    inner1, inner2, z = [(5,), (6,)], [(k,) for k in range(3, 10)], 0.25 + 0.7j
+
+    def assemblies(check, *args):
+        calls.clear()
+        check(m, omega, g, *args, z)
+        return len(calls)
+
+    assert assemblies(verify_two_step_schur, inner1, inner2) == 1
+    assert assemblies(verify_resolvent_identities, inner1) == 1
+    # full H, H on the inner region and the H that schur_B slices
+    assert assemblies(verify_schur_identity, inner1) == 3

@@ -40,7 +40,14 @@ from alloylab.averaging import (
     graf_check,
     resolvent_average_check,
 )
-from alloylab.green import annulus, verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
+from alloylab.green import (
+    annulus,
+    depleted,
+    schur_B,
+    verify_resolvent_identities,
+    verify_schur_identity,
+    verify_two_step_schur,
+)
 from alloylab.model import (
     BoxGeometry,
     Configuration,
@@ -48,12 +55,14 @@ from alloylab.model import (
     ModelConfig,
     SingleSitePotential,
     SitePotential,
+    adjacency_matrix,
     assemble_hamiltonian,
     build_box,
     explicit_geometry,
     exterior_boundary,
     interior_boundary,
     lambda_plus,
+    neighbors,
     potential_value,
     sample_configuration,
 )
@@ -163,6 +172,59 @@ def test_schur_and_resolvent_identities_on_random_inner_sets(setup, z, data):
         assert verify_two_step_schur(model, omega, geometry, inner1, outer, z) <= 1e-9
 
 
+def _inner_mask(geometry, inner):
+    return np.array([s in inner for s in geometry.sites])
+
+
+@PROPERTY
+@given(setups(), energies, st.data())
+def test_schur_B_is_the_exterior_assembly(setup, z, data):
+    model, geometry, omega = setup
+    inner = set(data.draw(subsets(geometry.sites)))
+    rest = geometry.site_set() - inner
+    want = np.zeros((len(inner), len(inner)), dtype=complex)
+    if rest:  # the route before slicing: H_ext assembled on its own sub-geometry
+        mask = _inner_mask(geometry, inner)
+        C = adjacency_matrix(geometry)[np.ix_(mask, ~mask)]
+        H_ext = assemble_hamiltonian(model, omega, geometry.subset(rest)).entries
+        want = C @ np.linalg.inv(H_ext - z * np.eye(len(rest), dtype=complex)) @ C.T
+    assert same_bits(schur_B(model, omega, geometry, inner, z), want)
+
+
+@PROPERTY
+@given(setups(), st.data())
+def test_depleted_blocks_are_the_masked_adjacency(setup, data):
+    model, geometry, omega = setup
+    inner = data.draw(st.sets(st.sampled_from(geometry.sites)))
+    mask = _inner_mask(geometry, inner)
+    T = adjacency_matrix(geometry) * np.logical_xor.outer(mask, mask)
+    dep = depleted(model, omega, geometry, inner)
+    assert same_bits(dep.coupling, T)
+    assert same_bits(dep.depleted, assemble_hamiltonian(model, omega, geometry).entries + T)
+
+
+@PROPERTY
+@given(setups(), energies, st.data())
+def test_two_step_schur_is_the_four_assembly_route(setup, z, data):
+    model, geometry, omega = setup
+    core = set(geometry.sites) - interior_boundary(geometry)
+    assume(core)
+    s1 = set(data.draw(subsets(core)))
+    s2 = s1 | exterior_boundary(s1) | set(data.draw(subsets(geometry.sites)))
+    geo1, geo2, ring = geometry.subset(s1), geometry.subset(s2), geometry.subset(s2 - s1)
+    H = assemble_hamiltonian(model, omega, geometry).entries
+    idx1 = [geometry.index_of(s) for s in geo1.sites]
+    lhs = np.linalg.inv(H - z * np.eye(len(geometry), dtype=complex))[np.ix_(idx1, idx1)]
+    at = [geo2.index_of(s) for s in ring.sites]
+    B_ring = schur_B(model, omega, geometry, s2, z)[np.ix_(at, at)]
+    K = assemble_hamiltonian(model, omega, ring).entries - B_ring - z * np.eye(len(ring), dtype=complex)
+    C = adjacency_matrix(geometry)[np.ix_(idx1, [geometry.index_of(s) for s in ring.sites])]
+    S = (assemble_hamiltonian(model, omega, geo1).entries - z * np.eye(len(geo1), dtype=complex)
+         - C @ np.linalg.solve(K, C.T.astype(complex)))
+    want = float(np.max(np.abs(lhs - np.linalg.inv(S))))
+    assert same_bits(np.float64(verify_two_step_schur(model, omega, geometry, s1, s2, z)), np.float64(want))
+
+
 @st.composite
 def solve_setups(draw):
     """(sampler, omega, z, x): a geometry that the banded solve must handle exactly."""
@@ -189,6 +251,53 @@ def solve_setups(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     omega_vec = rng.uniform(-1.0, 1.0, len(sampler.potential.coupling_sites))
     return sampler, omega_vec, draw(energies), draw(st.sampled_from(geometry.sites))
+
+
+def _loop_adjacency(geometry):
+    """The hopping pattern from a per-site neighbour loop."""
+    A = np.zeros((len(geometry), len(geometry)))
+    for i, x in enumerate(geometry.sites):
+        for y in neighbors(x):
+            if y in geometry:
+                A[i, geometry.index_of(y)] = 1.0
+    return A
+
+
+@PROPERTY
+@given(solve_setups())
+def test_bonds_are_the_neighbour_pairs(setup):
+    geometry = setup[0].geometry
+    A = _loop_adjacency(geometry)
+    want = np.argwhere(np.triu(A))  # (i, j), i < j, in lexicographic order
+    assert same_bits(geometry.bonds, want.astype(geometry.bonds.dtype))
+    assert same_bits(adjacency_matrix(geometry), A)
+
+
+@PROPERTY
+@given(solve_setups())
+def test_band_is_the_dense_nonzero_scan(setup):
+    sampler = setup[0]
+    hopping = -_loop_adjacency(sampler.geometry)
+    rows, cols = np.nonzero(hopping)
+    k = int(np.max(np.abs(rows - cols), initial=0))
+    band = np.zeros((3 * k + 1, len(sampler.geometry)), dtype=complex)
+    band[2 * k + rows - cols, cols] = hopping[rows, cols]
+    assert sampler.half_bandwidth == k
+    assert same_bits(sampler._band, band)
+    assert same_bits(sampler.hopping, hopping)
+
+
+@PROPERTY
+@given(solve_setups(), st.data())
+def test_rows_are_the_indices_in_geometry_order(setup, data):
+    geometry = setup[0].geometry
+    sites = data.draw(st.lists(st.sampled_from(geometry.sites), min_size=1))
+    want = [i for i, x in enumerate(geometry.sites) if x in set(sites)]
+    assert same_bits(geometry.rows(sites), np.array(want, dtype=np.intp))
+    assert geometry.subset(sites).sites == tuple(geometry.sites[i] for i in want)
+    top = max(geometry.sites)
+    with pytest.raises(ValueError, match="not in geometry"):
+        geometry.rows(sites + [(top[0] + 1, *top[1:])])
 
 
 @PROPERTY
