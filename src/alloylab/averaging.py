@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import DisorderDensity
 from .rng import trial_stream
@@ -78,6 +77,8 @@ def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def _integrate(f, density: DisorderDensity, singular_points) -> tuple[float, float]:
     """Adaptive quadrature of f * rho over the support, split at singularities and at the density's knots."""
+    from scipy.integrate import quad  # slow to import, and only the quadrature checks need it
+
     lo, hi = density.a, density.b
     singular = {float(p) for p in singular_points if lo < p < hi}
     # a knot by a singular point would leave a panel too narrow for quad's nodes to miss the singularity

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .rng import site_stream
 
@@ -492,12 +491,6 @@ class DisorderDensity:
         out = self.quantile(u)
         return float(out) if np.ndim(out) == 0 else out
 
-    # -- checks -------------------------------------------------------------
-
-    def mass_by_quadrature(self) -> float:
-        val, _ = quad(self.pdf, self.a, self.b, points=self.breakpoints or None, limit=200)
-        return val
-
     def __repr__(self):
         return f"DisorderDensity({self.kind}, [{self.a}, {self.b}])"
 
@@ -634,23 +627,47 @@ _TOP_KEYS = {"dimension", "lambda", "potential", "density", "seed"}
 _POT_KEYS = {"support", "tail"}
 _TAIL_KEYS = {"C", "alpha", "radius", "sign"}
 _DENS_KEYS = {"kind", "params"}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a JSON list", dict: "a JSON object"}
+_REQUIRED = object()
 
 
-def _section(value, name: str, keys: set | None = None):
-    """Config section ``name``: a JSON list, or with ``keys`` a JSON object that uses no other keys."""
-    if not isinstance(value, list if keys is None else dict):
-        raise ValueError(f"{name} must be a JSON {'list' if keys is None else 'object'}")
+def _typed(value, kind, path: str, keys: set | None = None, n: int | None = None):
+    """A config value of JSON type ``kind``, named by its dotted key ``path``.
+
+    A real (``float``) may be written as a JSON integer; true and false are no
+    number.  With ``keys``, an object uses no other keys; with ``n``, a list has n entries.
+    """
+    number = kind in (int, float)
+    if not isinstance(value, (int, float) if kind is float else kind) or (number and isinstance(value, bool)):
+        raise ValueError(f"{path} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     if keys is not None and set(value) - keys:
-        raise ValueError(f"unknown {name} keys: {sorted(set(value) - keys)}")
-    return value
+        raise ValueError(f"unknown {path} keys: {sorted(set(value) - keys)}")
+    if n is not None and len(value) != n:
+        raise ValueError(f"{path} must have {n} entries, got {len(value)}")
+    return float(value) if kind is float else value
+
+
+def _field(section: dict, path: str, kind, default=_REQUIRED, keys: set | None = None):
+    """``_typed`` of the value at dotted key ``path`` in ``section``; an optional key missing or null is ``default``."""
+    key = path.rsplit(".", 1)[-1]
+    if default is not _REQUIRED and section.get(key) is None:
+        return default
+    if key not in section:
+        raise ValueError(f"config missing required key {path!r}")
+    return _typed(section[key], kind, path, keys)
+
+
+def _real_pair(value, path: str) -> list[float]:
+    return [_typed(v, float, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path, n=2))]
 
 
 def load_model_config(path) -> tuple[ModelConfig, int | None]:
     """Load a model from a JSON config file; returns (model, default seed).
 
     Keys: dimension, lambda, potential.support = [[site, value], ...],
-    potential.tail = {C, alpha, radius}, density = {kind, params}, seed.
-    Unknown keys and sections of the wrong JSON type are rejected.
+    potential.tail = {C, alpha, radius, sign}, density = {kind, params}, seed.
+    Unknown keys, missing required keys and values of the wrong JSON type or
+    length are rejected with an error that names the key path.
     """
     with open(path) as fh:
         text = fh.read()
@@ -659,35 +676,35 @@ def load_model_config(path) -> tuple[ModelConfig, int | None]:
     except json.JSONDecodeError as err:
         raise ValueError(f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}") from err
 
-    _section(raw, "config", _TOP_KEYS)
-    for key in ("dimension", "lambda", "potential", "density"):
-        if key not in raw:
-            raise ValueError(f"config missing required key {key!r}")
+    _typed(raw, dict, "config", _TOP_KEYS)
+    d = _field(raw, "dimension", int)
+    lam = _field(raw, "lambda", float)
+    pot_raw = _field(raw, "potential", dict, keys=_POT_KEYS)
+    dens_raw = _field(raw, "density", dict, keys=_DENS_KEYS)
+    seed = _field(raw, "seed", int, default=None)
 
-    d = int(raw["dimension"])
-    lam = float(raw["lambda"])
-
-    pot_raw = _section(raw["potential"], "potential", _POT_KEYS)
     support = {}
-    for entry in _section(pot_raw.get("support", []), "potential.support"):
-        site, value = entry
-        site = _as_site(site)
+    for i, entry in enumerate(_field(pot_raw, "potential.support", list, default=[])):
+        where = f"potential.support[{i}]"
+        site, value = _typed(entry, list, where, n=2)
+        site = tuple(_typed(c, int, f"{where}[0]") for c in (site if isinstance(site, list) else [site]))
         if len(site) != d:
-            raise ValueError(f"potential site {site} has wrong dimension")
-        support[site] = float(value)
-    tail_raw = pot_raw.get("tail")
+            raise ValueError(f"{where}[0] has {len(site)} coordinates in dimension {d}")
+        support[site] = _typed(value, float, f"{where}[1]")
+    tail_raw = _field(pot_raw, "potential.tail", dict, default=None, keys=_TAIL_KEYS)
     if tail_raw is not None:
-        _section(tail_raw, "potential.tail", _TAIL_KEYS)
-        u = SingleSitePotential(support or {(0,) * d: float(tail_raw["C"])},
-                                tail_amplitude=float(tail_raw["C"]),
-                                tail_rate=float(tail_raw["alpha"]),
-                                truncation_radius=int(tail_raw["radius"]),
-                                tail_sign=int(tail_raw.get("sign", 1)))
+        C = _field(tail_raw, "potential.tail.C", float)
+        u = SingleSitePotential(support or {(0,) * d: C}, tail_amplitude=C,
+                                tail_rate=_field(tail_raw, "potential.tail.alpha", float),
+                                truncation_radius=_field(tail_raw, "potential.tail.radius", int),
+                                tail_sign=_field(tail_raw, "potential.tail.sign", int, default=1))
     else:
         u = SingleSitePotential(support)
 
-    dens_raw = _section(raw["density"], "density", _DENS_KEYS)
-    density = DisorderDensity(dens_raw.get("kind"), _section(dens_raw.get("params"), "density.params"))
-
-    seed = raw.get("seed")
-    return ModelConfig(d, lam, u, density), (int(seed) if seed is not None else None)
+    kind = _field(dens_raw, "density.kind", str)
+    params = _field(dens_raw, "density.params", list)
+    if kind == "piecewise_linear":
+        params = [_real_pair(knot, f"density.params[{i}]") for i, knot in enumerate(params)]
+    elif kind in ("uniform", "raised_cosine"):
+        params = _real_pair(params, "density.params")
+    return ModelConfig(d, lam, u, DisorderDensity(kind, params)), seed

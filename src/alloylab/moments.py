@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .averaging import _check_trials, _fractional_prefactor, _mean_stderr
 from .green import annulus
@@ -110,10 +110,11 @@ class DisorderSampler:
     """
 
     def __init__(self, model: ModelConfig, geometry: BoxGeometry):
+        from scipy.linalg import get_lapack_funcs  # loaded with the first sampler, not with the package
+
         self.model = model
         self.geometry = geometry
         self.potential = SitePotential(geometry, model.potential)
-        self.hopping = -adjacency_matrix(geometry)  # dense, for hamiltonian() only
         i, j = geometry.bonds.T
         self.half_bandwidth = k = int(np.max(j - i, initial=0))
         # gbsv layout: a[i, j] at row 2k + i - j; rows 0..k-1 hold the LU fill-in
@@ -138,6 +139,11 @@ class DisorderSampler:
     def diagonals(self, omega: np.ndarray) -> np.ndarray:
         """lambda V for a coupling vector, or row by row for a (trials, couplings) block."""
         return self.model.coupling * self.potential(omega)
+
+    @cached_property
+    def hopping(self) -> np.ndarray:
+        """-Delta as a dense n x n matrix, built on first use: only ``hamiltonian`` reads it."""
+        return -adjacency_matrix(self.geometry)
 
     def hamiltonian(self, diagonal: np.ndarray) -> np.ndarray:
         H = self.hopping.copy()

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,19 +251,83 @@ def test_config_error_exit_code(tmp_path):
     assert run(["spectrum", "--config", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("edit", [
-    lambda cfg: [cfg],
-    lambda cfg: {**cfg, "potential": [1.0]},
-    lambda cfg: {**cfg, "potential": {"support": 5}},
-    lambda cfg: {**cfg, "potential": {**cfg["potential"], "tail": 3}},
-    lambda cfg: {**cfg, "density": {"kind": "uniform", "params": None}},
-], ids=["top-level-list", "potential-list", "support-number", "tail-number", "params-null"])
-def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: [cfg], "config must be a JSON object"),
+    (lambda cfg: {**cfg, "potential": [1.0]}, "potential must be a JSON object"),
+    (lambda cfg: {**cfg, "potential": {"support": 5}}, "potential.support must be a JSON list"),
+    (lambda cfg: {**cfg, "potential": {**cfg["potential"], "tail": 3}}, "potential.tail must be a JSON object"),
+    (lambda cfg: {**cfg, "density": {"kind": "uniform", "params": None}}, "density.params must be a JSON list"),
+    (lambda cfg: {**cfg, "dimension": [1]}, "dimension must be an integer"),
+    (lambda cfg: {**cfg, "potential": {"support": [], "tail": {"alpha": 1.0, "radius": 4}}},
+     "missing required key 'potential.tail.C'"),
+    (lambda cfg: {**cfg, "potential": {"support": [[[0]]]}}, "potential.support[0] must have 2 entries"),
+    (lambda cfg: {**cfg, "density": {"kind": "uniform", "params": [0]}}, "density.params must have 2 entries"),
+    (lambda cfg: {**cfg, "lambda": "5"}, "lambda must be a number"),
+    (lambda cfg: {**cfg, "seed": 7.5}, "seed must be an integer"),
+    (lambda cfg: {**cfg, "seed": True}, "seed must be an integer"),
+], ids=["top-level-list", "potential-list", "support-number", "tail-number", "params-null", "dimension-list",
+        "tail-without-C", "support-entry-of-one", "params-of-one", "lambda-string", "seed-float", "seed-bool"])
+def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(json.loads(model_cfg.read_text()))))
-    assert run(["spectrum", "--config", str(path)]) == 1
+    assert run(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "must be a JSON" in err and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+_SCIPY_CHILD = """
+import json, sys
+import alloylab.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+config, out = sys.argv[1:]
+loaded, codes = {}, {}
+cli.build_parser()
+cli.load_model_config(config)
+loaded["setup"] = scipy_modules()
+for argv in (["spectrum", "--box", "4"], ["green-identities", "--instances", "2"], ["poscomb", "--l", "2"],
+             ["conditional", "--attempts", "2000"],
+             ["regularity", "--L", "2", "--separation", "8", "--grid", "3", "--trials", "2"],
+             ["moments", "--box", "4", "--dist", "2", "--trials", "4"], ["averaging", "--instances", "1"]):
+    codes[argv[0]] = cli.run(argv + ["--config", config, "--out", f"{out}/{argv[0]}"])
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_loads(tmp_path_factory):
+    """The scipy modules loaded after each step of one fresh CLI process, and each subcommand's exit code."""
+    tmp = tmp_path_factory.mktemp("scipy")
+    cfg = tmp / "model.json"
+    cfg.write_text(json.dumps({"dimension": 1, "lambda": 50.0, "potential": {"support": [[[0], 1.0], [[1], -0.5]]},
+                               "density": {"kind": "uniform", "params": [0, 1]}, "seed": 7}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_CHILD, str(cfg), str(tmp)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_setup_loads_no_scipy(scipy_loads):
+    # pytest itself loads scipy (see filterwarnings), so this runs in a fresh interpreter
+    assert scipy_loads["loaded"]["setup"] == []
+
+
+def test_subcommands_without_quadrature_or_banded_solves_load_no_scipy(scipy_loads):
+    for name in ("spectrum", "green-identities", "poscomb", "conditional", "regularity"):
+        assert scipy_loads["codes"][name] == 0, name
+        assert scipy_loads["loaded"][name] == [], name
+
+
+def test_scipy_loads_on_first_use(scipy_loads):
+    codes, loaded = scipy_loads["codes"], scipy_loads["loaded"]
+    assert codes["moments"] == codes["averaging"] == 0
+    assert "scipy.linalg" in loaded["moments"] and "scipy.integrate" not in loaded["moments"]
+    assert "scipy.integrate" in loaded["averaging"]
 
 
 def test_missing_seed_rejected(tmp_path):

@@ -1,9 +1,14 @@
 """Geometry, potentials, densities, configurations and assembly."""
 
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from alloylab.model import (
     BoxGeometry,
@@ -238,7 +243,8 @@ def test_sampling_law_of_large_numbers():
 def test_density_mass_and_norms():
     for dens in (uniform01(), DisorderDensity("raised_cosine", (0, 1)),
                   DisorderDensity("piecewise_linear", [(0, 0), (0.5, 2), (1, 0)])):
-        assert abs(dens.mass_by_quadrature() - 1.0) < 1e-10
+        mass, _ = quad(dens.pdf, dens.a, dens.b, points=dens.breakpoints or None, limit=200)
+        assert abs(mass - 1.0) < 1e-10
         assert dens.support_radius == 1.0
 
 
@@ -311,6 +317,38 @@ def test_config_loader_roundtrip(tmp_path):
     model, seed = load_model_config(cfg)
     assert model.coupling == 2.5 and seed == 4
     assert model.potential.value((1,)) == -0.5
+
+
+def _bench_configs():
+    """Every config the benchmark reads: the files in bench/configs and the ones bench/workloads.py writes."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    cfgs = {p.name: json.loads(p.read_text()) for p in sorted((bench / "configs").glob("*.json"))}
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 3):
+            cfgs.update({f"{workload}/{seed}/{name}": cfg for name, cfg in workloads.configs(workload, seed).items()})
+    return cfgs
+
+
+@pytest.mark.parametrize("name, cfg", _bench_configs().items())
+def test_config_loader_reads_every_bench_config_as_written(tmp_path, name, cfg):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cfg))
+    model, seed = load_model_config(path)
+    assert (model.dimension, model.coupling, seed) == (cfg["dimension"], cfg["lambda"], cfg.get("seed"))
+    assert type(model.coupling) is float
+    u, tail = model.potential, cfg["potential"].get("tail")
+    stored = {tuple(site): float(v) for site, v in cfg["potential"]["support"]}
+    assert u.support_values == (stored or {(0,) * model.dimension: tail["C"]})
+    if tail is not None:
+        assert (u.tail_amplitude, u.tail_rate, u.truncation_radius, u.tail_sign) == (
+            tail["C"], tail["alpha"], tail["radius"], tail.get("sign", 1))
+    dens = cfg["density"]
+    want = DisorderDensity(dens["kind"], dens["params"])
+    assert (model.density.kind, model.density.a, model.density.b) == (want.kind, want.a, want.b)
+    assert model.density.breakpoints == want.breakpoints
 
 
 def test_config_loader_rejects_unknown_keys(tmp_path):
