@@ -171,8 +171,7 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     pref = _fractional_prefactor(t)
     _check_trials(trials)
 
-    rng = trial_stream(seed, 0)
-    draws = density.sample(rng, size=(trials, N + 1))
+    draws = density.sample(trial_stream(seed, 0).random((trials, N + 1)))
     # one stack of A + sum_k r_k V_k, summed in the order of k, and one slogdet;
     # math.exp per trial, since np.exp may differ from it in the last ulp
     M = np.broadcast_to(A, (trials, n, n)).copy()

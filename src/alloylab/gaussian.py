@@ -206,22 +206,17 @@ def gaussian_conditional(a: float, sigma: float, l: int, m: int,
     v_plus = np.zeros(l) if v_plus is None else np.asarray(v_plus, dtype=float)
     if v_plus.shape != (l,):
         raise ValueError("v_plus must have length l")
+    Ml = build_A_l(a, l)
+    right = float(np.linalg.inv(Ml @ Ml.T)[0, :] @ v_plus)  # the corner term of the l values to the right
     if m == 0:
-        gamma = sigma ** 2 * (a ** 2 + 1.0 / s_l(a, l))
-        Ml = build_A_l(a, l)
-        inv_l = np.linalg.inv(Ml @ Ml.T)
-        mean = a * float(inv_l[0, :] @ v_plus)
-        return mean, gamma
+        return a * right, sigma ** 2 * (a ** 2 + 1.0 / s_l(a, l))
     v_minus = np.zeros(m) if v_minus is None else np.asarray(v_minus, dtype=float)
     if v_minus.shape != (m,):
         raise ValueError("v_minus must have length m")
     gamma = sigma ** 2 * (a ** 2 - 1.0 + 1.0 / s_l(a, m) + 1.0 / s_l(a, l))
-    Ml = build_A_l(a, l)
     Mm = build_A_l(a, m)
-    inv_l = np.linalg.inv(Ml @ Ml.T)
     inv_m = np.linalg.inv(Mm @ Mm.T)
-    mean = a * (float(inv_m[m - 1, :] @ v_minus) + float(inv_l[0, :] @ v_plus))
-    return mean, gamma
+    return a * (float(inv_m[m - 1, :] @ v_minus) + right), gamma
 
 
 def conditional_oracle(a: float, sigma: float, l: int, m: int,

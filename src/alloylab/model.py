@@ -94,7 +94,6 @@ class BoxGeometry:
     """
 
     sites: tuple[Site, ...]
-    descriptor: str = "explicit"
 
     def __post_init__(self):
         if not self.sites:
@@ -136,20 +135,15 @@ class BoxGeometry:
     @cached_property
     def bonds(self) -> np.ndarray:
         """The l1-adjacent index pairs (i, j), i < j, as a read-only (bonds, 2) array in lexicographic order."""
-        pts = np.array(self.sites)
-        n, d = pts.shape
-        # the sites, then each site one step up each axis; equal points share an id
-        steps = np.concatenate([pts, *(pts + e for e in np.eye(d, dtype=pts.dtype))])
-        order = np.lexsort(steps.T)
-        first = np.concatenate([[True], np.any(np.diff(steps[order], axis=0) != 0, axis=1)])
-        ids = (np.cumsum(first) - 1)[np.argsort(order)]
-        index = np.full(ids.max() + 1, -1)
-        index[ids[:n]] = np.arange(n)
-        ahead = index[ids[n:]]  # the site one step up, or -1
-        pairs = np.sort(np.stack([np.tile(np.arange(n), d), ahead], axis=1)[ahead >= 0], axis=1)
-        pairs = pairs[np.lexsort(pairs.T[::-1])]
-        pairs.flags.writeable = False
-        return pairs
+        pairs = []
+        for i, site in enumerate(self.sites):
+            for axis in range(len(site)):
+                j = self._index.get(site[:axis] + (site[axis] + 1,) + site[axis + 1:])
+                if j is not None:
+                    pairs.append((min(i, j), max(i, j)))
+        out = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+        out.flags.writeable = False
+        return out
 
 
 def build_box(L: int, center=0, d: int | None = None) -> BoxGeometry:
@@ -165,7 +159,7 @@ def build_box(L: int, center=0, d: int | None = None) -> BoxGeometry:
             raise ValueError("center/dimension mismatch")
     ranges = [range(c - L, c + L + 1) for c in center]
     sites = tuple(itertools.product(*ranges))
-    return BoxGeometry(sites, descriptor=f"cube(L={L}, center={center})")
+    return BoxGeometry(sites)
 
 
 def explicit_geometry(sites) -> BoxGeometry:
@@ -474,22 +468,11 @@ class DisorderDensity:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, rng, size=None):
-        """Draws by inverse transform from one Generator, or one row per Generator.
-
-        ``rng`` is a Generator, or an iterable of them: row t is then the
-        t-th Generator's ``random(size)``, and the whole block goes through
-        one density transform.  The transform is elementwise, so every row is
-        bit for bit what sampling its Generator alone gives.
-        """
-        if isinstance(rng, np.random.Generator):
-            u = rng.random(size)
-        else:
-            u = np.array([g.random(size) for g in rng])
+    def sample(self, u):
+        """The draws for an array of uniforms in [0, 1), by inverse transform, elementwise."""
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * u
-        out = self.quantile(u)
-        return float(out) if np.ndim(out) == 0 else out
+        return self.quantile(u)
 
     def __repr__(self):
         return f"DisorderDensity({self.kind}, [{self.a}, {self.b}])"
@@ -504,7 +487,6 @@ class Configuration:
     """Realized couplings omega_k on a finite set of sites."""
 
     values: dict[Site, float]
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", {_as_site(k): float(v) for k, v in self.values.items()})
@@ -611,13 +593,13 @@ def assemble_hamiltonian(model: ModelConfig, omega: Configuration, geometry: Box
 def sample_configuration(model: ModelConfig, sites, seed: int) -> Configuration:
     """One i.i.d. draw per site; a pure function of (seed, site).
 
-    Each site draws from its own ``site_stream``, and all draws go through
-    one density transform, which is elementwise, so every value is what
-    sampling that site's stream alone gives.
+    Each site takes one uniform from its own ``site_stream``, and all of them
+    go through one density transform, which is elementwise, so every value is
+    what transforming that site's uniform alone gives.
     """
     keys = sorted({_as_site(x) for x in sites})
-    draws = model.density.sample([site_stream(seed, s) for s in keys])
-    return Configuration(dict(zip(keys, draws.tolist())), seed=seed)
+    draws = model.density.sample(np.array([site_stream(seed, s).random() for s in keys]))
+    return Configuration(dict(zip(keys, draws.tolist())))
 
 
 # ---------------------------------------------------------------------------

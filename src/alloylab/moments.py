@@ -110,31 +110,43 @@ class DisorderSampler:
     """
 
     def __init__(self, model: ModelConfig, geometry: BoxGeometry):
-        from scipy.linalg import get_lapack_funcs  # loaded with the first sampler, not with the package
-
         self.model = model
         self.geometry = geometry
         self.potential = SitePotential(geometry, model.potential)
         i, j = geometry.bonds.T
-        self.half_bandwidth = k = int(np.max(j - i, initial=0))
-        # gbsv layout: a[i, j] at row 2k + i - j; rows 0..k-1 hold the LU fill-in
-        self._band = np.zeros((3 * k + 1, len(geometry)), dtype=complex)
-        self._band[2 * k + i - j, j] = self._band[2 * k + j - i, i] = -1.0
-        self._gbsv = get_lapack_funcs("gbsv", (self._band,))
+        self.half_bandwidth = int(np.max(j - i, initial=0))
+
+    @cached_property
+    def _band(self) -> np.ndarray:
+        """-Delta in gbsv layout, built on the first solve.
+
+        a[i, j] sits at row 2k + i - j; rows 0..k-1 hold the LU fill-in.
+        """
+        k = self.half_bandwidth
+        i, j = self.geometry.bonds.T
+        band = np.zeros((3 * k + 1, len(self.geometry)), dtype=complex)
+        band[2 * k + i - j, j] = band[2 * k + j - i, i] = -1.0
+        return band
+
+    @cached_property
+    def _gbsv(self):
+        from scipy.linalg import get_lapack_funcs  # loaded with the first solve, not with the package
+
+        return get_lapack_funcs("gbsv", dtype=complex)
 
     def omega(self, seed: int, trials: int) -> np.ndarray:
         """Couplings of trials 0..trials-1 as one (trials, |coupling_sites|) block.
 
-        Row t is drawn from ``trial_stream(seed, t)``, exactly as a single
-        trial would draw it, and the whole block goes through one
+        Row t holds the uniforms of ``trial_stream(seed, t)``, exactly as a
+        single trial would draw them, and the whole block goes through one
         ``DisorderDensity.sample`` call, so the bisection quantile runs once
         per estimator, not once per trial.  The block holds trials x
         |coupling_sites| doubles: 5000 x 61, about 2.4 MB, at the ``decay``
         defaults.
         """
         _check_trials(trials)
-        streams = (trial_stream(seed, t) for t in range(trials))
-        return self.model.density.sample(streams, size=len(self.potential.coupling_sites))
+        m = len(self.potential.coupling_sites)
+        return self.model.density.sample(np.array([trial_stream(seed, t).random(m) for t in range(trials)]))
 
     def diagonals(self, omega: np.ndarray) -> np.ndarray:
         """lambda V for a coupling vector, or row by row for a (trials, couplings) block."""

@@ -1,13 +1,23 @@
 """End-to-end runs of the command-line experiment runner."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from functools import reduce
+from operator import getitem
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloylab import cli, moments
 from alloylab.cli import run
@@ -276,6 +286,85 @@ def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit, mess
     assert not (tmp_path / "o.csv").exists()
 
 
+# valid configs that between them use every key the loader reads
+_VALID_CONFIGS = [
+    {"dimension": 1, "lambda": 2.0,
+     "potential": {"support": [[[0], 1.0]], "tail": {"C": 1.0, "alpha": 1.0, "radius": 3, "sign": -1}},
+     "density": {"kind": "piecewise_linear", "params": [[0, 0], [0.5, 2], [1, 0]]}, "seed": 3},
+    {"dimension": 2, "lambda": 5,
+     "potential": {"support": [[[0, 0], 1.0], [[1, 0], -0.5]], "tail": {"C": 1, "alpha": 0.5, "radius": 2}},
+     "density": {"kind": "uniform", "params": [0, 1]}, "seed": 1},
+]
+_JSON_VALUES = {"null": st.none(), "boolean": st.booleans(), "number": st.integers(-3, 3) | st.floats(-3, 3),
+                "string": st.text(max_size=3), "array": st.lists(st.integers(-2, 2), max_size=2),
+                "object": st.dictionaries(st.sampled_from(["C", "kind"]), st.integers(0, 2), max_size=1)}
+
+
+def _json_type(value) -> str:
+    kinds = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"), (str, "string"), (list, "array"))
+    return next((name for cls, name in kinds if isinstance(value, cls)), "object")
+
+
+def _key_paths(section: dict, path=()):
+    """The path of every object key in a config, nested objects included, as tuples."""
+    for key, value in section.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """(config, dotted path): a valid config with the value at one path dropped, swapped
+    for a value of another JSON type, or wrapped in a list.  The path is an object key,
+    then list indices while a coin says descend, so section keys are drawn as often as leaves."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_VALID_CONFIGS)))
+    path = draw(st.sampled_from(list(_key_paths(cfg))))
+    while isinstance(value := reduce(getitem, path, cfg), list) and value and draw(st.booleans()):
+        path += (draw(st.integers(0, len(value) - 1)),)
+    parent, key = reduce(getitem, path[:-1], cfg), path[-1]
+    how = draw(st.sampled_from(["drop", "swap", "wrap"]))
+    if how == "drop":
+        del parent[key]
+    elif how == "swap":
+        parent[key] = draw(st.one_of(*(v for name, v in _JSON_VALUES.items() if name != _json_type(parent[key]))))
+    else:
+        parent[key] = [parent[key]]
+    return cfg, "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _nested(a: str, b: str) -> bool:
+    """One dotted key path is the other or lies inside it."""
+    return any(y == x or y.startswith((x + ".", x + "[")) for x, y in ((a, b), (b, a)))
+
+
+_PARSER = cli.build_parser()  # parse_args keeps no state, so one parser serves every example
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_a_mutated_config_loads_or_exits_1_naming_the_key(mutation):
+    cfg, path = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "model.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        try:
+            load_model_config(cfg_path)
+            return
+        except ValueError:
+            pass
+        err = io.StringIO()
+        with mock.patch.object(cli, "build_parser", lambda: _PARSER), contextlib.redirect_stderr(err):
+            assert run(["spectrum", "--config", cfg_path, "--out", os.path.join(tmp, "o")]) == 1
+        assert not os.path.exists(os.path.join(tmp, "o.csv"))
+    err = err.getvalue()
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    # a type error names the key path that holds the wrong type: the mutated one, one inside it or around it
+    typed = re.match(r"error: (\S+) must be (an integer|a number|a string|a JSON list|a JSON object), got ", err)
+    assert typed is None or _nested(typed.group(1), path), (path, err)
+
+
 _SCIPY_CHILD = """
 import json, sys
 import alloylab.cli as cli
@@ -291,6 +380,7 @@ loaded["setup"] = scipy_modules()
 for argv in (["spectrum", "--box", "4"], ["green-identities", "--instances", "2"], ["poscomb", "--l", "2"],
              ["conditional", "--attempts", "2000"],
              ["regularity", "--L", "2", "--separation", "8", "--grid", "3", "--trials", "2"],
+             ["wegner", "--l", "2", "--trials", "4"],
              ["moments", "--box", "4", "--dist", "2", "--trials", "4"], ["averaging", "--instances", "1"]):
     codes[argv[0]] = cli.run(argv + ["--config", config, "--out", f"{out}/{argv[0]}"])
     loaded[argv[0]] = scipy_modules()
@@ -318,7 +408,7 @@ def test_cli_setup_loads_no_scipy(scipy_loads):
 
 
 def test_subcommands_without_quadrature_or_banded_solves_load_no_scipy(scipy_loads):
-    for name in ("spectrum", "green-identities", "poscomb", "conditional", "regularity"):
+    for name in ("spectrum", "green-identities", "poscomb", "conditional", "regularity", "wegner"):
         assert scipy_loads["codes"][name] == 0, name
         assert scipy_loads["loaded"][name] == [], name
 

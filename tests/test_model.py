@@ -41,6 +41,7 @@ def test_build_box_single_point():
 def test_build_box_1d():
     g = build_box(1, (0,))
     assert g.sites == ((-1,), (0,), (1,))
+    assert g == explicit_geometry(g.sites)  # a box is equal to the geometry on its sites
 
 
 def test_build_box_2d_cardinality():
@@ -271,7 +272,7 @@ def test_discrete_density_rejected():
 def test_density_sampler_matches_cdf():
     d = DisorderDensity("raised_cosine", (0, 1))
     rng = np.random.default_rng(0)
-    draws = d.sample(rng, size=20000)
+    draws = d.sample(rng.random(20000))
     # Kolmogorov-style spot check at a few quantiles
     for q in (0.25, 0.5, 0.75):
         want = d.quantile(q)
@@ -369,7 +370,7 @@ def test_config_loader_reports_line(tmp_path):
 def test_piecewise_sampler_matches_cdf():
     d = DisorderDensity("piecewise_linear", [(0, 0), (0.2, 1.0), (0.7, 2.0), (1, 0)])
     rng = np.random.default_rng(14)
-    draws = d.sample(rng, size=20000)
+    draws = d.sample(rng.random(20000))
     for q in (0.1, 0.25, 0.5, 0.75, 0.9):
         assert abs(float(d.quantile(q)) - np.quantile(draws, q)) < 0.02
     # quantile really inverts the cdf

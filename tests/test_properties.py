@@ -398,7 +398,7 @@ def test_omega_block_rows_are_the_single_trial_draws(density, trials, sites, see
     block = sampler.omega(seed, trials)
     assert block.shape == (trials, m)
     for t in range(trials):
-        assert same_bits(block[t], density.sample(trial_stream(seed, t), size=m))
+        assert same_bits(block[t], density.sample(trial_stream(seed, t).random(m)))
 
 
 @PROPERTY
@@ -409,7 +409,7 @@ def test_configuration_draws_are_the_per_site_scalar_draws(density, d, radius, s
     omega = sample_configuration(model, sites, seed)
     assert set(omega.values) == set(sites)
     for site in sites:
-        assert same_bits(np.float64(omega[site]), np.float64(density.sample(site_stream(seed, site))))
+        assert same_bits(np.float64(omega[site]), np.float64(density.sample(site_stream(seed, site).random())))
 
 
 @PROPERTY
@@ -588,7 +588,7 @@ def test_stacked_detgen_matches_the_per_trial_determinants(n, count, trials, t, 
     assume(abs(np.linalg.det(sum(Vs))) > 1e-6)
     density = DisorderDensity("uniform", (-1, 1))
     got = detgen_check(A, Vs, alpha, density, t, trials=trials, seed=seed)
-    draws = density.sample(trial_stream(seed, 0), size=(trials, count))
+    draws = density.sample(trial_stream(seed, 0).random((trials, count)))
     vals = []
     for row in draws:
         M = A.astype(complex)
