@@ -107,7 +107,8 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: run loads (model, seed), and each fills the Output that run writes
+# subcommand implementations: cmd_<name> runs subcommand <name> (dashes become underscores);
+# run loads (model, seed), and each fills the Output that run writes
 
 
 def cmd_spectrum(args, model, seed, out: Output) -> None:
@@ -303,18 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="eigenvalues of one disorder realization")
     common(sp, True)
     sp.add_argument("--box", type=int, default=10)
-    sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("green-identities", help="Schur and resolvent identity residuals")
     common(sp, True)
     sp.add_argument("--instances", type=int, default=20)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.set_defaults(fn=cmd_green_identities)
 
     sp = sub.add_parser("averaging", help="spectral-averaging integrals vs closed-form bounds")
     common(sp, True)
     sp.add_argument("--instances", type=int, default=50)
-    sp.set_defaults(fn=cmd_averaging)
 
     sp = sub.add_parser("moments", help="one fractional-moment MC estimate")
     common(sp, True)
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--energy", type=float, default=0.0)
     sp.add_argument("--imag", type=float, default=0.5)
     trial_flags(sp, 1000)
-    sp.set_defaults(fn=cmd_moments)
 
     sp = sub.add_parser("decay", help="moment decay profile vs the explicit bound")
     common(sp, True)
@@ -335,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--energy", type=float, default=0.0)
     sp.add_argument("--imag", type=float, default=0.5)
     trial_flags(sp, 5000)
-    sp.set_defaults(fn=cmd_decay)
 
     sp = sub.add_parser("finite-volume", help="screened moment sum across the annulus")
     common(sp, True)
@@ -345,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--energy", type=float, default=0.0)
     sp.add_argument("--imag", type=float, default=0.5)
     trial_flags(sp, 500)
-    sp.set_defaults(fn=cmd_finite_volume)
 
     sp = sub.add_parser("wegner", help="eigenvalue-count MC vs the exact bound")
     common(sp, True)
@@ -353,12 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--emin", type=float, default=-0.1)
     sp.add_argument("--emax", type=float, default=0.1)
     trial_flags(sp, 2000)
-    sp.set_defaults(fn=cmd_wegner)
 
     sp = sub.add_parser("poscomb", help="leading derivative, radius and positive combination")
     common(sp, False)
     sp.add_argument("--l", type=int, default=5)
-    sp.set_defaults(fn=cmd_poscomb)
 
     sp = sub.add_parser("regularity", help="two-box regularity frequency over an energy grid")
     common(sp, True)
@@ -369,14 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=21)
     sp.add_argument("--m", type=float, default=0.2)
     trial_flags(sp, 200)
-    sp.set_defaults(fn=cmd_regularity)
 
     sp = sub.add_parser("conditional", help="Gaussian conditional formulas and the pinned interval")
     common(sp, True)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--delta-prime", dest="delta_prime", type=float, default=0.05)
     sp.add_argument("--attempts", type=int, default=100000)
-    sp.set_defaults(fn=cmd_conditional)
 
     sp = sub.add_parser("apriori", help="non-local a-priori bound vs MC moments")
     common(sp, True)
@@ -384,13 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=1.0 / 3.0)
     sp.add_argument("--imag", type=float, default=0.5)
     trial_flags(sp, 800)
-    sp.set_defaults(fn=cmd_apriori)
 
     return p
 
 
+_PARSERS: dict[str, argparse.ArgumentParser] = {}  # by ALLOYLAB_THREADS, which sets the --threads default
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    threads = os.environ.get(_ENV_THREADS, "1")
+    if threads not in _PARSERS:
+        _PARSERS[threads] = build_parser()
+    parser = _PARSERS[threads]
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
@@ -398,7 +394,9 @@ def run(argv=None) -> int:
     try:
         model, seed = _load(args)
         out = Output(args.out)
-        args.fn(args, model, seed, out)
+        # the subcommand's function is looked up on every call, not stored in the cached parser,
+        # so a cmd_* that is patched later (as the benchmark's tracer does) is the one that runs
+        globals()["cmd_" + args.command.replace("-", "_")](args, model, seed, out)
         return out.write()
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,7 +13,6 @@ import tempfile
 from functools import reduce
 from operator import getitem
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -338,9 +337,6 @@ def _nested(a: str, b: str) -> bool:
     return any(y == x or y.startswith((x + ".", x + "[")) for x, y in ((a, b), (b, a)))
 
 
-_PARSER = cli.build_parser()  # parse_args keeps no state, so one parser serves every example
-
-
 @settings(max_examples=300, deadline=None)
 @given(mutated_configs())
 def test_a_mutated_config_loads_or_exits_1_naming_the_key(mutation):
@@ -355,7 +351,7 @@ def test_a_mutated_config_loads_or_exits_1_naming_the_key(mutation):
         except ValueError:
             pass
         err = io.StringIO()
-        with mock.patch.object(cli, "build_parser", lambda: _PARSER), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err):
             assert run(["spectrum", "--config", cfg_path, "--out", os.path.join(tmp, "o")]) == 1
         assert not os.path.exists(os.path.join(tmp, "o.csv"))
     err = err.getvalue()
@@ -467,6 +463,69 @@ def test_bad_threads_environment_fails_only_the_trial_subcommands(model_cfg, tmp
     assert "ALLOYLAB_THREADS), got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
     assert run(moments + ["--threads", "2"]) == 0  # the flag overrides the environment
+
+
+def test_run_builds_one_parser_per_threads_environment_value(model_cfg, monkeypatch):
+    build, built = cli.build_parser, []
+
+    def counting():
+        built.append(os.environ.get("ALLOYLAB_THREADS", "1"))
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.delenv("ALLOYLAB_THREADS", raising=False)
+    spectrum = ["spectrum", "--config", str(model_cfg), "--box", "2"]
+    assert run(spectrum) == 0
+    monkeypatch.setenv("ALLOYLAB_THREADS", "2")  # the --threads default is baked into the parser
+    assert run(spectrum) == 0
+    monkeypatch.delenv("ALLOYLAB_THREADS")
+    assert run(spectrum) == 0
+    assert built == ["1", "2"]
+
+
+def test_a_cached_parser_runs_the_current_subcommand_function(model_cfg, monkeypatch):
+    # the benchmark's tracer patches cmd_* after the parser is cached; the patched function must run
+    argv = ["spectrum", "--config", str(model_cfg), "--box", "2"]
+    assert run(argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args, model, seed, out: calls.append(seed))
+    assert run(argv) == 0
+    assert calls == [7]
+
+
+def test_a_reused_parser_keeps_no_state_from_the_last_run(model_cfg, tmp_path):
+    decay = ["decay", "--config", str(model_cfg), "--box", "6", "--trials", "20"]
+    assert run(decay + ["--lambda", "7", "--out", str(tmp_path / "first")]) == 0
+    assert run(decay + ["--out", str(tmp_path / "reused")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    subprocess.run([sys.executable, "-m", "alloylab.cli", *decay, "--out", str(tmp_path / "fresh")], env=env,
+                   capture_output=True, check=True)
+    for suffix in (".csv", "_summary.csv"):
+        assert (tmp_path / f"reused{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+    assert (tmp_path / "first.csv").read_bytes() != (tmp_path / "reused.csv").read_bytes()
+
+
+def test_help_exits_0_on_every_run(capsys):
+    for argv in (["--help"], ["decay", "--help"], ["--help"]):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: alloylab")
+
+
+@pytest.mark.parametrize("seed, code", [("9223372036854775807", 0), ("9223372036854775808", 1),
+                                        ("-9223372036854775808", 0), ("-9223372036854775809", 1)])
+@pytest.mark.parametrize("argv", [["spectrum", "--box", "2"], ["moments", "--box", "4", "--dist", "2", "--trials", "4"]],
+                         ids=["site-stream", "trial-stream"])
+def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, argv, seed, code):
+    out = tmp_path / "o"
+    assert run(argv + ["--config", str(model_cfg), "--seed", seed, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and (tmp_path / "o.csv").exists()
+        return
+    assert err.startswith(f"error: stream key (seed={seed}, ") and err.count("\n") == 1
+    assert "[-2**63, 2**63)" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("coupling, argv", [

@@ -10,8 +10,9 @@ banded Green column is checked against a dense solve on boxes, chains, holed,
 annulus-depleted, one-site and unsorted geometries in d = 1, 2, 3.  The
 mean/stderr reduction is checked column by column, bit for bit, on random
 per-trial sample arrays.  The per-estimator disorder block, the stacked
-quantile, the gap-construction search and the stacked determinant average
-are each checked bit for bit against the one-trial-at-a-time path they
+quantile, the gap-construction search, the stacked determinant average and
+the keyed streams (against their np.uint64 SeedSequence construction, over
+the whole 64-bit key range) are each checked bit for bit against the one-trial-at-a-time path they
 replace, and so are the potential over a coupling block, the multi-source
 Green columns, the estimates that share one disorder block, the decay
 profile and finite-volume sum (against the per-trial loops they ran before
@@ -74,7 +75,7 @@ from alloylab.moments import (
     finite_volume_sum,
     gap_constants,
 )
-from alloylab.rng import site_stream, trial_stream
+from alloylab.rng import site_stream, trial_stream, zigzag
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -410,6 +411,27 @@ def test_configuration_draws_are_the_per_site_scalar_draws(density, d, radius, s
     assert set(omega.values) == set(sites)
     for site in sites:
         assert same_bits(np.float64(omega[site]), np.float64(density.sample(site_stream(seed, site).random())))
+
+
+def _uint64_keyed(values) -> np.random.Generator:
+    """The keyed-stream construction the entropy words replace: a SeedSequence over np.uint64 scalars."""
+    return np.random.default_rng(np.random.SeedSequence([np.uint64(v) for v in values]))
+
+
+_SIGNED_64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@PROPERTY
+@given(_SIGNED_64, st.integers(0, 2 ** 64 - 1), st.lists(_SIGNED_64, min_size=1, max_size=3).map(tuple))
+@example(0, 0, (0,))
+@example(2 ** 32 - 1, 2 ** 32 - 1, (2 ** 32 - 1, 0))
+@example(2 ** 32, 2 ** 32, (2 ** 32, -(2 ** 32)))
+@example(2 ** 63 - 1, 2 ** 63 - 1, (2 ** 63 - 1, -(2 ** 63), 0))
+def test_keyed_streams_match_the_uint64_construction(seed, trial, site):
+    old_trial = _uint64_keyed([zigzag(seed), 1, trial])
+    old_site = _uint64_keyed([zigzag(seed), 0, len(site), *map(zigzag, site)])
+    assert same_bits(trial_stream(seed, trial).random(4), old_trial.random(4))
+    assert same_bits(site_stream(seed, site).random(4), old_site.random(4))
 
 
 @PROPERTY
