@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -21,8 +21,6 @@ from . import averaging, gaussian, model as model_mod, moments, poscomb, spectra
 from .green import verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
 from .model import build_box, explicit_geometry, lambda_plus, load_model_config, sample_configuration
 from .rng import trial_stream
-
-_ENV_THREADS = "ALLOYLAB_THREADS"
 
 
 def _fmt(x) -> str:
@@ -84,7 +82,7 @@ def _load(args) -> tuple:
     model, cfg_seed = load_model_config(args.config)
     seed = args.seed if args.seed is not None else cfg_seed
     if seed is None and args.needs_seed:
-        raise SystemExit("this subcommand needs --seed (or a seed in the config)")
+        raise ValueError("this subcommand needs --seed (or a seed in the config)")
     return model, seed
 
 
@@ -95,14 +93,13 @@ def _instances(args) -> range:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --threads, and of its default from the environment."""
+    """argparse type of --threads."""
     try:
         value = int(text)
     except ValueError:
         value = 0  # reported below, like any other value under 1
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer (from --threads or {_ENV_THREADS}), got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -139,7 +136,7 @@ def cmd_green_identities(args, model, seed, out: Output) -> None:
         rows.append([i, _fmt(z), disc1, disc2, f, s_])
         worst = max(worst, disc1, disc2, f, s_)
     out.table(["instance", "z", "schur", "two_step_schur", "first_order", "second_order"], rows)
-    out.check("exact-identities-max-discrepancy", worst, args.tol, worst <= args.tol)
+    out.check("exact-identities-max-discrepancy", worst, 1e-8, worst <= 1e-8)
 
 
 def cmd_averaging(args, model, seed, out: Output) -> None:
@@ -295,11 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def trial_flags(sp, trials: int):  # only the subcommands that run MC trials
         sp.add_argument("--trials", type=int, default=trials)
-        # a string default goes through the type only when this subcommand
-        # runs without --threads, so a bad environment value fails here alone
-        sp.add_argument("--threads", type=_positive_int,
-                        default=os.environ.get(_ENV_THREADS, "1"),
-                        help="worker thread cap (env %s)" % _ENV_THREADS)
+        sp.add_argument("--threads", type=_positive_int, default=1, help="worker thread cap")
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one disorder realization")
     common(sp, True)
@@ -308,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("green-identities", help="Schur and resolvent identity residuals")
     common(sp, True)
     sp.add_argument("--instances", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=1e-8)
 
     sp = sub.add_parser("averaging", help="spectral-averaging integrals vs closed-form bounds")
     common(sp, True)
@@ -379,16 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_PARSERS: dict[str, argparse.ArgumentParser] = {}  # by ALLOYLAB_THREADS, which sets the --threads default
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The tree that run parses with, built once per process: parsing keeps no state in it."""
+    return build_parser()
 
 
 def run(argv=None) -> int:
-    threads = os.environ.get(_ENV_THREADS, "1")
-    if threads not in _PARSERS:
-        _PARSERS[threads] = build_parser()
-    parser = _PARSERS[threads]
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     try:
@@ -401,11 +392,6 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except SystemExit as err:
-        if isinstance(err.code, str):
-            print(f"error: {err.code}", file=sys.stderr)
-            return 1
-        return err.code or 0
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SingleSitePotential, _chain_support
+from .model import SingleSitePotential, _chain_values
 from .rng import trial_stream
 
 __all__ = [
@@ -60,23 +60,20 @@ def negexample_constants(u: SingleSitePotential) -> NegexampleConstants:
     forced near 1 by the conditioning; m is the u-mass on Theta_1 and
     c = n u_max / u_min controls the interval half-width.
     """
-    supp = _chain_support(u)
-    n = supp[-1] + 1
-    if supp != list(range(n)):
+    vals = _chain_values(u)
+    n = len(vals)
+    if 0.0 in vals:
         raise ValueError("supp u must be the connected block {0..n-1}")
-    vals = {k: u.value((k,)) for k in supp}
-    if any(v == 0.0 for v in vals.values()):
-        raise ValueError("all values on the support must be nonzero")
-    theta_pos = tuple(k for k in supp if vals[k] > 0)
-    theta_neg = tuple(k for k in supp if vals[k] < 0)
-    u_max = max(abs(v) for v in vals.values())
-    u_min = min(abs(v) for v in vals.values())
+    theta_pos = tuple(k for k in range(n) if vals[k] > 0)
+    theta_neg = tuple(k for k in range(n) if vals[k] < 0)
+    u_max = max(abs(v) for v in vals)
+    u_min = min(abs(v) for v in vals)
     s_plus = sum(vals[k] for k in theta_pos)
     if (n - 1) not in theta_pos:
         theta_1 = tuple(k + 1 for k in theta_pos)
     else:
-        theta_1 = tuple(sorted(set(k + 1 for k in theta_pos if k + 1 in vals) | {0}))
-    theta_0 = tuple(k for k in supp if k not in theta_1)
+        theta_1 = tuple(sorted(set(k + 1 for k in theta_pos if k + 1 < n) | {0}))
+    theta_0 = tuple(k for k in range(n) if k not in theta_1)
     m = sum(vals[k] for k in theta_1)
     c = n * u_max / u_min
     return NegexampleConstants(theta_pos, theta_neg, theta_1, theta_0,
@@ -99,9 +96,8 @@ def negexample_check(u: SingleSitePotential, delta: float, delta_prime: float,
     if attempts < 2:
         raise ValueError(f"need at least 2 attempts, one proposal per coupling group, got {attempts}")
     const = negexample_constants(u)
-    supp = [k[0] for k in u.support()]
-    n = max(supp) + 1
-    uv = np.array([u.value((k,)) for k in range(n)])
+    uv = np.array(_chain_values(u))
+    n = len(uv)
 
     # V(-1) = sum_k u(k) w[-1-k] over k=0..n-1 -> couplings at -n..-1
     # V(n-1) = sum_k u(k) w[n-1-k]            -> couplings at 0..n-1

@@ -146,17 +146,11 @@ class BoxGeometry:
         return out
 
 
-def build_box(L: int, center=0, d: int | None = None) -> BoxGeometry:
+def build_box(L: int, center=0) -> BoxGeometry:
     """All sites with |k - center|_inf <= L, in lexicographic order."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    if d is None:
-        center = _as_site(center)
-        d = len(center)
-    else:
-        center = _as_site(center) if not isinstance(center, int) else (center,) * d
-        if len(center) != d:
-            raise ValueError("center/dimension mismatch")
+    center = _as_site(center)
     ranges = [range(c - L, c + L + 1) for c in center]
     sites = tuple(itertools.product(*ranges))
     return BoxGeometry(sites)
@@ -223,9 +217,9 @@ class SingleSitePotential:
 
     ``support_values`` holds the explicitly stored core.  When ``tail`` is
     present, sites outside the core but within ``truncation_radius`` (l1)
-    take the value sign * tail_amplitude * exp(-tail_rate * |k|_1); beyond
-    the truncation radius u is treated as zero and ``tail_l1_error`` bounds
-    the discarded l1 mass.
+    take the value sign * tail_amplitude * exp(-tail_rate * |k|_1), sign = +-1;
+    beyond the truncation radius u is treated as zero and ``tail_l1_error``
+    bounds the discarded l1 mass.  u is tabulated once on its effective support.
     """
 
     support_values: dict[Site, float]
@@ -239,6 +233,9 @@ class SingleSitePotential:
         if self.tail_amplitude is None and not vals:
             raise ValueError("potential must not be identically zero")
         object.__setattr__(self, "support_values", vals)
+        if self.tail_sign not in (1, -1):
+            raise ValueError(f"tail sign must be 1 or -1, got {self.tail_sign!r}")
+        table = dict(vals)
         if self.tail_amplitude is not None:
             if self.tail_amplitude <= 0 or self.tail_rate is None or self.tail_rate <= 0:
                 raise ValueError("tail requires amplitude > 0 and rate > 0")
@@ -247,8 +244,14 @@ class SingleSitePotential:
             for k, v in vals.items():
                 if abs(v) > self.tail_amplitude * math.exp(-self.tail_rate * l1_norm(k)) + 1e-12:
                     raise ValueError(f"stored value at {k} exceeds the exponential envelope")
-        if (0,) * self.dimension not in self._effective_support():
+            rad = self.truncation_radius
+            for k in itertools.product(range(-rad, rad + 1), repeat=self.dimension):
+                if l1_norm(k) <= rad and k not in table:
+                    table[k] = self.tail_sign * self.tail_amplitude * math.exp(-self.tail_rate * l1_norm(k))
+        if (0,) * self.dimension not in table:
             raise ValueError("u must satisfy 0 in supp u (translate the profile)")
+        # {site: u(site)} in sorted site order; not a field, so equality and repr see only the fields
+        object.__setattr__(self, "_table", dict(sorted(table.items())))
 
     @property
     def dimension(self) -> int:
@@ -256,27 +259,12 @@ class SingleSitePotential:
             return len(next(iter(self.support_values)))
         return 1
 
-    def _effective_support(self) -> set[Site]:
-        supp = set(self.support_values)
-        if self.tail_amplitude is not None:
-            d = self.dimension
-            rad = self.truncation_radius
-            for k in itertools.product(range(-rad, rad + 1), repeat=d):
-                if l1_norm(k) <= rad:
-                    supp.add(k)
-        return supp
-
     def support(self) -> tuple[Site, ...]:
         """Effective support Theta (core plus truncated tail), sorted."""
-        return tuple(sorted(self._effective_support()))
+        return tuple(self._table)
 
     def value(self, k) -> float:
-        k = _as_site(k)
-        if k in self.support_values:
-            return self.support_values[k]
-        if self.tail_amplitude is not None and l1_norm(k) <= self.truncation_radius:
-            return self.tail_sign * self.tail_amplitude * math.exp(-self.tail_rate * l1_norm(k))
-        return 0.0
+        return self._table.get(_as_site(k), 0.0)
 
     def tail_l1_error(self) -> float:
         """Upper bound on the l1 mass discarded by truncating the tail."""
@@ -349,14 +337,14 @@ def _tail_sum(u: SingleSitePotential, degree: int) -> float:
         m += 1
 
 
-def _chain_support(u: SingleSitePotential) -> list[int]:
-    """supp u of a one-dimensional profile as sorted offsets, which must start at 0."""
+def _chain_values(u: SingleSitePotential) -> list[float]:
+    """[u(0), ..., u(n-1)] of a one-dimensional profile with min supp u = 0 and max supp u = n - 1 (0.0 in gaps)."""
     if u.dimension != 1:
         raise ValueError("one-dimensional potentials only")
-    supp = [k[0] for k in u.support()]
-    if supp[0] != 0:
+    supp = u.support()
+    if supp[0] != (0,):
         raise ValueError("normalize supp u so that min supp = 0")
-    return supp
+    return [u.value((k,)) for k in range(supp[-1][0] + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .model import (
     Site,
     SitePotential,
     _as_site,
-    _chain_support,
+    _chain_values,
     _site_list,
     adjacency_matrix,
     explicit_geometry,
@@ -253,11 +253,10 @@ def one_d_constants(u: SingleSitePotential, density: DisorderDensity,
     """Explicit decay constants for connected supp u = {0..n-1} in d = 1."""
     pref = _fractional_prefactor(s)
     _check_coupling(coupling)
-    supp = _chain_support(u)
-    n = supp[-1] + 1
-    if supp != list(range(n)):
+    vals = _chain_values(u)
+    n = len(vals)
+    if 0.0 in vals:
         raise ValueError("supp u must be connected {0..n-1}; use gap_constants otherwise")
-    vals = [u.value((k,)) for k in range(n)]
     prod_all = abs(math.prod(vals))
     C_u = prod_all ** (-s / n)
     C_rho = density.linf ** s * pref
@@ -296,7 +295,7 @@ class GapConstants:
 
 def largest_gap(u: SingleSitePotential) -> int:
     """Number of sites in the largest run missing from supp u (0 if connected)."""
-    supp = _chain_support(u)
+    supp = [k for k, v in enumerate(_chain_values(u)) if v != 0.0]
     return max((b - a - 1 for a, b in zip(supp, supp[1:])), default=0)
 
 
@@ -312,7 +311,7 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
     pref = _fractional_prefactor(s)
     _check_coupling(coupling)
     r = largest_gap(u)  # also checks d = 1 and min supp u = 0
-    n = max(k[0] for k in u.support()) + 1
+    n = len(_chain_values(u))
     R = density.support_radius
     rows = []
     for i in range(n + r):
@@ -393,7 +392,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     geometry = explicit_geometry([(k,) for k in range(box_sites)])
     (x,) = _check_average_args(geometry, z, s, (0,))
     r = largest_gap(model.potential)
-    step = max(k[0] for k in model.potential.support()) + 1 + r  # n + r, and r = 0 when connected
+    step = len(_chain_values(model.potential)) + r  # n + r, and r = 0 when connected
     exponent = s / step
     if model.coupling == 0.0:
         # flat diagnostic profile: no decay bound applies without disorder, so
@@ -582,8 +581,7 @@ def polynomial_root_criterion(u: SingleSitePotential, max_multiplier_degree: int
     convolutions of translate coefficients).  A root within 1e-9 of the
     nonnegative axis makes the verdict ambiguous.
     """
-    n = _chain_support(u)[-1] + 1
-    coeffs = np.array([u.value((k,)) for k in range(n)])
+    coeffs = np.array(_chain_values(u))
     # np.roots wants highest degree first
     roots = np.roots(coeffs[::-1])  # empty for a constant p
     tol = 1e-9 * max(1.0, float(np.max(np.abs(roots), initial=0.0)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["site_stream", "trial_stream", "zigzag"]
+__all__ = ["site_stream", "trial_stream"]
 
 
 def zigzag(n: int) -> int:

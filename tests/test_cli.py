@@ -260,6 +260,11 @@ def test_config_error_exit_code(tmp_path):
     assert run(["spectrum", "--config", str(bad)]) == 1
 
 
+def _tail_sign(sign):
+    """A config edit: u is a bare exponential tail with the given sign."""
+    return lambda cfg: {**cfg, "potential": {"tail": {"C": 1.0, "alpha": 1.0, "radius": 4, "sign": sign}}}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda cfg: [cfg], "config must be a JSON object"),
     (lambda cfg: {**cfg, "potential": [1.0]}, "potential must be a JSON object"),
@@ -274,8 +279,12 @@ def test_config_error_exit_code(tmp_path):
     (lambda cfg: {**cfg, "lambda": "5"}, "lambda must be a number"),
     (lambda cfg: {**cfg, "seed": 7.5}, "seed must be an integer"),
     (lambda cfg: {**cfg, "seed": True}, "seed must be an integer"),
+    (_tail_sign(3), "tail sign must be 1 or -1, got 3"),
+    (_tail_sign(0), "tail sign must be 1 or -1, got 0"),
+    (_tail_sign(-2), "tail sign must be 1 or -1, got -2"),
 ], ids=["top-level-list", "potential-list", "support-number", "tail-number", "params-null", "dimension-list",
-        "tail-without-C", "support-entry-of-one", "params-of-one", "lambda-string", "seed-float", "seed-bool"])
+        "tail-without-C", "support-entry-of-one", "params-of-one", "lambda-string", "seed-float", "seed-bool",
+        "tail-sign-3", "tail-sign-0", "tail-sign-minus-2"])
 def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(json.loads(model_cfg.read_text()))))
@@ -416,7 +425,7 @@ def test_scipy_loads_on_first_use(scipy_loads):
     assert "scipy.integrate" in loaded["averaging"]
 
 
-def test_missing_seed_rejected(tmp_path):
+def test_missing_seed_rejected(tmp_path, capsys):
     cfg = {
         "dimension": 1,
         "lambda": 1.0,
@@ -425,7 +434,10 @@ def test_missing_seed_rejected(tmp_path):
     }
     path = tmp_path / "noseed.json"
     path.write_text(json.dumps(cfg))
-    assert run(["decay", "--config", str(path), "--trials", "10", "--box", "6"]) == 1
+    for argv in (["decay", "--trials", "10", "--box", "6"], ["spectrum", "--box", "2"]):
+        assert run(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", "error: this subcommand needs --seed (or a seed in the config)\n")
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_threads_flag_bitwise_stable(model_cfg, tmp_path):
@@ -453,35 +465,53 @@ def test_threads_flag_must_be_a_positive_integer(model_cfg, tmp_path, capsys, th
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_bad_threads_environment_fails_only_the_trial_subcommands(model_cfg, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ALLOYLAB_THREADS", "abc")
-    assert run(["spectrum", "--config", str(model_cfg), "--box", "3"]) == 0
-    assert run(["poscomb", "--config", str(model_cfg), "--l", "2"]) == 0
-    capsys.readouterr()
-    moments = ["moments", "--trials", "4", "--config", str(model_cfg), "--out", str(tmp_path / "o")]
-    assert run(moments) == 1
-    assert "ALLOYLAB_THREADS), got 'abc'" in capsys.readouterr().err
-    assert not (tmp_path / "o.csv").exists()
-    assert run(moments + ["--threads", "2"]) == 0  # the flag overrides the environment
+def test_run_builds_one_parser_per_process(model_cfg, monkeypatch):
+    built = []
 
-
-def test_run_builds_one_parser_per_threads_environment_value(model_cfg, monkeypatch):
-    build, built = cli.build_parser, []
-
-    def counting():
-        built.append(os.environ.get("ALLOYLAB_THREADS", "1"))
+    def counting(build=cli.build_parser):
+        built.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    cli._parser.cache_clear()
     monkeypatch.setattr(cli, "build_parser", counting)
-    monkeypatch.delenv("ALLOYLAB_THREADS", raising=False)
-    spectrum = ["spectrum", "--config", str(model_cfg), "--box", "2"]
-    assert run(spectrum) == 0
-    monkeypatch.setenv("ALLOYLAB_THREADS", "2")  # the --threads default is baked into the parser
-    assert run(spectrum) == 0
-    monkeypatch.delenv("ALLOYLAB_THREADS")
-    assert run(spectrum) == 0
-    assert built == ["1", "2"]
+    for argv in (["spectrum", "--box", "2"], ["poscomb", "--l", "2"], ["spectrum", "--box", "3"]):
+        assert run(argv + ["--config", str(model_cfg)]) == 0
+    assert len(built) == 1
+    cli._parser.cache_clear()  # the next run builds from the real build_parser
+
+
+_DEFAULTS = {  # every flag that each subcommand sets when given only --config
+    "spectrum": {"box": 10},
+    "green-identities": {"instances": 20},
+    "averaging": {"instances": 50},
+    "moments": {"box": 20, "dist": 5, "s": 0.25, "energy": 0.0, "imag": 0.5, "trials": 1000, "threads": 1},
+    "decay": {"box": 60, "coupling": None, "s": 0.5, "energy": 0.0, "imag": 0.5, "trials": 5000, "threads": 1},
+    "finite-volume": {"region": 12, "L": 3, "s": 0.3, "energy": 0.0, "imag": 0.5, "trials": 500, "threads": 1},
+    "wegner": {"l": 6, "emin": -0.1, "emax": 0.1, "trials": 2000, "threads": 1},
+    "poscomb": {"l": 5},
+    "regularity": {"L": 5, "separation": 20, "emin": -1.0, "emax": 1.0, "grid": 21, "m": 0.2, "trials": 200,
+                   "threads": 1},
+    "conditional": {"delta": 0.05, "delta_prime": 0.05, "attempts": 100000},
+    "apriori": {"box": 15, "s": 1.0 / 3.0, "imag": 0.5, "trials": 800, "threads": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULTS))
+def test_parsed_defaults_of_every_subcommand(name):
+    args = vars(cli.build_parser().parse_args([name, "--config", "c"]))
+    assert args == {"command": name, "config": "c", "out": None, "seed": None,
+                    "needs_seed": name != "poscomb", **_DEFAULTS[name]}
+    assert type(args.get("threads", 1)) is int
+
+
+def test_green_identity_gate_has_no_override(model_cfg, tmp_path, capsys):
+    argv = ["green-identities", "--config", str(model_cfg), "--instances", "2", "--out", str(tmp_path / "o")]
+    assert run(argv + ["--tol", "1"]) == 1
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+    assert run(argv) == 0
+    (row,) = [r for r in csv.reader(open(tmp_path / "o_summary.csv")) if r[0] == "exact-identities-max-discrepancy"]
+    assert row[2] == "1e-08"
 
 
 def test_a_cached_parser_runs_the_current_subcommand_function(model_cfg, monkeypatch):

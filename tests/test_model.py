@@ -296,6 +296,18 @@ def test_tail_potential_envelope_enforced():
         SingleSitePotential({(0,): 5.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=3)
 
 
+@pytest.mark.parametrize("sign", [2, 0, -3])
+def test_tail_sign_must_be_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match=f"tail sign must be 1 or -1, got {sign}"):
+        SingleSitePotential.exponential(rate=1.0, truncation_radius=3, sign=sign)
+
+
+def test_value_table_is_not_a_field():
+    u = SingleSitePotential.exponential(rate=1.0, truncation_radius=2, sign=-1)
+    assert u == SingleSitePotential.exponential(rate=1.0, truncation_radius=2, sign=-1)
+    assert "_table" not in repr(u)
+
+
 def test_tail_l1_error_bound():
     u = SingleSitePotential.exponential(rate=1.0, truncation_radius=10)
     # d=1 exact tail mass: 2 sum_{m>10} e^{-m}
