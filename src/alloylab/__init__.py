@@ -10,7 +10,6 @@ Monte Carlo at desk scale.
 
 from .model import (
     BoxGeometry,
-    Configuration,
     DisorderDensity,
     HamiltonianMatrix,
     ModelConfig,

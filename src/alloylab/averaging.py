@@ -61,17 +61,19 @@ def _check_trials(trials: int) -> None:
 def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     """Per-column MC mean and standard error of samples stacked along axis 0.
 
-    Each column is reduced as its own contiguous 1-D array, so it matches
-    np.mean / np.std(ddof=1) of that column alone bit for bit; an axis-0
-    reduction sums row by row instead.  A single trial or a constant column
-    (e.g. no disorder) has stderr 0.
+    Each column is reduced along a contiguous row of the transposed block,
+    which takes the pairwise sum of that column alone, so it matches
+    np.mean / np.std(ddof=1) of the column bit for bit; an axis-0 reduction
+    sums row by row instead.  A single trial or a constant column (e.g. no
+    disorder) has stderr 0.
     """
     samples = np.asarray(samples, dtype=float)
     trials = len(samples)
     columns = np.ascontiguousarray(np.atleast_2d(samples.T))
-    mean = np.array([np.mean(c) for c in columns])
-    stderr = np.array([np.std(c, ddof=1) / math.sqrt(trials) if trials > 1 and np.ptp(c) > 0.0 else 0.0
-                       for c in columns])
+    mean = np.mean(columns, axis=1)
+    stderr = np.zeros(len(columns))
+    if trials > 1:  # np.std(ddof=1) of one trial warns of a division by zero
+        stderr = np.where(np.ptp(columns, axis=1) > 0.0, np.std(columns, axis=1, ddof=1) / math.sqrt(trials), 0.0)
     return mean.reshape(samples.shape[1:]), stderr.reshape(samples.shape[1:])
 
 

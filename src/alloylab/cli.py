@@ -177,8 +177,6 @@ def cmd_moments(args, model, seed, out: Output) -> None:
 
 
 def cmd_decay(args, model, seed, out: Output) -> None:
-    if args.coupling is not None:
-        model = model_mod.ModelConfig(model.dimension, args.coupling, model.potential, model.density)
     z = complex(args.energy, args.imag)
     prof = moments.decay_profile(model, args.box, z, args.s, args.trials, seed, args.threads)
     out.table(["distance", "mean", "stderr", "bound", "pass"],
@@ -318,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decay", help="moment decay profile vs the explicit bound")
     common(sp, True)
     sp.add_argument("--box", type=int, default=60, help="number of chain sites")
-    sp.add_argument("--lambda", dest="coupling", type=float, default=None,
-                    help="override the config coupling")
     sp.add_argument("--s", type=float, default=0.5)
     sp.add_argument("--energy", type=float, default=0.0)
     sp.add_argument("--imag", type=float, default=0.5)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .model import (
     BoxGeometry,
-    Configuration,
     HamiltonianMatrix,
     ModelConfig,
     SingleSitePotential,
@@ -106,14 +105,14 @@ def _schur_B(H: np.ndarray, rows: np.ndarray, z: complex) -> np.ndarray:
     return C @ _resolvent(H[np.ix_(ext, ext)], z) @ C.T
 
 
-def depleted(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inner_sites) -> DepletedOperators:
+def depleted(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry, inner_sites) -> DepletedOperators:
     """Deplete the hopping between ``inner_sites`` and the rest of the geometry."""
     inner = _site_set(inner_sites)
     Hd, T = _deplete(assemble_hamiltonian(model, omega, geometry).entries, geometry.rows(inner))
     return DepletedOperators(geometry, geometry.subset(inner) if inner else None, Hd, T)
 
 
-def schur_B(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inner_sites, z: complex) -> np.ndarray:
+def schur_B(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry, inner_sites, z: complex) -> np.ndarray:
     """Exterior-feedback operator B on the inner region.
 
     B = P_L Delta I_ext (H_ext - z)^{-1} P_ext Delta I_L; it lives on the
@@ -124,7 +123,7 @@ def schur_B(model: ModelConfig, omega: Configuration, geometry: BoxGeometry, inn
     return _schur_B(assemble_hamiltonian(model, omega, geometry).entries, geometry.rows(inner_sites), z)
 
 
-def verify_schur_identity(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
+def verify_schur_identity(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry,
                           inner_sites, z: complex) -> float:
     """Max-abs discrepancy of P_L G P_L* = (H_L - B - z)^{-1} on L x L."""
     inner_geo = geometry.subset(inner_sites)
@@ -136,7 +135,7 @@ def verify_schur_identity(model: ModelConfig, omega: Configuration, geometry: Bo
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def verify_two_step_schur(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
+def verify_two_step_schur(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry,
                           inner1, inner2, z: complex) -> float:
     """Nested-complement identity for L1 inside L2 with int-boundary(L2) disjoint from L1."""
     s1, s2 = _site_set(inner1), _site_set(inner2)
@@ -156,7 +155,7 @@ def verify_two_step_schur(model: ModelConfig, omega: Configuration, geometry: Bo
     return float(np.max(np.abs(lhs - np.linalg.inv(S))))
 
 
-def verify_resolvent_identities(model: ModelConfig, omega: Configuration, geometry: BoxGeometry,
+def verify_resolvent_identities(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry,
                                 inner_sites, z: complex) -> tuple[float, float]:
     """Residuals of the first- and second-order geometric resolvent identities."""
     H = assemble_hamiltonian(model, omega, geometry).entries

@@ -29,7 +29,6 @@ __all__ = [
     "BoxGeometry",
     "SingleSitePotential",
     "DisorderDensity",
-    "Configuration",
     "ModelConfig",
     "HamiltonianMatrix",
     "build_box",
@@ -471,22 +470,6 @@ class DisorderDensity:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """Realized couplings omega_k on a finite set of sites."""
-
-    values: dict[Site, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", {_as_site(k): float(v) for k, v in self.values.items()})
-
-    def __getitem__(self, site) -> float:
-        return self.values[_as_site(site)]
-
-    def __contains__(self, site) -> bool:
-        return _as_site(site) in self.values
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     dimension: int
     coupling: float
@@ -557,7 +540,7 @@ class SitePotential:
         return V
 
 
-def potential_value(u: SingleSitePotential, omega: Configuration, x) -> float:
+def potential_value(u: SingleSitePotential, omega: dict[Site, float], x) -> float:
     """V(x) = sum_k omega_k u(x - k), an exact finite sum over supp u."""
     x = _as_site(x)
     total = 0.0
@@ -569,17 +552,17 @@ def potential_value(u: SingleSitePotential, omega: Configuration, x) -> float:
     return total
 
 
-def assemble_hamiltonian(model: ModelConfig, omega: Configuration, geometry: BoxGeometry) -> HamiltonianMatrix:
+def assemble_hamiltonian(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry) -> HamiltonianMatrix:
     """H = -Delta_Gamma + lambda V_Gamma as a dense real symmetric matrix."""
     potential = SitePotential(geometry, model.potential)
-    omega_vec = np.array([omega.values[k] for k in potential.coupling_sites])  # KeyError names a missing site
+    omega_vec = np.array([omega[k] for k in potential.coupling_sites])  # KeyError names a missing site
     H = -adjacency_matrix(geometry)
     np.fill_diagonal(H, model.coupling * potential(omega_vec))
     return HamiltonianMatrix(geometry, H)
 
 
-def sample_configuration(model: ModelConfig, sites, seed: int) -> Configuration:
-    """One i.i.d. draw per site; a pure function of (seed, site).
+def sample_configuration(model: ModelConfig, sites, seed: int) -> dict[Site, float]:
+    """One i.i.d. draw per site, as {site: omega_site} in sorted site order; a pure function of (seed, site).
 
     Each site takes one uniform from its own ``site_stream``, and all of them
     go through one density transform, which is elementwise, so every value is
@@ -587,7 +570,7 @@ def sample_configuration(model: ModelConfig, sites, seed: int) -> Configuration:
     """
     keys = sorted({_as_site(x) for x in sites})
     draws = model.density.sample(np.array([site_stream(seed, s).random() for s in keys]))
-    return Configuration(dict(zip(keys, draws.tolist())))
+    return dict(zip(keys, draws.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
             rel = est.stderr / est.mean if est.stderr > 0 else 1e-6
             weights.append(1.0 / rel ** 2)
     if len(dists) >= 2:
-        coef, res = np.polyfit(dists, logs, 1, w=np.sqrt(weights)), 0.0
+        coef = np.polyfit(dists, logs, 1, w=np.sqrt(weights))
         pred = np.polyval(coef, dists)
         res = float(np.sqrt(np.mean((np.array(logs) - pred) ** 2)))
         fit = DecayFit(float(coef[0]), float(coef[1]), res, tuple(dists))

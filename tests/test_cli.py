@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from alloylab import cli, moments
 from alloylab.cli import run
-from alloylab.model import DisorderDensity, explicit_geometry, load_model_config, sample_configuration
+from alloylab.model import DisorderDensity, build_box, explicit_geometry, load_model_config, sample_configuration
 
 
 @pytest.fixture()
@@ -92,7 +92,7 @@ def test_green_identity_instance_keys_do_not_collide_across_seeds(model_cfg, tmp
 
 def test_decay_subcommand_and_determinism(model_cfg, tmp_path):
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
-    args = ["decay", "--config", str(model_cfg), "--lambda", "50", "--s", "0.5",
+    args = ["decay", "--config", str(model_cfg), "--s", "0.5",
             "--trials", "300", "--box", "16", "--seed", "7"]
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
@@ -169,6 +169,27 @@ def test_apriori_subcommand(tmp_path):
                 "--out", str(tmp_path / "ap")])
     assert code == 0
     assert "nonlocal-apriori-bound" in (tmp_path / "ap_summary.csv").read_text()
+
+
+def test_apriori_in_d2_probes_the_box_of_radius_box(tmp_path):
+    cfg = {
+        "dimension": 2,
+        "lambda": 10.0,
+        "potential": {"support": [[[0, 0], 1.0], [[1, 0], -0.25]]},
+        "density": {"kind": "raised_cosine", "params": [0, 1]},
+        "seed": 2,
+    }
+    path = tmp_path / "ap2.json"
+    path.write_text(json.dumps(cfg))
+    model, _ = load_model_config(str(path))
+    # first and last site, the middle site twice, first and middle site of the 3 x 3 box, not of a chain
+    pairs = [((-1, -1), (1, 1)), ((0, 0), (0, 0)), ((-1, -1), (0, 0))]
+    want = moments.estimate_moments(model, build_box(1, (0, 0)), 0.5j, 1.0 / 3.0, pairs, 30, 2)
+    assert run(["apriori", "--config", str(path), "--box", "1", "--trials", "30", "--out", str(tmp_path / "ap")]) == 0
+    with open(tmp_path / "ap.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[:4] for row in rows] == [[str(x), str(y), repr(est.mean), repr(est.stderr)]
+                                         for (x, y), est in zip(pairs, want)]
 
 
 def test_apriori_draws_one_block_and_solves_once_per_trial(tmp_path, monkeypatch):
@@ -282,9 +303,37 @@ def _tail_sign(sign):
     (_tail_sign(3), "tail sign must be 1 or -1, got 3"),
     (_tail_sign(0), "tail sign must be 1 or -1, got 0"),
     (_tail_sign(-2), "tail sign must be 1 or -1, got -2"),
+    (lambda cfg: {**cfg, "potential": {"support": []}}, "potential must not be identically zero"),
+    (lambda cfg: {**cfg, "potential": {"tail": {"C": 0, "alpha": 1.0, "radius": 4}}},
+     "tail requires amplitude > 0 and rate > 0"),
+    (lambda cfg: {**cfg, "potential": {"tail": {"C": 1.0, "alpha": -1.0, "radius": 4}}},
+     "tail requires amplitude > 0 and rate > 0"),
+    (lambda cfg: {**cfg, "potential": {"tail": {"C": 1.0, "alpha": 1.0, "radius": 0}}},
+     "tail requires a truncation radius >= 1"),
+    (lambda cfg: {**cfg, "potential": {"support": [[[1], 1.0]]}}, "u must satisfy 0 in supp u"),
+    (lambda cfg: {**cfg, "density": {"kind": "uniform", "params": [1, 0]}}, "uniform(a,b) needs b > a"),
+    (lambda cfg: {**cfg, "density": {"kind": "raised_cosine", "params": [1, 1]}}, "raised_cosine(a,b) needs b > a"),
+    (lambda cfg: {**cfg, "density": {"kind": "piecewise_linear", "params": [[0, 1]]}},
+     "piecewise_linear needs at least two knots"),
+    (lambda cfg: {**cfg, "density": {"kind": "piecewise_linear", "params": [[1, 1], [0, 1]]}},
+     "knot abscissae must be strictly increasing"),
+    (lambda cfg: {**cfg, "density": {"kind": "piecewise_linear", "params": [[0, 1], [0, 1]]}},
+     "knot abscissae must be strictly increasing"),
+    (lambda cfg: {**cfg, "density": {"kind": "piecewise_linear", "params": [[0, -1], [1, 2]]}},
+     "density values must be nonnegative"),
+    (lambda cfg: {**cfg, "density": {"kind": "piecewise_linear", "params": [[0, 0], [1, 0]]}},
+     "density must have positive mass"),
+    (lambda cfg: {**cfg, "density": {"kind": "discrete", "params": [[0, 0.5], [1, 0.5]]}},
+     "atomic disorder measures are not supported"),
+    (lambda cfg: {**cfg, "density": {"kind": "gaussian", "params": [0, 1]}}, "unknown density kind 'gaussian'"),
+    (lambda cfg: {**cfg, "dimension": 0, "potential": {"support": [[[], 1.0]]}}, "dimension must be >= 1"),
+    (lambda cfg: {**cfg, "lambda": -1.0}, "coupling lambda must be >= 0"),
 ], ids=["top-level-list", "potential-list", "support-number", "tail-number", "params-null", "dimension-list",
         "tail-without-C", "support-entry-of-one", "params-of-one", "lambda-string", "seed-float", "seed-bool",
-        "tail-sign-3", "tail-sign-0", "tail-sign-minus-2"])
+        "tail-sign-3", "tail-sign-0", "tail-sign-minus-2", "potential-zero", "tail-C-zero", "tail-alpha-negative",
+        "tail-radius-zero", "origin-outside-support", "uniform-reversed", "raised-cosine-empty", "one-knot",
+        "knots-decreasing", "knots-repeated", "knot-negative", "knots-no-mass", "discrete-density", "unknown-density",
+        "dimension-zero", "lambda-negative"])
 def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(json.loads(model_cfg.read_text()))))
@@ -485,7 +534,7 @@ _DEFAULTS = {  # every flag that each subcommand sets when given only --config
     "green-identities": {"instances": 20},
     "averaging": {"instances": 50},
     "moments": {"box": 20, "dist": 5, "s": 0.25, "energy": 0.0, "imag": 0.5, "trials": 1000, "threads": 1},
-    "decay": {"box": 60, "coupling": None, "s": 0.5, "energy": 0.0, "imag": 0.5, "trials": 5000, "threads": 1},
+    "decay": {"box": 60, "s": 0.5, "energy": 0.0, "imag": 0.5, "trials": 5000, "threads": 1},
     "finite-volume": {"region": 12, "L": 3, "s": 0.3, "energy": 0.0, "imag": 0.5, "trials": 500, "threads": 1},
     "wegner": {"l": 6, "emin": -0.1, "emax": 0.1, "trials": 2000, "threads": 1},
     "poscomb": {"l": 5},
@@ -514,6 +563,13 @@ def test_green_identity_gate_has_no_override(model_cfg, tmp_path, capsys):
     assert row[2] == "1e-08"
 
 
+def test_decay_takes_the_coupling_from_the_config_only(model_cfg, tmp_path, capsys):
+    argv = ["decay", "--config", str(model_cfg), "--box", "6", "--trials", "20", "--out", str(tmp_path / "o")]
+    assert run(argv + ["--lambda", "5"]) == 1
+    assert "unrecognized arguments: --lambda 5" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_a_cached_parser_runs_the_current_subcommand_function(model_cfg, monkeypatch):
     # the benchmark's tracer patches cmd_* after the parser is cached; the patched function must run
     argv = ["spectrum", "--config", str(model_cfg), "--box", "2"]
@@ -526,7 +582,7 @@ def test_a_cached_parser_runs_the_current_subcommand_function(model_cfg, monkeyp
 
 def test_a_reused_parser_keeps_no_state_from_the_last_run(model_cfg, tmp_path):
     decay = ["decay", "--config", str(model_cfg), "--box", "6", "--trials", "20"]
-    assert run(decay + ["--lambda", "7", "--out", str(tmp_path / "first")]) == 0
+    assert run(decay + ["--s", "0.25", "--out", str(tmp_path / "first")]) == 0
     assert run(decay + ["--out", str(tmp_path / "reused")]) == 0
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     subprocess.run([sys.executable, "-m", "alloylab.cli", *decay, "--out", str(tmp_path / "fresh")], env=env,

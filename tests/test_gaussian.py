@@ -81,6 +81,14 @@ def test_pinned_interval_exploratory_wide_regime():
     assert res["violations"] >= 0
 
 
+def test_pinned_interval_with_no_accepted_proposal_is_inconclusive():
+    # one proposal per group, conditioned on V landing in a window of width 1e-9
+    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0})
+    res = negexample_check(u, delta=1e-9, delta_prime=1e-9, attempts=2, seed=0)
+    assert res == {"accepted": 0, "violations": 0, "violation_fraction": None, "attempts": 2,
+                   "inconclusive": True, "constants": negexample_constants(u)}
+
+
 def test_pinned_interval_rejects_bad_deltas():
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0})
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from alloylab.green import (
     verify_two_step_schur,
 )
 from alloylab.model import (
-    Configuration,
     DisorderDensity,
     ModelConfig,
     SingleSitePotential,
@@ -45,9 +44,17 @@ def chain(n):
 def test_green_1x1():
     m = make_model(lam=0.0)
     g = explicit_geometry([(0,)])
-    H = assemble_hamiltonian(m, Configuration({(0,): 0.0}), g)
+    H = assemble_hamiltonian(m, {(0,): 0.0}, g)
     G = green(H, 1j)
     assert G.entries[0, 0] == pytest.approx(1j, abs=1e-15)  # 1/(0 - i) = i
+
+
+def test_green_at_is_zero_outside_the_geometry():
+    m = make_model()
+    g = chain(3)
+    G = green(assemble_hamiltonian(m, sample_configuration(m, lambda_plus(g, m.potential), seed=0), g), 1j)
+    assert G.at((0,), (2,)) == G.entries[0, 2] != 0.0
+    assert G.at((0,), (3,)) == G.at((-1,), (1,)) == G.at((5,), (7,)) == 0.0
 
 
 def test_green_2x2_oracle():
@@ -171,9 +178,9 @@ def test_schur_B_independent_of_interior_couplings():
     omega = sample_configuration(m, lambda_plus(g, m.potential), seed=4)
     z = 0.2 + 0.6j
     B1 = schur_B(m, omega, g, inner, z)
-    bumped = dict(omega.values)
+    bumped = dict(omega)
     bumped[(4,)] += 17.0  # delta potential: omega_4 only enters V(4), inside the inner region
-    B2 = schur_B(m, Configuration(bumped), g, inner, z)
+    B2 = schur_B(m, bumped, g, inner, z)
     assert np.max(np.abs(B1 - B2)) == 0.0
 
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from scipy.integrate import quad
 
 from alloylab.model import (
     BoxGeometry,
-    Configuration,
     DisorderDensity,
+    HamiltonianMatrix,
     ModelConfig,
     SingleSitePotential,
     assemble_hamiltonian,
@@ -59,6 +60,23 @@ def test_box_index_roundtrip():
 def test_geometry_rejects_duplicates():
     with pytest.raises(ValueError):
         BoxGeometry(((0,), (0,)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BoxGeometry(()), "geometry must contain at least one site"),
+    (lambda: BoxGeometry(((0,), (0, 1))), "all sites must share one dimension"),
+    (lambda: build_box(-1), "L must be >= 0"),
+    (lambda: exterior_boundary([]), "empty site set"),
+    (lambda: SingleSitePotential({(0,): 1.0}, tail_amplitude=1.0, truncation_radius=2),
+     "tail requires amplitude > 0 and rate > 0"),
+    (lambda: ModelConfig(2, 1.0, SingleSitePotential.delta(1), uniform01()),
+     "potential dimension does not match the model"),
+    (lambda: HamiltonianMatrix(build_box(1), np.zeros((2, 2))), "matrix shape does not match geometry"),
+], ids=["geometry-empty", "geometry-mixed-dimension", "box-negative-radius", "exterior-boundary-empty",
+        "tail-without-rate", "model-dimension-mismatch", "hamiltonian-shape"])
+def test_constructor_contracts_no_config_reaches(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_interior_boundary_1d():
@@ -107,28 +125,30 @@ def test_lambda_plus_truncated_tail():
 
 def test_potential_value_zero_config():
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0})
-    omega = Configuration({(-1,): 0.0, (0,): 0.0})
+    omega = {(-1,): 0.0, (0,): 0.0}
     assert potential_value(u, omega, (0,)) == 0.0
 
 
 def test_potential_value_delta():
     u = SingleSitePotential.delta(1)
-    omega = Configuration({(4,): 2.5})
+    omega = {(4,): 2.5}
     assert potential_value(u, omega, (4,)) == 2.5
 
 
 def test_potential_value_hand_sum():
     # V(0) = omega_0 u(0) + omega_{-1} u(1) = 3*1 + 2*(-1) = 1
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0})
-    omega = Configuration({(-1,): 2.0, (0,): 3.0})
+    omega = {(-1,): 2.0, (0,): 3.0}
     assert potential_value(u, omega, (0,)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_potential_value_missing_site():
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0})
-    omega = Configuration({(0,): 3.0})
-    with pytest.raises(KeyError):
+    omega = {(0,): 3.0}
+    with pytest.raises(KeyError, match=r"\(-1,\)"):
         potential_value(u, omega, (0,))
+    with pytest.raises(KeyError, match=r"\(-1,\)"):  # the assembly names the missing site too
+        assemble_hamiltonian(ModelConfig(1, 1.0, u, uniform01()), omega, explicit_geometry([(0,)]))
 
 
 def test_potential_linearity_random():
@@ -138,9 +158,9 @@ def test_potential_linearity_random():
     sites = [(k,) for k in range(-4, 5)]
     w1 = {s: float(v) for s, v in zip(sites, rng.normal(size=9))}
     w2 = {s: float(v) for s, v in zip(sites, rng.normal(size=9))}
-    combo = Configuration({s: 2.0 * w1[s] + 3.0 * w2[s] for s in sites})
+    combo = {s: 2.0 * w1[s] + 3.0 * w2[s] for s in sites}
     got = potential_value(u, combo, (0,))
-    want = 2.0 * potential_value(u, Configuration(w1), (0,)) + 3.0 * potential_value(u, Configuration(w2), (0,))
+    want = 2.0 * potential_value(u, w1, (0,)) + 3.0 * potential_value(u, w2, (0,))
     assert got == pytest.approx(want, abs=1e-12)
     # linearity in the profile as well
     v_vals = {(0,): 0.4, (2,): -1.1}
@@ -149,7 +169,7 @@ def test_potential_linearity_random():
     for k, val in u_vals.items():
         sum_vals[k] = sum_vals.get(k, 0.0) + val
     uv = SingleSitePotential.from_values(sum_vals)
-    cfg = Configuration(w1)
+    cfg = w1
     assert potential_value(uv, cfg, (0,)) == pytest.approx(
         potential_value(u, cfg, (0,)) + potential_value(v, cfg, (0,)), abs=1e-12)
 
@@ -169,7 +189,7 @@ def test_assemble_single_site():
     u = SingleSitePotential.delta(1)
     m = ModelConfig(1, 2.0, u, uniform01())
     g = explicit_geometry([(0,)])
-    H = assemble_hamiltonian(m, Configuration({(0,): 1.5}), g)
+    H = assemble_hamiltonian(m, {(0,): 1.5}, g)
     assert H.entries.shape == (1, 1) and H.entries[0, 0] == 3.0
 
 
@@ -219,7 +239,7 @@ def test_sampling_deterministic():
     sites = [(k,) for k in range(5)]
     c1 = sample_configuration(m, sites, seed=42)
     c2 = sample_configuration(m, sites, seed=42)
-    assert c1.values == c2.values
+    assert c1 == c2
 
 
 def test_sampling_pure_per_site():
@@ -237,7 +257,7 @@ def test_sampling_law_of_large_numbers():
     m = ModelConfig(1, 1.0, u, uniform01())
     sites = [(k,) for k in range(100000)]
     cfg = sample_configuration(m, sites, seed=123)
-    mean = np.mean(list(cfg.values.values()))
+    mean = np.mean(list(cfg.values()))
     assert abs(mean - 0.5) < 0.01
 
 

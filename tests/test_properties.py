@@ -9,7 +9,7 @@ for bit; the identities are checked against the pinned 1e-9 tolerance.  The
 banded Green column is checked against a dense solve on boxes, chains, holed,
 annulus-depleted, one-site and unsorted geometries in d = 1, 2, 3.  The
 mean/stderr reduction is checked column by column, bit for bit, on random
-per-trial sample arrays.  The per-estimator disorder block, the stacked
+per-trial sample arrays of up to 5,000 trials.  The per-estimator disorder block, the stacked
 quantile, the gap-construction search, the stacked determinant average and
 the keyed streams (against their np.uint64 SeedSequence construction, over
 the whole 64-bit key range) are each checked bit for bit against the one-trial-at-a-time path they
@@ -54,7 +54,6 @@ from alloylab.green import (
 )
 from alloylab.model import (
     BoxGeometry,
-    Configuration,
     DisorderDensity,
     ModelConfig,
     SingleSitePotential,
@@ -114,7 +113,7 @@ def setups(draw):
     geometry = explicit_geometry(draw(st.one_of(subsets(box), holes.map(lambda h: set(box) - h))))
     need = sorted(lambda_plus(geometry, model.potential))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    omega = Configuration(dict(zip(need, rng.uniform(-1.0, 1.0, len(need)).tolist())))
+    omega = dict(zip(need, rng.uniform(-1.0, 1.0, len(need)).tolist()))
     return model, geometry, omega
 
 
@@ -144,7 +143,7 @@ def test_trial_hamiltonian_matches_site_keyed_assembly(setup):
     omega_vec = np.array([omega[k] for k in need])
     sampler = DisorderSampler(model, geometry)
     got = sampler.hamiltonian(sampler.diagonals(omega_vec))
-    want = assemble_hamiltonian(model, Configuration(dict(zip(need, omega_vec))), geometry).entries
+    want = assemble_hamiltonian(model, dict(zip(need, omega_vec)), geometry).entries
     assert same_bits(got, want)
 
 
@@ -350,9 +349,18 @@ def test_potential_block_rows_are_the_one_vector_calls(setup, trials, seed):
 
 @st.composite
 def trial_samples(draw):
-    """(trials, k) samples, trials >= 1, with some columns held constant."""
-    trials, k = draw(st.integers(1, 40)), draw(st.integers(1, 6))
-    samples = draw(arrays(np.float64, (trials, k), elements=st.floats(-1e3, 1e3)))
+    """(trials, k) samples, 1 <= trials <= 5000, with some columns held constant.
+
+    The decay jobs reduce up to 5,000 trials, past numpy's 128-element pairwise
+    blocks.  Up to 40 trials, hypothesis draws every sample; beyond, a drawn
+    seed gives normal samples scaled by powers of ten from 1e-3 to 1e3.
+    """
+    trials, k = draw(st.one_of(st.integers(1, 40), st.integers(41, 5000))), draw(st.integers(1, 6))
+    if trials <= 40:
+        samples = draw(arrays(np.float64, (trials, k), elements=st.floats(-1e3, 1e3)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        samples = rng.standard_normal((trials, k)) * 10.0 ** rng.integers(-3, 4, (trials, k))
     constant = draw(arrays(np.bool_, k))
     samples[:, constant] = draw(st.floats(-1e3, 1e3))
     return samples
@@ -411,7 +419,7 @@ def test_configuration_draws_are_the_per_site_scalar_draws(density, d, radius, s
     model = ModelConfig(d, 1.0, SingleSitePotential.delta(d), density)
     sites = build_box(radius, (0,) * d).sites
     omega = sample_configuration(model, sites, seed)
-    assert set(omega.values) == set(sites)
+    assert type(omega) is dict and list(omega) == sorted(sites)  # a plain dict in sorted site order
     for site in sites:
         assert same_bits(np.float64(omega[site]), np.float64(density.sample(site_stream(seed, site).random())))
 

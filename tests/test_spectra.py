@@ -54,8 +54,7 @@ def test_eigenvalues_1x1():
     u = SingleSitePotential.delta(1)
     m = ModelConfig(1, 3.0, u, uniform01())
     g = explicit_geometry([(0,)])
-    from alloylab.model import Configuration
-    H = assemble_hamiltonian(m, Configuration({(0,): 0.7}), g)
+    H = assemble_hamiltonian(m, {(0,): 0.7}, g)
     assert eigenvalues(H) == pytest.approx([2.1])
 
 
@@ -285,11 +284,11 @@ def test_eigenfunction_decay_tiny_box_skips():
 
 
 def test_count_in_interval_closed_endpoints():
-    from alloylab.model import Configuration, explicit_geometry
+    from alloylab.model import explicit_geometry
     u = SingleSitePotential.delta(1)
     m = ModelConfig(1, 1.0, u, uniform01())
     g = explicit_geometry([(0,)])
-    H = assemble_hamiltonian(m, Configuration({(0,): 0.75}), g)
+    H = assemble_hamiltonian(m, {(0,): 0.75}, g)
     assert count_in_interval(H, 0.75, 0.75) == 1
     assert count_in_interval(H, 0.75, 2.0) == 1
     assert count_in_interval(H, -1.0, 0.75) == 1
