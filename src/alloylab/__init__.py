@@ -38,10 +38,8 @@ from .averaging import (
     AverageCheck,
     det_average_check,
     detgen_check,
-    dissipative_average_check,
     graf_check,
     nonmonotone_average_check,
-    norm_inverse_check,
     resolvent_average_check,
 )
 from .moments import (
@@ -54,14 +52,12 @@ from .moments import (
     gap_constants,
     nonlocal_apriori_bound,
     one_d_constants,
-    polynomial_root_criterion,
     w_xy,
 )
 from .poscomb import (
     compute_R_l,
     find_I0,
     generating_derivative,
-    nexp_guard,
     prop1_sum,
     prop2_min,
     wegner_coefficients,
@@ -69,19 +65,14 @@ from .poscomb import (
 from .spectra import (
     RegularityReport,
     WegnerReport,
-    apriori_wegner_bound,
-    count_in_interval,
-    eigenfunction_decay,
     eigenvalues,
     pair_regularity_probability,
-    regularity_check,
     wegner_mc,
 )
 from .gaussian import (
     a_l_determinants,
     gaussian_conditional,
     conditional_oracle,
-    holder_constant_probe,
     negexample_check,
     negexample_constants,
 )

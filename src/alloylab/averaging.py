@@ -23,9 +23,7 @@ __all__ = [
     "graf_check",
     "det_average_check",
     "detgen_check",
-    "norm_inverse_check",
     "resolvent_average_check",
-    "dissipative_average_check",
     "nonmonotone_average_check",
 ]
 
@@ -91,19 +89,14 @@ def _integrate(f, density: DisorderDensity, singular_points) -> tuple[float, flo
     return float(val), float(err)
 
 
-def _pencil_roots(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Roots of det(A + rV) as eigenvalues of -V^{-1} A."""
-    return np.linalg.eigvals(-np.linalg.solve(V, A))
-
-
 def _pencil(A, V, s: float) -> tuple:
-    """(A, V, log|det V|, roots of det(A + rV), s/n) for an average over the pencil A + rV; V must be invertible."""
+    """(A, V, log|det V|, roots of det(A + rV) = eigenvalues of -V^{-1} A, s/n); V must be invertible."""
     A = np.asarray(A, dtype=complex)
     V = np.asarray(V, dtype=complex)
     sign, logdetV = np.linalg.slogdet(V)
     if sign == 0 or not np.isfinite(logdetV):
         raise ValueError("V must be invertible")
-    return A, V, logdetV, _pencil_roots(A, V), s / A.shape[0]
+    return A, V, logdetV, np.linalg.eigvals(-np.linalg.solve(V, A)), s / A.shape[0]
 
 
 def _check_dissipative(A: np.ndarray) -> None:
@@ -190,18 +183,6 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     return AverageCheck(float(mean), bound, 3.0 * float(stderr), "monte-carlo")
 
 
-def norm_inverse_check(V: np.ndarray) -> tuple[float, float]:
-    """(||V^{-1}||, ||V||^{n-1} / |det V|); the first never exceeds the second."""
-    V = np.asarray(V, dtype=complex)
-    n = V.shape[0]
-    svals = np.linalg.svd(V, compute_uv=False)
-    if svals[-1] == 0:
-        raise ValueError("V must be invertible")
-    lhs = 1.0 / float(svals[-1])
-    rhs = float(svals[0]) ** (n - 1) / float(np.prod(svals))
-    return lhs, rhs
-
-
 def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of ||(A + rV)^{-1}||^{s/n} rho(r) dr against the norm-determinant bound."""
     A, V, logdetV, roots, p = _pencil(A, V, s)
@@ -221,50 +202,6 @@ def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensi
     bound = (density.l1 ** (1.0 - s) * density.linf ** s * (normA + R * normV) ** (s * (n - 1) / n)
              * _fractional_prefactor(s) * math.exp(-(s / n) * logdetV))
     return AverageCheck(val, bound, err, "quadrature")
-
-
-def dissipative_average_check(A: np.ndarray, V: np.ndarray, M1: np.ndarray, M2: np.ndarray,
-                              density: DisorderDensity, s: float) -> dict:
-    """Weak-type average for dissipative A and positive diagonal V.
-
-    The universal constant in the bound is not explicit, so this check
-    reports the smallest c with
-    integral <= (n c ||M1 V^{-1/2}|| ||M2 V^{-1/2}|| ||rho||_inf)^s / (1-s),
-    for stability comparisons across scalings rather than a pass/fail verdict.
-    """
-    A = np.asarray(A, dtype=complex)
-    V = np.asarray(V, dtype=float)
-    M1 = np.asarray(M1, dtype=complex)
-    M2 = np.asarray(M2, dtype=complex)
-    n = A.shape[0]
-    diag = np.diag(V)
-    if not np.allclose(V, np.diag(diag)) or np.min(diag) <= 0:
-        raise ValueError("V must be diagonal and strictly positive")
-    _check_dissipative(A)
-
-    roots = _pencil_roots(A, V.astype(complex))
-
-    def f(r):
-        try:
-            X = np.linalg.solve(A + r * V, M2)
-        except np.linalg.LinAlgError:
-            return math.inf
-        return float(np.linalg.norm(M1 @ X, 2)) ** s
-
-    val, err = _integrate(f, density, roots.real)
-    Vm = np.diag(1.0 / np.sqrt(diag))
-    factor = n * float(np.linalg.norm(M1 @ Vm, 2)) * float(np.linalg.norm(M2 @ Vm, 2)) * density.linf
-    if val <= 0 or factor == 0:
-        fitted_c = 0.0
-    else:
-        fitted_c = (val * (1.0 - s)) ** (1.0 / s) / factor
-    bound_at_c = (factor * max(fitted_c, 0.0)) ** s / (1.0 - s)
-    return {
-        "integral": val,
-        "error": err,
-        "fitted_constant": fitted_c,
-        "bound_at_fitted_constant": bound_at_c,
-    }
 
 
 def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDensity,

@@ -15,7 +15,6 @@ the agreement with the covariance computation, as direct evaluation shows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "a_l_determinants",
     "gaussian_conditional",
     "conditional_oracle",
-    "holder_constant_probe",
 ]
 
 
@@ -251,26 +249,3 @@ def conditional_oracle(a: float, sigma: float, l: int, m: int,
     v = np.concatenate([v_minus, v_plus])
     mean = float(solve @ v)
     return mean, var
-
-
-def holder_constant_probe(a: float, sigma: float, L_values) -> dict[int, float]:
-    """Minimal conditional standard deviation over the interior of each box.
-
-    For |a| != 1 the two-sided conditional variance is bounded below by
-    sigma^2 |a^2 - 1| uniformly in the box size; at |a| = 1 it decays like
-    1/L, which is exactly the obstruction to a size-uniform regularity
-    constant.  Returns {L: min conditional std over interior sites}.
-    """
-    out = {}
-    for L in L_values:
-        best = math.inf
-        # site x in {-L..L}; l = distance to the right edge, m = to the left
-        for x in range(-L, L + 1):
-            l = L - x
-            m = x + L
-            if l < 1:
-                continue
-            _, gamma = gaussian_conditional(a, sigma, l, m)
-            best = min(best, math.sqrt(max(gamma, 0.0)))
-        out[int(L)] = best
-    return out

@@ -24,7 +24,6 @@ from .model import (
     _site_set,
     assemble_hamiltonian,
     build_box,
-    connected_components,
     exterior_boundary,
     interior_boundary,
     site_add,
@@ -41,7 +40,6 @@ __all__ = [
     "verify_two_step_schur",
     "verify_resolvent_identities",
     "annulus",
-    "separates",
 ]
 
 
@@ -189,7 +187,7 @@ def annulus(geometry: BoxGeometry, x, L: int, u: SingleSitePotential) -> Annulus
     B_x is the interior boundary of the L-cube translated to x; hat-W_x
     collects the supp-u translates along B_x; the plain variants are
     thickened by one exterior layer.  Requires L >= diam(supp u) + 2 so the
-    annulus actually separates x from far sites.
+    annulus cuts x off from far sites.
     """
     x = _as_site(x)
     diam = u.diameter_linf()
@@ -207,14 +205,3 @@ def annulus(geometry: BoxGeometry, x, L: int, u: SingleSitePotential) -> Annulus
     Lam = (hat_L | exterior_boundary(hat_L)) & gamma if hat_L else set()
     return AnnulusGeometry(x, L, frozenset(B_x), frozenset(hat_W), frozenset(W),
                            frozenset(hat_L), frozenset(Lam))
-
-
-def separates(geometry: BoxGeometry, ann: AnnulusGeometry, far_site) -> bool:
-    """Flood-fill check: removing W_x disconnects x from the far site."""
-    remaining = geometry.site_set() - ann.W_x
-    comps = connected_components(remaining)
-    far = _as_site(far_site)
-    for comp in comps:
-        if ann.x in comp:
-            return far not in comp
-    return False

@@ -17,7 +17,7 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "potential_value",
     "assemble_hamiltonian",
     "sample_configuration",
-    "connected_components",
     "load_model_config",
 ]
 
@@ -186,26 +185,6 @@ def exterior_boundary(sites) -> set[Site]:
     return {y for x in pts for y in neighbors(x)} - pts
 
 
-def connected_components(sites) -> list[set[Site]]:
-    """Connected components under l1-adjacency (flood fill)."""
-    remaining = _site_set(sites)
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            x = frontier.pop()
-            for y in neighbors(x):
-                if y in remaining:
-                    remaining.discard(y)
-                    comp.add(y)
-                    frontier.append(y)
-        comps.append(comp)
-    return comps
-
-
 # ---------------------------------------------------------------------------
 # single-site potential
 
@@ -226,12 +205,17 @@ class SingleSitePotential:
     tail_rate: float | None = None
     truncation_radius: int = 0
     tail_sign: int = 1
+    _dimension: int = field(init=False, repr=False)  # d of the stored sites, zero values included
 
     def __post_init__(self):
-        vals = {_as_site(k): float(v) for k, v in self.support_values.items() if v != 0.0}
+        sites = [_as_site(k) for k in self.support_values]
+        vals = {k: float(v) for k, v in zip(sites, self.support_values.values()) if v != 0.0}
         if self.tail_amplitude is None and not vals:
             raise ValueError("potential must not be identically zero")
+        if not sites:
+            raise ValueError("a tail needs at least one stored site to fix the dimension")
         object.__setattr__(self, "support_values", vals)
+        object.__setattr__(self, "_dimension", len(sites[0]))
         if self.tail_sign not in (1, -1):
             raise ValueError(f"tail sign must be 1 or -1, got {self.tail_sign!r}")
         table = dict(vals)
@@ -254,9 +238,7 @@ class SingleSitePotential:
 
     @property
     def dimension(self) -> int:
-        if self.support_values:
-            return len(next(iter(self.support_values)))
-        return 1
+        return self._dimension
 
     def support(self) -> tuple[Site, ...]:
         """Effective support Theta (core plus truncated tail), sorted."""

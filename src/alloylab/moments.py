@@ -9,6 +9,7 @@ the non-local a-priori bound from the exponential-weight transform.
 
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ __all__ = [
     "finite_volume_sum",
     "nonlocal_apriori_bound",
     "w_xy",
-    "polynomial_root_criterion",
     "run_trials",
 ]
 
@@ -179,8 +179,10 @@ class DisorderSampler:
 
 
 def _check_average_args(geometry: BoxGeometry, z: complex, s: float, *sites) -> tuple[Site, ...]:
-    """Contract of every disorder average: Im z != 0 (H - z invertible for every
+    """Contract of every disorder average: z finite with Im z != 0 (H - z invertible for every
     draw), exponent in (0, 1), sites in the geometry; returns the sites normalized."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if complex(z).imag == 0:
         raise ValueError("z must have nonzero imaginary part for the disorder average")
     _fractional_prefactor(s)  # raises unless the exponent lies in (0, 1)
@@ -566,42 +568,3 @@ def w_xy(u: SingleSitePotential, x, y, window) -> dict:
         **info,
     }
     return report
-
-
-# ---------------------------------------------------------------------------
-# polynomial-root criterion for extracting a nonnegative combination
-
-
-def polynomial_root_criterion(u: SingleSitePotential, max_multiplier_degree: int = 200) -> dict:
-    """Decide whether p(x) = sum_k u(k) x^k has no roots on [0, infinity).
-
-    When it has none, a nonnegative combination w = sum_j alpha_j u(. - j)
-    with positive endpoints is extracted by multiplying p with (1 + x)^M for
-    the smallest workable M (coefficients of products of polynomials are
-    convolutions of translate coefficients).  A root within 1e-9 of the
-    nonnegative axis makes the verdict ambiguous.
-    """
-    coeffs = np.array(_chain_values(u))
-    # np.roots wants highest degree first
-    roots = np.roots(coeffs[::-1])  # empty for a constant p
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(roots), initial=0.0)))
-    # distance from a root to the closed nonnegative real axis
-    dists = np.array([abs(r.imag) if r.real >= 0 else abs(r) for r in roots])
-    passes = bool(np.all(dists > tol))
-    ambiguous = bool(np.any((dists > 0.1 * tol) & (dists <= 10 * tol)))
-    out = {"passes": passes, "roots": roots, "ambiguous": ambiguous}
-    if not passes:
-        return out
-    sgn = 1.0 if coeffs[0] > 0 else -1.0
-    p = sgn * coeffs
-    # bounded search over (1+x)^M multipliers; positivity is reached for some
-    # finite M whenever p > 0 on the nonnegative axis, and the convolution of
-    # translate coefficients with u is exactly the product polynomial
-    conv = p.copy()
-    for M in range(max_multiplier_degree + 1):
-        if conv[0] > 0 and conv[-1] > 0 and np.all(conv >= -1e-12 * np.max(np.abs(conv))):
-            alpha = sgn * np.array([math.comb(M, j) for j in range(M + 1)], dtype=float)
-            out.update({"multiplier_degree": M, "alpha": alpha, "w": conv})
-            return out
-        conv = np.convolve(conv, [1.0, 1.0])
-    raise RuntimeError(f"no positivizing multiplier up to degree {max_multiplier_degree}")

@@ -31,7 +31,6 @@ __all__ = [
     "compute_R_l",
     "prop2_min",
     "wegner_coefficients",
-    "nexp_guard",
     "multi_indices_of_degree",
     "exponential_envelope",
 ]
@@ -216,13 +215,3 @@ def wegner_coefficients(u: SingleSitePotential, l: int,
         "t_l1_total": total,
         "bound_exponent": 2 * d + sum(lead.I0),
     }
-
-
-def nexp_guard(M: float, alpha: float, n: float) -> bool:
-    """True iff n >= 8 M^2 / alpha^2, the regime where n^M < e^{alpha n / 2}."""
-    if M <= 0 or alpha <= 0:
-        raise ValueError("need M, alpha > 0")
-    ok = n >= 8.0 * M * M / (alpha * alpha)
-    if ok and not (n ** M < math.exp(alpha * n / 2.0)):
-        raise AssertionError("guard held but the inequality failed; numerics inconsistent")
-    return ok

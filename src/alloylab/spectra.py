@@ -16,7 +16,6 @@ import numpy as np
 
 from .averaging import _mean_stderr
 from .model import (
-    BoxGeometry,
     ModelConfig,
     Site,
     _as_site,
@@ -34,12 +33,8 @@ __all__ = [
     "WegnerReport",
     "RegularityReport",
     "eigenvalues",
-    "count_in_interval",
     "wegner_mc",
-    "apriori_wegner_bound",
-    "regularity_check",
     "pair_regularity_probability",
-    "eigenfunction_decay",
 ]
 
 
@@ -52,15 +47,10 @@ def eigenvalues(H) -> np.ndarray:
 
 
 def _check_interval(a: float, b: float) -> None:
-    if a > b:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
+    if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
-
-
-def count_in_interval(H, a: float, b: float) -> int:
-    """Number of eigenvalues in the closed interval [a, b]."""
-    _check_interval(a, b)
-    ev = eigenvalues(H)
-    return int(np.sum((ev >= a) & (ev <= b)))
 
 
 @dataclass(frozen=True)
@@ -98,28 +88,8 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
                         bool(mean + 3 * stderr <= bound), coeff)
 
 
-def apriori_wegner_bound(C: float, s: float, volume: int, width: float) -> float:
-    """Count bound 4 C / pi * width^s * volume from a diagonal-moment bound C."""
-    if width < 0 or volume < 0:
-        raise ValueError("width and volume must be nonnegative")
-    return 4.0 * C / math.pi * width ** s * volume
-
-
 # ---------------------------------------------------------------------------
 # regularity of boxes at real energies
-
-
-def regularity_check(model: ModelConfig, omega, L: int, x, E: float, m: float) -> bool:
-    """Exponential smallness from the center to the interior boundary.
-
-    A box around x is regular at (m, E) when E is off the spectrum of its
-    Hamiltonian and |G(E; x, w)| <= e^{-mL} for every interior-boundary w.
-    """
-    x = _as_site(x)
-    box = build_box(L, x)
-    H = assemble_hamiltonian(model, omega, box)
-    return _is_regular(np.linalg.eigh(H.entries), E, box.index_of(x), box.rows(interior_boundary(box)),
-                       math.exp(-m * L))
 
 
 def _is_regular(eig, E: float, ix: int, idx, thresh: float) -> bool:
@@ -168,7 +138,10 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     sep = max(abs(a - b) for a, b in zip(x, y))
     if sep < 2 * L + diam + 1:
         raise ValueError(f"need |x-y|_inf >= 2L + diam + 1 = {2 * L + diam + 1}, got {sep}")
+    if not math.isfinite(m):
+        raise ValueError(f"the regularity rate m must be finite, got {m}")
     a, b = float(interval[0]), float(interval[1])
+    _check_interval(a, b)
     energies = tuple(np.linspace(a, b, grid_points)) if grid_points > 1 else (0.5 * (a + b),)
     box_x = build_box(L, x)
     box_y = build_box(L, y)
@@ -194,35 +167,3 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     freq, _ = _mean_stderr(run_trials(one, trials, threads))
     return RegularityReport(L, x, y, m, energies, tuple(freq[:-1]), float(freq[-1]), trials,
                             "grid approximation of the energy continuum; upper-bias estimate")
-
-
-def eigenfunction_decay(model: ModelConfig, omega, geometry: BoxGeometry,
-                        window) -> list[dict]:
-    """Least-squares decay slope of log|psi| for eigenvectors in the window.
-
-    The slope is fitted against the sup-distance from the amplitude peak,
-    restricted to the outer half of the observed distance range; localized
-    states give strongly negative slopes, extended ones hover near zero.
-    """
-    a, b = float(window[0]), float(window[1])
-    H = assemble_hamiltonian(model, omega, geometry)
-    vals, vecs = np.linalg.eigh(H.entries)
-    sites = np.array(geometry.sites)
-    out = []
-    for i, E in enumerate(vals):
-        if not a <= E <= b:
-            continue
-        psi = np.abs(vecs[:, i])
-        peak = sites[int(np.argmax(psi))]
-        dist = np.max(np.abs(sites - peak), axis=1)
-        dmax = int(np.max(dist))
-        if dmax < 2:
-            out.append({"energy": float(E), "slope": None, "note": "box too small for a fit"})
-            continue
-        mask = (dist >= dmax / 2) & (psi > 1e-300)
-        if int(np.sum(mask)) < 2:
-            out.append({"energy": float(E), "slope": None, "note": "not enough outer points"})
-            continue
-        coef = np.polyfit(dist[mask], np.log(psi[mask]), 1)
-        out.append({"energy": float(E), "slope": float(coef[0]), "intercept": float(coef[1])})
-    return out

@@ -563,6 +563,28 @@ def test_green_identity_gate_has_no_override(model_cfg, tmp_path, capsys):
     assert row[2] == "1e-08"
 
 
+@pytest.mark.parametrize("coupling, box", [(50.0, 3), (0.0, 16)], ids=["box-below-min-dist", "zero-coupling"])
+def test_decay_with_no_distance_compared_reports_no_verdict(model_cfg, tmp_path, capsys, coupling, box):
+    cfg = json.loads(model_cfg.read_text())
+    cfg["lambda"] = coupling
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["decay", "--config", str(path), "--box", str(box), "--trials", "20", "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    assert "[----] 1d-decay-bound: value=0.0 bound=0.0" in capsys.readouterr().out
+    (row,) = [r for r in csv.reader(open(tmp_path / "o_summary.csv")) if r[0] == "1d-decay-bound"]
+    assert row[-1] == ""
+
+
+def test_tail_config_with_only_zero_stored_values_keeps_its_dimension(model_cfg, tmp_path):
+    cfg = json.loads(model_cfg.read_text())
+    cfg.update(dimension=2, potential={"support": [[[0, 0], 0.0]], "tail": {"C": 1.0, "alpha": 1.0, "radius": 1}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["spectrum", "--config", str(path), "--box", "2", "--out", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o.csv").read_text().splitlines()) == 1 + 25
+
+
 def test_decay_takes_the_coupling_from_the_config_only(model_cfg, tmp_path, capsys):
     argv = ["decay", "--config", str(model_cfg), "--box", "6", "--trials", "20", "--out", str(tmp_path / "o")]
     assert run(argv + ["--lambda", "5"]) == 1
@@ -626,14 +648,24 @@ def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, 
     (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "0.1", "--emax", "-0.1"]),
     (50.0, ["conditional", "--attempts", "1"]),
     (50.0, ["conditional", "--attempts", "-4"]),
+    (50.0, ["moments", "--trials", "4", "--imag", "nan"]),
+    (50.0, ["moments", "--trials", "4", "--energy", "inf"]),
+    (50.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "4", "--imag", "nan"]),
+    (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--m", "nan"]),
+    (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--emin", "nan"]),
+    (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "nan"]),
+    (50.0, ["decay", "--box", "6", "--trials", "4", "--imag", "nan"]),
 ], ids=["moments-no-trials", "finite-volume-no-trials", "finite-volume-zero-coupling", "wegner-zero-coupling",
         "green-identities-no-instances", "green-identities-negative-instances", "averaging-no-instances",
-        "regularity-no-grid", "wegner-reversed-interval", "conditional-one-attempt", "conditional-negative-attempts"])
+        "regularity-no-grid", "wegner-reversed-interval", "conditional-one-attempt", "conditional-negative-attempts",
+        "moments-nan-imag", "moments-inf-energy", "finite-volume-nan-imag", "regularity-nan-m", "regularity-nan-emin",
+        "wegner-nan-emin", "decay-nan-imag"])
 def test_contract_violations_exit_1(model_cfg, tmp_path, capsys, coupling, argv):
     cfg = json.loads(model_cfg.read_text())
     cfg["lambda"] = coupling
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()

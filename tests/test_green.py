@@ -10,7 +10,6 @@ from alloylab.green import (
     depleted,
     green,
     schur_B,
-    separates,
     verify_resolvent_identities,
     verify_schur_identity,
     verify_two_step_schur,
@@ -21,10 +20,10 @@ from alloylab.model import (
     SingleSitePotential,
     assemble_hamiltonian,
     build_box,
-    connected_components,
     explicit_geometry,
     interior_boundary,
     lambda_plus,
+    neighbors,
     sample_configuration,
 )
 
@@ -315,13 +314,25 @@ def test_annulus_requires_large_L():
         annulus(g, (0,), 4, u)  # diam 3 needs L >= 5
 
 
+def reachable(sites, start) -> set:
+    """Flood fill: the sites joined to start by l1-adjacent steps that stay inside the set."""
+    sites = set(sites)
+    seen, frontier = {start}, [start]
+    while frontier:
+        for y in neighbors(frontier.pop()):
+            if y in sites and y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def test_annulus_separation_flood_fill():
     u = SingleSitePotential.delta(2)
     g = build_box(8, (0, 0))
     ann = annulus(g, (0, 0), 3, u)
-    assert separates(g, ann, (8, 8))
-    comps = connected_components(g.site_set() - ann.W_x)
-    assert len(comps) >= 2
+    rest = g.site_set() - ann.W_x
+    assert (0, 0) in rest and (8, 8) in rest
+    assert (8, 8) not in reachable(rest, (0, 0))  # removing W_x leaves at least two components
 
 
 def test_annulus_disconnected_support_separates():
@@ -337,8 +348,8 @@ def test_annulus_disconnected_support_separates():
     half = [(a, b) for a in range(0, 26) for b in range(-12, 13)]
     g = explicit_geometry(half)
     ann = annulus(g, (0, 0), L, u)
-    assert (0, 0) not in ann.W_x
-    assert separates(g, ann, (25, 0))
+    assert (0, 0) not in ann.W_x and (25, 0) not in ann.W_x
+    assert (25, 0) not in reachable(g.site_set() - ann.W_x, (0, 0))
 
 
 def test_geometric_factorization_right_edge():

@@ -19,7 +19,6 @@ from alloylab.model import (
     SingleSitePotential,
     assemble_hamiltonian,
     build_box,
-    connected_components,
     explicit_geometry,
     exterior_boundary,
     interior_boundary,
@@ -322,6 +321,15 @@ def test_tail_sign_must_be_plus_or_minus_one(sign):
         SingleSitePotential.exponential(rate=1.0, truncation_radius=3, sign=sign)
 
 
+def test_tail_dimension_comes_from_the_stored_sites_even_when_their_values_are_zero():
+    u = SingleSitePotential({(0, 0): 0.0, (1, 1): 0.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
+    assert u.dimension == 2
+    assert u.support() == ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+    assert u != SingleSitePotential({(0,): 0.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
+    with pytest.raises(ValueError, match="a tail needs at least one stored site to fix the dimension"):
+        SingleSitePotential({}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
+
+
 def test_value_table_is_not_a_field():
     u = SingleSitePotential.exponential(rate=1.0, truncation_radius=2, sign=-1)
     assert u == SingleSitePotential.exponential(rate=1.0, truncation_radius=2, sign=-1)
@@ -333,11 +341,6 @@ def test_tail_l1_error_bound():
     # d=1 exact tail mass: 2 sum_{m>10} e^{-m}
     exact = 2 * sum(math.exp(-m) for m in range(11, 200))
     assert u.tail_l1_error() == pytest.approx(exact, rel=1e-10)
-
-
-def test_connected_components():
-    comps = connected_components([(0,), (1,), (5,), (6,), (7,)])
-    assert sorted(len(c) for c in comps) == [2, 3]
 
 
 def test_config_loader_roundtrip(tmp_path):

@@ -27,7 +27,6 @@ from alloylab.moments import (
     largest_gap,
     nonlocal_apriori_bound,
     one_d_constants,
-    polynomial_root_criterion,
     run_trials,
     w_xy,
 )
@@ -507,55 +506,6 @@ def test_w_xy_swap_symmetry():
     r2 = w_xy(u, (5,), (-4,), window)
     for k in r1["values"]:
         assert r1["values"][k] == r2["values"][k]
-
-
-# ---------------------------------------------------------------------------
-# polynomial root criterion
-
-
-def test_root_criterion_trivial():
-    res = polynomial_root_criterion(SingleSitePotential.delta(1))
-    assert res["passes"] is True
-    assert res["multiplier_degree"] == 0
-    assert list(res["alpha"]) == [1.0]
-
-
-def test_root_criterion_root_at_one():
-    res = polynomial_root_criterion(SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0}))
-    assert res["passes"] is False
-
-
-def test_root_criterion_root_at_two():
-    res = polynomial_root_criterion(SingleSitePotential.from_values({(0,): 2.0, (1,): -1.0}))
-    assert res["passes"] is False
-
-
-def test_root_criterion_negative_root_extracts():
-    u = SingleSitePotential.from_values({(0,): 1.0, (1,): 1.0})
-    res = polynomial_root_criterion(u)
-    assert res["passes"] is True
-    w = res["w"]
-    assert w[0] > 0 and w[-1] > 0 and np.all(w >= 0)
-
-
-def test_root_criterion_complex_pair_needs_multiplier():
-    # p = 1 - x + x^2 has roots e^{+-i pi/3}: positive real part, none real
-    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0, (2,): 1.0})
-    res = polynomial_root_criterion(u)
-    assert res["passes"] is True
-    assert res["multiplier_degree"] >= 1
-    w = res["w"]
-    assert w[0] > 0 and w[-1] > 0 and np.all(w >= -1e-12 * np.max(np.abs(w)))
-    # the extracted combination is the coefficient convolution of u and alpha
-    coeffs = np.array([1.0, -1.0, 1.0])
-    assert np.allclose(np.convolve(coeffs, res["alpha"]), w)
-
-
-def test_root_criterion_negative_leading_sign():
-    u = SingleSitePotential.from_values({(0,): -1.0, (1,): -1.0})
-    res = polynomial_root_criterion(u)
-    assert res["passes"] is True
-    assert np.all(res["w"] >= 0)
 
 
 def test_moment_2d_box_and_swap_symmetry():

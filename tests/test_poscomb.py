@@ -14,7 +14,6 @@ from alloylab.poscomb import (
     find_I0,
     generating_derivative,
     multi_indices_of_degree,
-    nexp_guard,
     prop1_sum,
     prop2_min,
     wegner_coefficients,
@@ -238,16 +237,6 @@ def test_wegner_coefficients_scaling():
     u2 = SingleSitePotential.from_values({(0,): 2.0, (1,): -2.0})
     o1, o2 = wegner_coefficients(u, 2), wegner_coefficients(u2, 2)
     assert o2["c_u"] == pytest.approx(2 * o1["c_u"], abs=1e-12)
-
-
-def test_nexp_guard():
-    assert nexp_guard(1.0, 1.0, 8) is True
-    assert 8 ** 1 < math.exp(4.0)
-    assert nexp_guard(1.0, 1.0, 7) is False
-    assert nexp_guard(2.0, 2.0, 8) is True
-    assert 8 ** 2 < math.exp(8.0)
-    with pytest.raises(ValueError):
-        nexp_guard(-1.0, 1.0, 5)
 
 
 def test_exponential_envelope_dominates():

@@ -38,7 +38,7 @@ from scipy.integrate import quad
 from alloylab.averaging import (
     _det_power,
     _mean_stderr,
-    _pencil_roots,
+    _pencil,
     det_average_check,
     detgen_check,
     graf_check,
@@ -586,14 +586,17 @@ def _hyperplane_search_loop(u, search_samples, seed):
 
 
 @st.composite
-def potentials(draw):
-    """Finite or truncated-tail u in d = 1..3, with stored cores inside and outside the tail's l1 ball."""
-    d = draw(st.integers(1, 3))
-    offsets = draw(st.sets(st.tuples(*[st.integers(-3, 3)] * d), max_size=4))
+def potentials(draw, d=None):
+    """Finite or truncated-tail u in d = 1..3, with stored cores inside and outside the tail's l1 ball.
+
+    Every core stores the origin, so a tail's core fixes d even when all its stored values are 0.0.
+    """
+    d = draw(st.integers(1, 3)) if d is None else d
+    sites = {(0,) * d} | draw(st.sets(st.tuples(*[st.integers(-3, 3)] * d), max_size=4))
     if draw(st.booleans()):
-        return SingleSitePotential({k: draw(_u_value) for k in {(0,) * d} | offsets})
+        return SingleSitePotential({k: draw(_u_value) for k in sites})
     rate, amplitude = draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 2.0))
-    core = {k: draw(st.floats(-1.0, 1.0)) * amplitude * math.exp(-rate * sum(map(abs, k))) for k in offsets}
+    core = {k: draw(st.floats(-1.0, 1.0)) * amplitude * math.exp(-rate * sum(map(abs, k))) for k in sites}
     return SingleSitePotential(core, tail_amplitude=amplitude, tail_rate=rate,
                                truncation_radius=draw(st.integers(1, 4 if d == 1 else 2)),
                                tail_sign=draw(st.sampled_from([1, -1])))
@@ -626,6 +629,14 @@ def test_value_table_matches_the_per_call_support_and_tail_formula(u):
     assert u.support() == tuple(sorted(_effective_support_oracle(u)))
     for k in itertools.product(range(-5, 6), repeat=u.dimension):
         assert u.value(k).hex() == _value_oracle(u, k).hex(), k
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_a_potential_has_the_dimension_of_its_stored_sites(d, data):
+    u = data.draw(potentials(d))
+    assert u.dimension == d
+    assert all(len(k) == d for k in u.support())
 
 
 @st.composite
@@ -715,7 +726,7 @@ def pencils(draw):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     V = rng.normal(size=(n, n))
     assume(abs(np.linalg.det(V)) >= 1e-3)
-    return A, V, _pencil_roots(A, V.astype(complex)), float(np.linalg.slogdet(V)[1])
+    return A, V, _pencil(A, V, 0.5)[3], float(np.linalg.slogdet(V)[1])
 
 
 @PROPERTY

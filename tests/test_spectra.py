@@ -1,4 +1,4 @@
-"""Eigenvalue counting, Wegner MC, regularity and eigenfunction decay."""
+"""Eigenvalues, Wegner MC and box regularity."""
 
 import math
 
@@ -14,17 +14,14 @@ from alloylab.model import (
     assemble_hamiltonian,
     build_box,
     explicit_geometry,
+    interior_boundary,
     lambda_plus,
     sample_configuration,
 )
 from alloylab.moments import one_d_constants
 from alloylab.spectra import (
-    apriori_wegner_bound,
-    count_in_interval,
-    eigenfunction_decay,
     eigenvalues,
     pair_regularity_probability,
-    regularity_check,
     wegner_mc,
 )
 
@@ -38,6 +35,13 @@ def ldl_count_below(H: np.ndarray, E: float) -> int:
     _, D, _ = scipy.linalg.ldl(H - E * np.eye(H.shape[0]))
     ev_blocks = np.linalg.eigvalsh(D) if D.ndim == 2 else D
     return int(np.sum(ev_blocks < 0))
+
+
+def box_regular(model, omega, L, E, m) -> bool:
+    """spectra._is_regular on the box of radius L around the origin, as each trial of the regularity run calls it."""
+    box = build_box(L, (0,))
+    eig = np.linalg.eigh(assemble_hamiltonian(model, omega, box).entries)
+    return spectra._is_regular(eig, E, box.index_of((0,)), box.rows(interior_boundary(box)), math.exp(-m * L))
 
 
 def test_eigenvalues_path_formula():
@@ -81,32 +85,6 @@ def test_eigenpair_residual_spot_check():
         assert res <= 1e-8 * scale
 
 
-def test_count_in_interval_extremes():
-    u = SingleSitePotential.delta(1)
-    m = ModelConfig(1, 1.0, u, uniform01())
-    g = build_box(4, (0,))
-    omega = sample_configuration(m, lambda_plus(g, u), seed=3)
-    H = assemble_hamiltonian(m, omega, g)
-    ev = eigenvalues(H)
-    assert count_in_interval(H, ev[0] - 1, ev[-1] + 1) == len(g)
-    assert count_in_interval(H, ev[0] - 10, ev[0] - 5) == 0
-
-
-def test_count_in_interval_matches_filter():
-    rng = np.random.default_rng(11)
-    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
-    m = ModelConfig(1, 2.0, u, uniform01())
-    g = build_box(6, (0,))
-    omega = sample_configuration(m, lambda_plus(g, u), seed=5)
-    H = assemble_hamiltonian(m, omega, g)
-    ev = eigenvalues(H)
-    for _ in range(10):
-        a, b = sorted(rng.uniform(ev[0] - 1, ev[-1] + 1, size=2))
-        assert count_in_interval(H, a, b) == int(np.sum((ev >= a) & (ev <= b)))
-        # inertia cross-check away from eigenvalues
-        assert count_in_interval(H, a, b) == ldl_count_below(H.entries, b) - ldl_count_below(H.entries, a)
-
-
 def test_wegner_point_interval_vanishes():
     u = SingleSitePotential.exponential(rate=1.0, truncation_radius=10)
     m = ModelConfig(1, 1.0, u, uniform01())
@@ -139,11 +117,6 @@ def test_wegner_empirical_linearity():
     assert 1.5 <= r1.mean_count / r2.mean_count <= 2.5
 
 
-def test_apriori_wegner_bound_values():
-    assert apriori_wegner_bound(math.pi / 4, 1.0, 1, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert apriori_wegner_bound(2.0, 0.5, 10, 0.25) == pytest.approx(2 * apriori_wegner_bound(2.0, 0.5, 5, 0.25))
-
-
 def test_apriori_wegner_pipeline():
     # diagonal-moment sweep fixes C, then the count bound dominates the MC mean
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
@@ -160,12 +133,12 @@ def test_apriori_wegner_pipeline():
                 est = estimate_moment(m, g, complex(E, eps), s, x, x, trials=300, seed=21)
                 diag.append(est.mean + 3 * est.stderr)
     C = max(diag)
-    bound = apriori_wegner_bound(C, s, len(g), width)
+    bound = 4.0 * C / math.pi * width ** s * len(g)  # 4C/pi |I|^s |Lambda|
     counts = []
     for t in range(300):
         omega = sample_configuration(m, lambda_plus(g, u), seed=900 + t)
-        H = assemble_hamiltonian(m, omega, g)
-        counts.append(count_in_interval(H, -width / 2, width / 2))
+        ev = eigenvalues(assemble_hamiltonian(m, omega, g))
+        counts.append(int(np.sum((ev >= -width / 2) & (ev <= width / 2))))  # the closed interval I
     mean = float(np.mean(counts))
     assert mean <= bound
 
@@ -176,7 +149,7 @@ def test_regularity_strong_disorder():
     g5 = build_box(5, (0,))
     omega = sample_configuration(m, lambda_plus(g5, u), seed=31)
     # energies far from the (huge) diagonal entries: box is regular
-    assert regularity_check(m, omega, 5, (0,), 0.0, m=0.3)
+    assert box_regular(m, omega, 5, 0.0, m=0.3)
 
 
 def test_regularity_at_eigenvalue_singular():
@@ -186,7 +159,7 @@ def test_regularity_at_eigenvalue_singular():
     omega = sample_configuration(m, lambda_plus(box, u), seed=32)
     H = assemble_hamiltonian(m, omega, box)
     E = float(eigenvalues(H)[2])
-    assert regularity_check(m, omega, 3, (0,), E, m=0.0) is False
+    assert box_regular(m, omega, 3, E, m=0.0) is False
 
 
 def test_regularity_below_spectrum():
@@ -197,7 +170,7 @@ def test_regularity_below_spectrum():
     omega = sample_configuration(m, lambda_plus(box, u), seed=33)
     ev = eigenvalues(assemble_hamiltonian(m, omega, box))
     E = float(ev[0]) - 5.0
-    assert regularity_check(m, omega, 4, (0,), E, m=0.0)
+    assert box_regular(m, omega, 4, E, m=0.0)
 
 
 def test_regularity_monotone_in_m():
@@ -206,7 +179,7 @@ def test_regularity_monotone_in_m():
     box = build_box(5, (0,))
     omega = sample_configuration(m, lambda_plus(box, u), seed=34)
     for E in np.linspace(-1, 1, 5):
-        flags = [regularity_check(m, omega, 5, (0,), float(E), m=mm) for mm in (0.8, 0.4, 0.1)]
+        flags = [box_regular(m, omega, 5, float(E), m=mm) for mm in (0.8, 0.4, 0.1)]
         # regular at larger m implies regular at smaller m
         for stronger, weaker in zip(flags, flags[1:]):
             assert (not stronger) or weaker
@@ -257,39 +230,3 @@ def test_pair_regularity_separation_enforced():
     m = ModelConfig(1, 10.0, u, uniform01())
     with pytest.raises(ValueError):
         pair_regularity_probability(m, 5, (0,), (8,), (-1, 1), 3, 0.1, 5, 1)
-
-
-def test_eigenfunction_decay_extended_vs_localized():
-    u = SingleSitePotential.delta(1)
-    g = explicit_geometry([(k,) for k in range(40)])
-    free = ModelConfig(1, 0.0, u, uniform01())
-    omega = sample_configuration(free, lambda_plus(g, u), seed=51)
-    flat = eigenfunction_decay(free, omega, g, (-2.5, 2.5))
-    slopes_flat = [r["slope"] for r in flat if r["slope"] is not None]
-    assert np.median(np.abs(slopes_flat)) < 0.15
-
-    strong = ModelConfig(1, 100.0, u, uniform01())
-    omega = sample_configuration(strong, lambda_plus(g, u), seed=52)
-    loc = eigenfunction_decay(strong, omega, g, (-1e4, 1e4))
-    slopes_loc = [r["slope"] for r in loc if r["slope"] is not None]
-    assert np.median(slopes_loc) < -1.0
-
-
-def test_eigenfunction_decay_tiny_box_skips():
-    u = SingleSitePotential.delta(1)
-    m = ModelConfig(1, 1.0, u, uniform01())
-    g = explicit_geometry([(0,)])
-    res = eigenfunction_decay(m, sample_configuration(m, lambda_plus(g, u), seed=1), g, (-10, 10))
-    assert res[0]["slope"] is None
-
-
-def test_count_in_interval_closed_endpoints():
-    from alloylab.model import explicit_geometry
-    u = SingleSitePotential.delta(1)
-    m = ModelConfig(1, 1.0, u, uniform01())
-    g = explicit_geometry([(0,)])
-    H = assemble_hamiltonian(m, {(0,): 0.75}, g)
-    assert count_in_interval(H, 0.75, 0.75) == 1
-    assert count_in_interval(H, 0.75, 2.0) == 1
-    assert count_in_interval(H, -1.0, 0.75) == 1
-    assert count_in_interval(H, 0.7500001, 2.0) == 0
