@@ -1,14 +1,15 @@
-"""Digest of every subcommand's outputs on every benchmark config: the value ledger.
+"""Digest of every subcommand's outputs on every ledger config: the value ledger.
 
     python3 tools/csv_matrix.py > tools/csv_matrix.expected
 
-Runs all 11 subcommands on the 4 configs in ``bench/configs/`` at seeds 3
-and 7, and each trial subcommand once more at seed 3 with ``--threads 2``
-(``decay`` always runs with it), in this process, through
-``alloylab.cli.run`` on the ``src/`` of this checkout, with BLAS pinned to
-one thread.  Flags are small, so the whole matrix takes seconds.  A run that
-a config cannot take (``decay`` on the d=2 model, say) exits 1 and is
-digested like any other.
+Runs all 11 subcommands on 5 configs, the 4 in ``bench/configs/`` and the
+piecewise-linear ``tools/piecewise_linear_d1.json`` (no benchmark config
+samples that density kind), at seeds 3 and 7, and each trial subcommand once
+more at seed 3 with ``--threads 2`` (``decay`` always runs with it), in this
+process, through ``alloylab.cli.run`` on the ``src/`` of this checkout, with
+BLAS pinned to one thread.  Flags are small, so the whole matrix takes
+seconds.  A run that a config cannot take (``decay`` on the d=2 model, say)
+exits 1 and is digested like any other.
 
 The first line stamps the numpy and scipy versions and the BLAS build of
 each, since another BLAS may round differently.  Then each run prints one
@@ -74,7 +75,8 @@ def stamp() -> str:
 
 
 def main() -> int:
-    configs = sorted((ROOT / "bench" / "configs").glob("*.json"))
+    configs = sorted([*(ROOT / "bench" / "configs").glob("*.json"), *(ROOT / "tools").glob("*.json")],
+                     key=lambda path: path.name)
     home = os.getcwd()
     print(stamp(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
