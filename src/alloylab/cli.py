@@ -24,6 +24,8 @@ from .rng import trial_stream
 
 
 def _fmt(x) -> str:
+    if x is None:  # no value: an empty cell
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -61,12 +63,10 @@ class Output:
                     w.writerow([_fmt(v) for v in row])
             with open(self.base + "_summary.csv", "w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(["check", "value", "bound", "margin", "pass"])
+                columns = ("check", "value", "bound", "margin", "pass")
+                w.writerow(columns)
                 for s in self.summary:
-                    w.writerow([s["check"], _fmt(s["value"]),
-                                "" if s["bound"] is None else _fmt(s["bound"]),
-                                "" if s["margin"] is None else _fmt(s["margin"]),
-                                "" if s["pass"] is None else _fmt(s["pass"])])
+                    w.writerow([_fmt(s[key]) for key in columns])
         for s in self.summary:
             verdict = "----" if s["pass"] is None else ("PASS" if s["pass"] else "FAIL")
             line = f"[{verdict}] {s['check']}: value={_fmt(s['value'])}"
@@ -182,7 +182,7 @@ def cmd_decay(args, model, seed, out: Output) -> None:
     out.table(["distance", "mean", "stderr", "bound", "pass"],
               [[r["distance"], r["mean"], r["stderr"],
                 "" if math.isinf(r["bound"]) else r["bound"], r["pass"]] for r in prof["rows"]])
-    checked = [r for r in prof["rows"] if not math.isinf(r["bound"])]
+    checked = [r for r in prof["rows"] if r["pass"] is not None]
     verdict = all(r["pass"] for r in checked) if checked else None  # no distance reached min_dist: nothing compared
     out.check("1d-decay-bound", float(sum(not r["pass"] for r in checked)), 0.0, verdict)
     out.check("decay-rate-fit", prof["fit"].slope, None, None)

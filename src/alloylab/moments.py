@@ -139,8 +139,9 @@ class DisorderSampler:
 
         Row t holds the uniforms of ``trial_stream(seed, t)``, exactly as a
         single trial would draw them, and the whole block goes through one
-        ``DisorderDensity.sample`` call, so the bisection quantile runs once
-        per estimator, not once per trial.  The block holds trials x
+        ``DisorderDensity.sample`` call, so the raised cosine's bisection
+        quantile (the uniform and piecewise-linear ones are closed forms)
+        runs once per estimator, not once per trial.  The block holds trials x
         |coupling_sites| doubles: 5000 x 61, about 2.4 MB, at the ``decay``
         defaults.
         """
@@ -427,13 +428,14 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     rows = []
     for est in estimates:
         dist = est.y[0]
-        bound = consts.bound(dist) if dist >= min_dist else math.inf
+        compared = dist >= min_dist  # nearer rows, and every row at lambda = 0, meet no bound
+        bound = consts.bound(dist) if compared else math.inf
         rows.append({
             "distance": dist,
             "mean": est.mean,
             "stderr": est.stderr,
             "bound": bound,
-            "pass": bool(est.upper() <= bound),
+            "pass": bool(est.upper() <= bound) if compared else None,
         })
     return {
         "estimates": estimates,

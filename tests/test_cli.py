@@ -576,6 +576,19 @@ def test_decay_with_no_distance_compared_reports_no_verdict(model_cfg, tmp_path,
     assert row[-1] == ""
 
 
+@pytest.mark.parametrize("box", [3, 6])
+def test_decay_rows_compared_to_no_bound_have_empty_bound_and_pass_cells(tmp_path, box):
+    config = Path(__file__).resolve().parent.parent / "bench" / "configs" / "uniform_d1.json"
+    argv = ["decay", "--config", str(config), "--box", str(box), "--trials", "20", "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    rows = list(csv.DictReader(open(tmp_path / "o.csv")))
+    assert [int(r["distance"]) for r in rows] == list(range(1, box))
+    for r in rows:  # supp u = {0, 1}, so min_dist = 2 (n + r) = 4
+        compared = int(r["distance"]) >= 4
+        assert (r["bound"] != "") == compared and (r["pass"] != "") == compared, r
+        assert r["pass"] in (("true", "false") if compared else ("",)), r
+
+
 def test_tail_config_with_only_zero_stored_values_keeps_its_dimension(model_cfg, tmp_path):
     cfg = json.loads(model_cfg.read_text())
     cfg.update(dimension=2, potential={"support": [[[0, 0], 0.0]], "tail": {"C": 1.0, "alpha": 1.0, "radius": 1}})

@@ -236,6 +236,7 @@ def test_decay_profile_no_disorder_flat():
         d = row["distance"]
         assert row["stderr"] == 0.0
         assert row["mean"] == pytest.approx(abs(G[0, d]) ** 0.5, abs=1e-12)
+        assert row["bound"] == math.inf and row["pass"] is None  # no bound without disorder
 
 
 def test_decay_profile_bound_and_fit():
@@ -246,6 +247,8 @@ def test_decay_profile_bound_and_fit():
     for row in prof["rows"]:
         if row["distance"] >= prof["min_dist"]:
             assert row["pass"], row
+        else:
+            assert row["pass"] is None, row  # compared to no bound
     assert prof["fit"].slope < 0.0
     assert prof["constants"].mu > 0.0
 

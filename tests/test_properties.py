@@ -22,7 +22,11 @@ checks are checked against the vectorised density and the slogdet/svd
 integrands they replace, and the pole average over a piecewise-linear
 density against its closed form.  The value table of a single-site potential
 in d = 1, 2, 3 is checked bit for bit against the per-call support and tail
-formula it replaces.
+formula it replaces.  The density transform keeps the 64-step bisection it
+replaced as its oracle: raised-cosine and uniform draws match it (or, for
+the uniform, the old a + (b - a) u) bit for bit, and piecewise-linear draws
+match it to 1e-12 where the density is not small, and at every knot mass,
+where a zero-density plateau must not be skipped.
 """
 
 import itertools
@@ -461,6 +465,74 @@ def test_quantile_inverts_the_cdf_inside_the_support(density, frac):
     # where the density is small the cdf is flat and the inverse is ill-conditioned
     assume(float(density.pdf(t)) >= 0.05 * density.linf)
     assert abs(float(density.quantile(density.cdf(t))) - t) <= 1e-12 * max(1.0, abs(t))
+
+
+def _bisection_oracle(density, q):
+    """The 64-step np.where bisection of [a, b] that quantile ran for every kind before the closed forms."""
+    q = np.asarray(q, dtype=float)
+    lo = np.full(q.shape, density.a)
+    hi = np.full(q.shape, density.b)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = density.cdf(mid) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+_LAST_Q = 1.0 - 2.0 ** -53  # the largest uniform a generator's random() returns
+
+
+@PROPERTY
+@given(st.one_of(densities(kinds=("uniform", "raised_cosine")),
+                 st.builds(lambda kind, h: DisorderDensity(kind, (-h, h)),  # a = -b: the first midpoint is 0.0
+                           st.sampled_from(["uniform", "raised_cosine"]), st.floats(0.05, 5.0))),
+       st.integers(1, 8), st.integers(2, 30), st.integers(0, 2 ** 32 - 1))
+def test_uniform_and_raised_cosine_draws_keep_their_bits(density, rows, cols, seed):
+    q = np.random.default_rng(seed).random((rows, cols))
+    q[0, 0], q[-1, -1] = 0.0, _LAST_Q
+    # the bisection for the raised cosine; for the uniform, the arithmetic sample did before it called quantile
+    want = _bisection_oracle(density, q) if density.kind == "raised_cosine" else density.a + (density.b - density.a) * q
+    assert same_bits(density.sample(q), want)
+    for t in range(rows):
+        assert same_bits(density.sample(q[t].copy()), want[t].copy())
+
+
+@PROPERTY
+@given(densities(kinds=("piecewise_linear",)), st.integers(0, 2 ** 32 - 1))
+def test_piecewise_linear_draws_match_the_bisection(density, seed):
+    q = np.concatenate([[0.0, _LAST_Q], np.random.default_rng(seed).random(200)])
+    got, want = density.sample(q), _bisection_oracle(density, q)
+    # next to a zero of the density the cdf is flat and the bisection itself is only ~sqrt(eps)-accurate
+    steep = np.array([density.pdf(t) >= 0.05 * density.linf for t in want])
+    assert np.all(np.abs(got - want)[steep] <= 1e-12 * np.maximum(1.0, np.abs(want[steep])))
+
+
+@st.composite
+def plateau_densities(draw):
+    """Piecewise-linear densities on the knots of ``densities``, every knot value 0 or in [0.1, 2].
+
+    Zeros open zero-density plateaus.  A nonzero value stays away from 0: a
+    segment whose mass is a rounding error of 1 (knot values 200 and 2e-14)
+    makes the inverse there as ill-conditioned as the oracle, and the two
+    then differ by 1e-6 of the width with neither nearer the root.
+    """
+    ts = draw(densities(kinds=("piecewise_linear",))).knots_t
+    ys = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 2.0)), min_size=len(ts), max_size=len(ts)))
+    assume(any(ys))
+    return DisorderDensity("piecewise_linear", list(zip(ts, ys)))
+
+
+@PROPERTY
+@given(plateau_densities())
+@example(DisorderDensity("piecewise_linear", [(0, 0.77), (0.06, 0), (0.46, 0), (0.57, 0)]))
+def test_piecewise_linear_quantile_is_the_generalised_inverse(density):
+    # inf{t : F(t) >= q}: a knot mass ends on the left end of a plateau that follows it, never past it
+    # a knot mass may round to just above 1, which the oracle's clipped cdf never reaches
+    q = np.minimum([0.0, *density._knot_mass, _LAST_Q, 1.0], 1.0)
+    tol = 1e-6 * (density.b - density.a)  # the oracle's own error next to a zero of the density
+    assert np.all(np.abs(density.quantile(q) - _bisection_oracle(density, q)) <= tol)
+    assert density.quantile(0.0) == density.a
 
 
 def _old_piecewise_linear_cdf(density, t):
