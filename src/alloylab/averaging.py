@@ -33,7 +33,6 @@ class AverageCheck:
     integral_value: float
     bound_value: float
     error: float          # quadrature error estimate, or 3x MC standard error
-    method: str           # "quadrature" or "monte-carlo"
 
     @property
     def margin(self) -> float:
@@ -126,7 +125,7 @@ def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageChec
     singular = [beta.real] if abs(beta.imag) < 1e-14 else []
     f = lambda t: abs(t - beta) ** (-s)
     val, err = _integrate(f, density, singular)
-    return AverageCheck(val, bound, err, "quadrature")
+    return AverageCheck(val, bound, err)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def det_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s:
     roots_list = roots.tolist()  # one log per root at each node, not one determinant
     val, err = _integrate(lambda r: _det_power(r, logdetV, roots_list, p), density, roots.real)
     bound = math.exp(-p * logdetV) * density.l1 ** (1.0 - s) * density.linf ** s * _fractional_prefactor(s)
-    return AverageCheck(val, bound, err, "quadrature")
+    return AverageCheck(val, bound, err)
 
 
 def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
@@ -180,7 +179,7 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     R = density.support_radius
     bound = (math.exp(-p * logdet_comb) * abs(alpha[0]) ** t * (1.0 + ratio) ** (N * t)
              * pref * (2.0 * R) ** (N * t) * density.linf ** ((N + 1) * t))
-    return AverageCheck(float(mean), bound, 3.0 * float(stderr), "monte-carlo")
+    return AverageCheck(float(mean), bound, 3.0 * float(stderr))
 
 
 def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
@@ -201,7 +200,7 @@ def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensi
     normV = float(np.linalg.norm(V, 2))
     bound = (density.l1 ** (1.0 - s) * density.linf ** s * (normA + R * normV) ** (s * (n - 1) / n)
              * _fractional_prefactor(s) * math.exp(-(s / n) * logdetV))
-    return AverageCheck(val, bound, err, "quadrature")
+    return AverageCheck(val, bound, err)
 
 
 def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDensity,
@@ -239,4 +238,4 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
     val, err = _integrate(f, density, [])
     bound = (8.0 * 4.0 ** (-s) / (wdiag[x] * wdiag[y]) ** (s / 2.0)
              * density.linf ** s * _fractional_prefactor(s))
-    return AverageCheck(val, bound, err, "quadrature")
+    return AverageCheck(val, bound, err)

@@ -86,14 +86,8 @@ def _load(args) -> tuple:
     return model, seed
 
 
-def _instances(args) -> range:
-    if args.instances < 1:
-        raise ValueError(f"--instances must be at least 1, got {args.instances}")
-    return range(args.instances)
-
-
 def _positive_int(text: str) -> int:
-    """argparse type of --threads."""
+    """argparse type of --threads and --instances."""
     try:
         value = int(text)
     except ValueError:
@@ -123,7 +117,7 @@ def cmd_green_identities(args, model, seed, out: Output) -> None:
     rng = trial_stream(seed, 0)
     rows, worst = [], 0.0
     d = model.dimension
-    for i in _instances(args):
+    for i in range(args.instances):
         radius = int(rng.integers(6, 13)) if d == 1 else int(rng.integers(2, 4))
         geometry = build_box(radius, (0,) * d)
         omega = sample_configuration(model, lambda_plus(geometry, model.potential), int(rng.integers(2 ** 62)))
@@ -144,7 +138,7 @@ def cmd_averaging(args, model, seed, out: Output) -> None:
     rho = model.density
     rows = []
     ok = True
-    for i in _instances(args):
+    for i in range(args.instances):
         s = float(rng.uniform(0.2, 0.8))
         n = int(rng.integers(1, 4))
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -298,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("green-identities", help="Schur and resolvent identity residuals")
     common(sp, True)
-    sp.add_argument("--instances", type=int, default=20)
+    sp.add_argument("--instances", type=_positive_int, default=20)
 
     sp = sub.add_parser("averaging", help="spectral-averaging integrals vs closed-form bounds")
     common(sp, True)
-    sp.add_argument("--instances", type=int, default=50)
+    sp.add_argument("--instances", type=_positive_int, default=50)
 
     sp = sub.add_parser("moments", help="one fractional-moment MC estimate")
     common(sp, True)

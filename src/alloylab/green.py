@@ -177,16 +177,14 @@ class AnnulusGeometry:
     B_x: frozenset[Site]
     hat_W_x: frozenset[Site]
     W_x: frozenset[Site]
-    hat_Lambda_x: frozenset[Site]
-    Lambda_x: frozenset[Site]
 
 
 def annulus(geometry: BoxGeometry, x, L: int, u: SingleSitePotential) -> AnnulusGeometry:
-    """Build B_x, hat-W_x, W_x, hat-Lambda_x, Lambda_x inside the geometry.
+    """Build B_x, hat-W_x and W_x inside the geometry.
 
     B_x is the interior boundary of the L-cube translated to x; hat-W_x
-    collects the supp-u translates along B_x; the plain variants are
-    thickened by one exterior layer.  Requires L >= diam(supp u) + 2 so the
+    collects the supp-u translates along B_x, and W_x is hat-W_x thickened
+    by one exterior layer.  Requires L >= diam(supp u) + 2 so the
     annulus cuts x off from far sites.
     """
     x = _as_site(x)
@@ -196,12 +194,7 @@ def annulus(geometry: BoxGeometry, x, L: int, u: SingleSitePotential) -> Annulus
     supp = u.support()
     gamma = geometry.site_set()
 
-    cube_x = build_box(L, x).sites
-    B_x = interior_boundary(cube_x)
-
+    B_x = interior_boundary(build_box(L, x).sites)
     hat_W = {site_add(t, b) for b in B_x for t in supp} & gamma
-    hat_L = {site_add(t, b) for b in cube_x for t in supp} & gamma
     W = (hat_W | exterior_boundary(hat_W)) & gamma if hat_W else set()
-    Lam = (hat_L | exterior_boundary(hat_L)) & gamma if hat_L else set()
-    return AnnulusGeometry(x, L, frozenset(B_x), frozenset(hat_W), frozenset(W),
-                           frozenset(hat_L), frozenset(Lam))
+    return AnnulusGeometry(x, L, frozenset(B_x), frozenset(hat_W), frozenset(W))

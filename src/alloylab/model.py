@@ -599,38 +599,46 @@ def sample_configuration(model: ModelConfig, sites, seed: int) -> dict[Site, flo
 # ---------------------------------------------------------------------------
 # config files
 
-_TOP_KEYS = {"dimension", "lambda", "potential", "density", "seed"}
-_POT_KEYS = {"support", "tail"}
-_TAIL_KEYS = {"C", "alpha", "radius", "sign"}
-_DENS_KEYS = {"kind", "params"}
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a JSON list", dict: "a JSON object"}
 _REQUIRED = object()
+# every config key as key: (JSON type, default); the type of a section's key is the section's
+# own table, and _REQUIRED marks a key that has no default
+_SCHEMA = {
+    "dimension": (int, _REQUIRED),
+    "lambda": (float, _REQUIRED),
+    "potential": ({"support": (list, ()), "tail": ({"C": (float, _REQUIRED), "alpha": (float, _REQUIRED),
+                                                    "radius": (int, _REQUIRED), "sign": (int, 1)}, None)}, _REQUIRED),
+    "density": ({"kind": (str, _REQUIRED), "params": (list, _REQUIRED)}, _REQUIRED),
+    "seed": (int, None),
+}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a JSON list", dict: "a JSON object"}
 
 
-def _typed(value, kind, path: str, keys: set | None = None, n: int | None = None):
-    """A config value of JSON type ``kind``, named by its dotted key ``path``.
+def _typed(value, kind, path: str = "", n: int | None = None):
+    """A config value of JSON type ``kind``, named by its dotted key ``path`` (empty for the whole config).
 
     A real (``float``) may be written as a JSON integer; true and false are no
-    number.  With ``keys``, an object uses no other keys; with ``n``, a list has n entries.
+    number.  With ``n``, a list has n entries.  A section table as ``kind``
+    takes a JSON object with no other keys, and gives each of its keys the
+    checked value, or the key's default when the value is missing or null.
     """
+    table, kind = (kind, dict) if isinstance(kind, dict) else (None, kind)
     number = kind in (int, float)
     if not isinstance(value, (int, float) if kind is float else kind) or (number and isinstance(value, bool)):
-        raise ValueError(f"{path} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
-    if keys is not None and set(value) - keys:
-        raise ValueError(f"unknown {path} keys: {sorted(set(value) - keys)}")
+        raise ValueError(f"{path or 'config'} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     if n is not None and len(value) != n:
         raise ValueError(f"{path} must have {n} entries, got {len(value)}")
-    return float(value) if kind is float else value
-
-
-def _field(section: dict, path: str, kind, default=_REQUIRED, keys: set | None = None):
-    """``_typed`` of the value at dotted key ``path`` in ``section``; an optional key missing or null is ``default``."""
-    key = path.rsplit(".", 1)[-1]
-    if default is not _REQUIRED and section.get(key) is None:
-        return default
-    if key not in section:
-        raise ValueError(f"config missing required key {path!r}")
-    return _typed(section[key], kind, path, keys)
+    if table is None:
+        return float(value) if kind is float else value
+    if not table.keys() >= value.keys():
+        raise ValueError(f"unknown {path or 'config'} keys: {sorted(value.keys() - table.keys())}")
+    section = {}
+    for key, (sub, default) in table.items():
+        where = f"{path}.{key}" if path else key
+        if key not in value and default is _REQUIRED:
+            raise ValueError(f"config missing required key {where!r}")
+        optional_and_unset = default is not _REQUIRED and value.get(key) is None
+        section[key] = default if optional_and_unset else _typed(value[key], sub, where)
+    return section
 
 
 def _real_pair(value, path: str) -> list[float]:
@@ -638,12 +646,11 @@ def _real_pair(value, path: str) -> list[float]:
 
 
 def load_model_config(path) -> tuple[ModelConfig, int | None]:
-    """Load a model from a JSON config file; returns (model, default seed).
+    """Load a model from a JSON config file, with the keys of ``_SCHEMA``; returns (model, default seed).
 
-    Keys: dimension, lambda, potential.support = [[site, value], ...],
-    potential.tail = {C, alpha, radius, sign}, density = {kind, params}, seed.
-    Unknown keys, missing required keys and values of the wrong JSON type or
-    length are rejected with an error that names the key path.
+    potential.support is [[site, value], ...].  Unknown keys, missing required
+    keys and values of the wrong JSON type or length are rejected with an
+    error that names the key path.
     """
     with open(path) as fh:
         text = fh.read()
@@ -652,35 +659,26 @@ def load_model_config(path) -> tuple[ModelConfig, int | None]:
     except json.JSONDecodeError as err:
         raise ValueError(f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}") from err
 
-    _typed(raw, dict, "config", _TOP_KEYS)
-    d = _field(raw, "dimension", int)
-    lam = _field(raw, "lambda", float)
-    pot_raw = _field(raw, "potential", dict, keys=_POT_KEYS)
-    dens_raw = _field(raw, "density", dict, keys=_DENS_KEYS)
-    seed = _field(raw, "seed", int, default=None)
-
+    cfg = _typed(raw, _SCHEMA)
+    d, pot, dens = cfg["dimension"], cfg["potential"], cfg["density"]
     support = {}
-    for i, entry in enumerate(_field(pot_raw, "potential.support", list, default=[])):
+    for i, entry in enumerate(pot["support"]):
         where = f"potential.support[{i}]"
         site, value = _typed(entry, list, where, n=2)
         site = tuple(_typed(c, int, f"{where}[0]") for c in (site if isinstance(site, list) else [site]))
         if len(site) != d:
             raise ValueError(f"{where}[0] has {len(site)} coordinates in dimension {d}")
         support[site] = _typed(value, float, f"{where}[1]")
-    tail_raw = _field(pot_raw, "potential.tail", dict, default=None, keys=_TAIL_KEYS)
-    if tail_raw is not None:
-        C = _field(tail_raw, "potential.tail.C", float)
-        u = SingleSitePotential(support or {(0,) * d: C}, tail_amplitude=C,
-                                tail_rate=_field(tail_raw, "potential.tail.alpha", float),
-                                truncation_radius=_field(tail_raw, "potential.tail.radius", int),
-                                tail_sign=_field(tail_raw, "potential.tail.sign", int, default=1))
+    tail = pot["tail"]
+    if tail is not None:
+        u = SingleSitePotential(support or {(0,) * d: tail["C"]}, tail_amplitude=tail["C"], tail_rate=tail["alpha"],
+                                truncation_radius=tail["radius"], tail_sign=tail["sign"])
     else:
         u = SingleSitePotential(support)
 
-    kind = _field(dens_raw, "density.kind", str)
-    params = _field(dens_raw, "density.params", list)
+    kind, params = dens["kind"], dens["params"]
     if kind == "piecewise_linear":
         params = [_real_pair(knot, f"density.params[{i}]") for i, knot in enumerate(params)]
     elif kind in ("uniform", "raised_cosine"):
         params = _real_pair(params, "density.params")
-    return ModelConfig(d, lam, u, DisorderDensity(kind, params)), seed
+    return ModelConfig(d, cfg["lambda"], u, DisorderDensity(kind, params)), cfg["seed"]

@@ -375,7 +375,6 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
 @dataclass(frozen=True)
 class DecayFit:
     slope: float
-    intercept: float
     residual: float
     distances: tuple[int, ...]
 
@@ -421,9 +420,9 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
         coef = np.polyfit(dists, logs, 1, w=np.sqrt(weights))
         pred = np.polyval(coef, dists)
         res = float(np.sqrt(np.mean((np.array(logs) - pred) ** 2)))
-        fit = DecayFit(float(coef[0]), float(coef[1]), res, tuple(dists))
+        fit = DecayFit(float(coef[0]), res, tuple(dists))
     else:
-        fit = DecayFit(0.0, 0.0, math.inf, tuple(dists))
+        fit = DecayFit(0.0, math.inf, tuple(dists))
 
     rows = []
     for est in estimates:
@@ -438,12 +437,10 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
             "pass": bool(est.upper() <= bound) if compared else None,
         })
     return {
-        "estimates": estimates,
         "rows": rows,
         "fit": fit,
         "constants": consts,
         "exponent": exponent,
-        "step": step,
         "min_dist": min_dist,
     }
 

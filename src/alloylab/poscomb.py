@@ -213,5 +213,4 @@ def wegner_coefficients(u: SingleSitePotential, l: int,
         "R_int": R_int,
         "t_l1_per_site": per_j,
         "t_l1_total": total,
-        "bound_exponent": 2 * d + sum(lead.I0),
     }

@@ -62,7 +62,6 @@ class WegnerReport:
     trials: int
     abstract_bound: float
     bound_satisfied: bool
-    coefficients: dict
 
 
 def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
@@ -85,7 +84,7 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     bound = (1.0 / (2.0 * model.coupling) * model.density.total_variation
              * (b - a) * coeff["t_l1_total"])
     return WegnerReport((a, b), l, mean, stderr, trials, bound,
-                        bool(mean + 3 * stderr <= bound), coeff)
+                        bool(mean + 3 * stderr <= bound))
 
 
 # ---------------------------------------------------------------------------

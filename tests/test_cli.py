@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from alloylab import cli, moments
 from alloylab.cli import run
-from alloylab.model import DisorderDensity, build_box, explicit_geometry, load_model_config, sample_configuration
+from alloylab.model import (_SCHEMA, DisorderDensity, build_box, explicit_geometry, load_model_config,
+                            sample_configuration)
 
 
 @pytest.fixture()
@@ -343,7 +344,7 @@ def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit, mess
     assert not (tmp_path / "o.csv").exists()
 
 
-# valid configs that between them use every key the loader reads
+# valid configs that between them use every key the loader reads (checked against the schema below)
 _VALID_CONFIGS = [
     {"dimension": 1, "lambda": 2.0,
      "potential": {"support": [[[0], 1.0]], "tail": {"C": 1.0, "alpha": 1.0, "radius": 3, "sign": -1}},
@@ -368,6 +369,19 @@ def _key_paths(section: dict, path=()):
         yield path + (key,)
         if isinstance(value, dict):
             yield from _key_paths(value, path + (key,))
+
+
+def _schema_paths(table, path=()):
+    """The path of every key in a section table of the config schema, nested sections included."""
+    for key, (kind, _) in table.items():
+        yield path + (key,)
+        if isinstance(kind, dict):
+            yield from _schema_paths(kind, path + (key,))
+
+
+def test_valid_configs_use_exactly_the_schema_keys():
+    used = {p for cfg in _VALID_CONFIGS for p in _key_paths(cfg)}
+    assert used == set(_schema_paths(_SCHEMA))
 
 
 @st.composite
@@ -506,11 +520,17 @@ def test_threads_flag_only_on_trial_subcommands(model_cfg):
         assert run([name, "--config", str(model_cfg), "--threads", "2"]) == 1, name
 
 
-@pytest.mark.parametrize("threads", ["0", "-2", "abc"])
-def test_threads_flag_must_be_a_positive_integer(model_cfg, tmp_path, capsys, threads):
-    argv = ["moments", "--trials", "4", "--config", str(model_cfg), "--out", str(tmp_path / "o")]
-    assert run(argv + ["--threads", threads]) == 1
-    assert "error: argument --threads: expected a positive integer" in capsys.readouterr().err
+_COUNT_FLAGS = [(["moments", "--trials", "4"], "--threads", value) for value in ("0", "-2", "abc")] + [
+    ([name], "--instances", value) for name in ("green-identities", "averaging") for value in ("0", "-1", "x")]
+
+
+@pytest.mark.parametrize("argv, flag, value", _COUNT_FLAGS,
+                         ids=[value if flag == "--threads" else f"{argv[0]}-instances-{value}"
+                              for argv, flag, value in _COUNT_FLAGS])
+def test_threads_flag_must_be_a_positive_integer(model_cfg, tmp_path, capsys, argv, flag, value):
+    # --instances takes the same argparse type as --threads
+    assert run(argv + ["--config", str(model_cfg), "--out", str(tmp_path / "o"), flag, value]) == 1
+    assert f"error: argument {flag}: expected a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -654,9 +674,6 @@ def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, 
     (50.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "0"]),
     (0.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "4"]),
     (0.0, ["wegner", "--l", "3", "--trials", "4"]),
-    (50.0, ["green-identities", "--instances", "0"]),
-    (50.0, ["green-identities", "--instances", "-2"]),
-    (50.0, ["averaging", "--instances", "0"]),
     (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--grid", "0"]),
     (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "0.1", "--emax", "-0.1"]),
     (50.0, ["conditional", "--attempts", "1"]),
@@ -669,7 +686,6 @@ def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, 
     (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "nan"]),
     (50.0, ["decay", "--box", "6", "--trials", "4", "--imag", "nan"]),
 ], ids=["moments-no-trials", "finite-volume-no-trials", "finite-volume-zero-coupling", "wegner-zero-coupling",
-        "green-identities-no-instances", "green-identities-negative-instances", "averaging-no-instances",
         "regularity-no-grid", "wegner-reversed-interval", "conditional-one-attempt", "conditional-negative-attempts",
         "moments-nan-imag", "moments-inf-energy", "finite-volume-nan-imag", "regularity-nan-m", "regularity-nan-emin",
         "wegner-nan-emin", "decay-nan-imag"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alloylab.gaussian import (
     a_l_determinants,
@@ -170,6 +172,19 @@ def test_conditional_formula_vs_oracle_grid():
                     mean_o, var_o = conditional_oracle(a, sigma, l, m, v_minus, v_plus)
                     worst = max(worst, abs(mean_f - mean_o), abs(var_f - var_o))
     assert worst <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.2, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(0.1, 3.0), st.integers(1, 5),
+       st.integers(0, 5), st.data())
+def test_conditional_formula_matches_the_oracle_given_conditioning_values(a, sign, sigma, l, m, data):
+    # the means are linear in the conditioning values, so only nonzero ones tell the corner rows apart
+    values = st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 0.01)
+    v_plus = data.draw(st.lists(values, min_size=l, max_size=l))
+    v_minus = data.draw(st.lists(values, min_size=m, max_size=m))
+    mean_f, var_f = gaussian_conditional(sign * a, sigma, l, m, v_minus, v_plus)
+    mean_o, var_o = conditional_oracle(sign * a, sigma, l, m, v_minus, v_plus)
+    assert max(abs(mean_f - mean_o), abs(var_f - var_o)) <= 1e-10
 
 
 def test_conditional_rejects_decoupled():
