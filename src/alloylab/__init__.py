@@ -11,7 +11,6 @@ Monte Carlo at desk scale.
 from .model import (
     BoxGeometry,
     DisorderDensity,
-    HamiltonianMatrix,
     ModelConfig,
     SingleSitePotential,
     assemble_hamiltonian,
@@ -25,9 +24,7 @@ from .model import (
     sample_configuration,
 )
 from .green import (
-    GreenMatrix,
     annulus,
-    depleted,
     green,
     schur_B,
     verify_resolvent_identities,

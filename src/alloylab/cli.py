@@ -108,7 +108,7 @@ def cmd_spectrum(args, model, seed, out: Output) -> None:
     H = model_mod.assemble_hamiltonian(model, omega, geometry)
     ev = spectra.eigenvalues(H)
     out.table(["index", "eigenvalue"], [[i, float(v)] for i, v in enumerate(ev)])
-    sym = float(np.max(np.abs(H.entries - H.entries.T)))
+    sym = float(np.max(np.abs(H - H.T)))
     out.check("hamiltonian-symmetry", sym, 1e-12, sym <= 1e-12)
     out.check("eigenvalue-count", float(len(ev)), None, len(ev) == len(geometry))
 

@@ -1,11 +1,13 @@
 """Green functions, depleted operators, Schur complements and annulus geometry.
 
-Conventions: G(z; i, j) = 0 whenever i or j lies outside the geometry the
-resolvent was built on, and the depleted operator H^L removes exactly the
-hopping terms on bonds crossing between L and its complement.  The blocks of
-the identities (inner, ring and exterior blocks, the hopping C = -H[L, ext],
-the crossing-bond matrix T) are index slices of one H assembled on the whole
-geometry, so omega must cover lambda_plus of the whole geometry.
+Operators are plain (n, n) arrays in the geometry's site order.  The depleted
+operator H^L removes exactly the hopping terms on bonds crossing between L and
+its complement.  The blocks of the identities (inner, ring and exterior
+blocks, the hopping C = -H[L, ext], the crossing-bond matrix T) are index
+slices of one H assembled on the whole geometry, so omega must cover
+lambda_plus of the whole geometry.  The convention G(z; x, y) = 0 for a site
+outside the geometry lives only in ``moments.finite_volume_sum``, which sums
+over the depleted region alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .model import (
     BoxGeometry,
-    HamiltonianMatrix,
     ModelConfig,
     SingleSitePotential,
     Site,
@@ -30,11 +31,8 @@ from .model import (
 )
 
 __all__ = [
-    "GreenMatrix",
-    "DepletedOperators",
     "AnnulusGeometry",
     "green",
-    "depleted",
     "schur_B",
     "verify_schur_identity",
     "verify_two_step_schur",
@@ -43,48 +41,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GreenMatrix:
-    """Dense (H - z)^{-1} on a geometry, with site-keyed access."""
-
-    geometry: BoxGeometry
-    z: complex
-    entries: np.ndarray
-
-    def at(self, x, y) -> complex:
-        """G(z; x, y); zero if either site is outside the geometry."""
-        if x not in self.geometry or y not in self.geometry:
-            return 0.0 + 0.0j
-        return self.entries[self.geometry.index_of(x), self.geometry.index_of(y)]
-
-    def residual(self, H: HamiltonianMatrix) -> float:
-        n = len(self.geometry)
-        M = (H.entries - self.z * np.eye(n)) @ self.entries - np.eye(n)
-        return float(np.max(np.abs(M)))
-
-
 def _resolvent(M: np.ndarray, z: complex) -> np.ndarray:
     """(M - z)^{-1} for a square block M."""
     return np.linalg.inv(M - z * np.eye(len(M), dtype=complex))
 
 
-def green(H: HamiltonianMatrix, z: complex) -> GreenMatrix:
-    """Invert H - z.  Caller asserts z is off the spectrum when real."""
+def green(H: np.ndarray, z: complex) -> np.ndarray:
+    """G = (H - z)^{-1}.  Caller asserts z is off the spectrum when real."""
     try:
-        entries = _resolvent(H.entries, z)
+        return _resolvent(H, z)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"singular resolvent at z={z}: {err}") from err
-    return GreenMatrix(H.geometry, z, entries)
-
-
-@dataclass(frozen=True)
-class DepletedOperators:
-    """H^L (bonds across the L boundary removed) and the coupling T = H^L - H."""
-
-    geometry: BoxGeometry
-    inner: BoxGeometry | None
-    depleted: np.ndarray
-    coupling: np.ndarray
 
 
 def _deplete(H: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,13 +70,6 @@ def _schur_B(H: np.ndarray, rows: np.ndarray, z: complex) -> np.ndarray:
     return C @ _resolvent(H[np.ix_(ext, ext)], z) @ C.T
 
 
-def depleted(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry, inner_sites) -> DepletedOperators:
-    """Deplete the hopping between ``inner_sites`` and the rest of the geometry."""
-    inner = _site_set(inner_sites)
-    Hd, T = _deplete(assemble_hamiltonian(model, omega, geometry).entries, geometry.rows(inner))
-    return DepletedOperators(geometry, geometry.subset(inner) if inner else None, Hd, T)
-
-
 def schur_B(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry, inner_sites, z: complex) -> np.ndarray:
     """Exterior-feedback operator B on the inner region.
 
@@ -118,7 +78,7 @@ def schur_B(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry,
     inside L.  H is assembled on the whole geometry, so omega must cover
     lambda_plus(geometry).
     """
-    return _schur_B(assemble_hamiltonian(model, omega, geometry).entries, geometry.rows(inner_sites), z)
+    return _schur_B(assemble_hamiltonian(model, omega, geometry), geometry.rows(inner_sites), z)
 
 
 def verify_schur_identity(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry,
@@ -126,10 +86,10 @@ def verify_schur_identity(model: ModelConfig, omega: dict[Site, float], geometry
     """Max-abs discrepancy of P_L G P_L* = (H_L - B - z)^{-1} on L x L."""
     inner_geo = geometry.subset(inner_sites)
     rows = geometry.rows(inner_geo)
-    lhs = green(assemble_hamiltonian(model, omega, geometry), z).entries[np.ix_(rows, rows)]
+    lhs = green(assemble_hamiltonian(model, omega, geometry), z)[np.ix_(rows, rows)]
     # H_L is assembled, not sliced: bench/test_layertrace.py pins three assemblies per check
     H_in = assemble_hamiltonian(model, omega, inner_geo)
-    rhs = _resolvent(H_in.entries - schur_B(model, omega, geometry, inner_geo.sites, z), z)
+    rhs = _resolvent(H_in - schur_B(model, omega, geometry, inner_geo.sites, z), z)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -143,7 +103,7 @@ def verify_two_step_schur(model: ModelConfig, omega: dict[Site, float], geometry
     if interior_boundary(s2) & s1:
         raise ValueError("interior boundary of the outer region must avoid the inner region")
 
-    H = assemble_hamiltonian(model, omega, geometry).entries
+    H = assemble_hamiltonian(model, omega, geometry)
     lhs = _resolvent(H, z)[np.ix_(r1, r1)]
     at = np.searchsorted(r2, ring)  # the ring's places among the rows of L2
     B_ring = _schur_B(H, r2, z)[np.ix_(at, at)]
@@ -156,7 +116,7 @@ def verify_two_step_schur(model: ModelConfig, omega: dict[Site, float], geometry
 def verify_resolvent_identities(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry,
                                 inner_sites, z: complex) -> tuple[float, float]:
     """Residuals of the first- and second-order geometric resolvent identities."""
-    H = assemble_hamiltonian(model, omega, geometry).entries
+    H = assemble_hamiltonian(model, omega, geometry)
     Hd, T = _deplete(H, geometry.rows(inner_sites))
     G, Gd = _resolvent(H, z), _resolvent(Hd, z)
     first = float(np.max(np.abs(G - Gd - G @ T @ Gd)))

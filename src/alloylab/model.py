@@ -17,7 +17,7 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "SingleSitePotential",
     "DisorderDensity",
     "ModelConfig",
-    "HamiltonianMatrix",
     "build_box",
     "explicit_geometry",
     "interior_boundary",
@@ -193,11 +192,13 @@ def exterior_boundary(sites) -> set[Site]:
 class SingleSitePotential:
     """Profile u: Z^d -> R with finite support or a truncated exponential tail.
 
-    ``support_values`` holds the explicitly stored core.  When ``tail`` is
-    present, sites outside the core but within ``truncation_radius`` (l1)
-    take the value sign * tail_amplitude * exp(-tail_rate * |k|_1), sign = +-1;
-    beyond the truncation radius u is treated as zero and ``tail_l1_error``
-    bounds the discarded l1 mass.  u is tabulated once on its effective support.
+    ``support_values`` holds the explicitly stored core, zeros included, on
+    sites of one dimension.  When ``tail`` is present, sites outside the core
+    but within ``truncation_radius`` (l1) take the value
+    sign * tail_amplitude * exp(-tail_rate * |k|_1), sign = +-1; a stored 0.0
+    stays 0 and out of the support.  Beyond the truncation radius u is
+    treated as zero and ``tail_l1_error`` bounds the discarded l1 mass.  u is
+    tabulated once on its effective support.
     """
 
     support_values: dict[Site, float]
@@ -205,17 +206,17 @@ class SingleSitePotential:
     tail_rate: float | None = None
     truncation_radius: int = 0
     tail_sign: int = 1
-    _dimension: int = field(init=False, repr=False)  # d of the stored sites, zero values included
 
     def __post_init__(self):
-        sites = [_as_site(k) for k in self.support_values]
-        vals = {k: float(v) for k, v in zip(sites, self.support_values.values()) if v != 0.0}
+        stored = {_as_site(k): float(v) for k, v in self.support_values.items()}
+        vals = {k: v for k, v in stored.items() if v != 0.0}
         if self.tail_amplitude is None and not vals:
             raise ValueError("potential must not be identically zero")
-        if not sites:
+        if not stored:
             raise ValueError("a tail needs at least one stored site to fix the dimension")
-        object.__setattr__(self, "support_values", vals)
-        object.__setattr__(self, "_dimension", len(sites[0]))
+        if len({len(k) for k in stored}) != 1:
+            raise ValueError("all stored sites must share one dimension")
+        object.__setattr__(self, "support_values", stored)
         if self.tail_sign not in (1, -1):
             raise ValueError(f"tail sign must be 1 or -1, got {self.tail_sign!r}")
         table = dict(vals)
@@ -229,7 +230,7 @@ class SingleSitePotential:
                     raise ValueError(f"stored value at {k} exceeds the exponential envelope")
             rad = self.truncation_radius
             for k in itertools.product(range(-rad, rad + 1), repeat=self.dimension):
-                if l1_norm(k) <= rad and k not in table:
+                if l1_norm(k) <= rad and k not in stored:
                     table[k] = self.tail_sign * self.tail_amplitude * math.exp(-self.tail_rate * l1_norm(k))
         if (0,) * self.dimension not in table:
             raise ValueError("u must satisfy 0 in supp u (translate the profile)")
@@ -238,7 +239,7 @@ class SingleSitePotential:
 
     @property
     def dimension(self) -> int:
-        return self._dimension
+        return len(next(iter(self.support_values)))
 
     def support(self) -> tuple[Site, ...]:
         """Effective support Theta (core plus truncated tail), sorted."""
@@ -508,17 +509,6 @@ class ModelConfig:
             raise ValueError("potential dimension does not match the model")
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    geometry: BoxGeometry
-    entries: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.geometry)
-        if self.entries.shape != (n, n):
-            raise ValueError("matrix shape does not match geometry")
-
-
 def adjacency_matrix(geometry: BoxGeometry) -> np.ndarray:
     """0/1 matrix of l1-adjacent in-set pairs (the hopping pattern), scattered from ``geometry.bonds``."""
     A = np.zeros((len(geometry), len(geometry)))
@@ -575,13 +565,13 @@ def potential_value(u: SingleSitePotential, omega: dict[Site, float], x) -> floa
     return total
 
 
-def assemble_hamiltonian(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry) -> HamiltonianMatrix:
-    """H = -Delta_Gamma + lambda V_Gamma as a dense real symmetric matrix."""
+def assemble_hamiltonian(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry) -> np.ndarray:
+    """H = -Delta_Gamma + lambda V_Gamma as a dense real symmetric (n, n) matrix in the geometry's site order."""
     potential = SitePotential(geometry, model.potential)
     omega_vec = np.array([omega[k] for k in potential.coupling_sites])  # KeyError names a missing site
     H = -adjacency_matrix(geometry)
     np.fill_diagonal(H, model.coupling * potential(omega_vec))
-    return HamiltonianMatrix(geometry, H)
+    return H
 
 
 def sample_configuration(model: ModelConfig, sites, seed: int) -> dict[Site, float]:

@@ -90,8 +90,8 @@ class MomentEstimate:
     y: Site
     z: complex
 
-    def upper(self, k: float = 3.0) -> float:
-        return self.mean + k * self.stderr
+    def upper(self) -> float:
+        return self.mean + 3 * self.stderr
 
 
 class DisorderSampler:
@@ -164,13 +164,13 @@ class DisorderSampler:
         return H
 
     def green_column(self, diagonal: np.ndarray, z: complex, sources) -> np.ndarray:
-        """Columns G(z; ., x), x in ``sources``, as (n, len(sources)) from one banded LU; singular H - z raises."""
+        """G(z; ., i) for each row i in ``sources``, as (n, len(sources)) from one banded LU; singular H - z raises."""
         k = self.half_bandwidth
         ab = self._band.copy()
         ab[2 * k] = diagonal - z
         rhs = np.zeros((ab.shape[1], len(sources)), dtype=complex, order="F")
-        for j, x in enumerate(sources):  # scalar writes: a fancy-indexed write costs as much as the solve
-            rhs[self.geometry.index_of(x), j] = 1.0
+        for j, i in enumerate(sources):  # scalar writes: a fancy-indexed write costs as much as the solve
+            rhs[i, j] = 1.0
         _, _, cols, info = self._gbsv(k, k, ab, rhs, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"H - z is singular: zero pivot {info} in the banded LU")
@@ -209,13 +209,14 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
     sources = list(dict.fromkeys(x for x, _ in pairs))
+    source_rows = [geometry.index_of(x) for x in sources]
     rows = np.array([geometry.index_of(y) for _, y in pairs])
     js = np.array([sources.index(x) for x, _ in pairs])
     sampler = DisorderSampler(model, geometry)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
 
     def one(trial: int) -> np.ndarray:
-        return sampler.green_column(diagonals[trial], z, sources)[rows, js]
+        return sampler.green_column(diagonals[trial], z, source_rows)[rows, js]
 
     means, stderrs = _mean_stderr(np.abs(run_trials(one, trials, threads)) ** s_exp)
     return [MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y, complex(z))

@@ -93,8 +93,6 @@ def derivative_truncation_error(u: SingleSitePotential, I) -> float:
 class LeadingDerivative:
     I0: MultiIndex
     c_u: float
-    degree_cap: int
-    tolerance: float
     truncation_error: float
 
 
@@ -124,8 +122,7 @@ def find_I0(u: SingleSitePotential, degree_cap: int = 12) -> LeadingDerivative:
                 hits.append((I, val))
         if hits:
             I0, c_u = hits[0]
-            return LeadingDerivative(I0, c_u, degree_cap, tol,
-                                     derivative_truncation_error(u, I0))
+            return LeadingDerivative(I0, c_u, derivative_truncation_error(u, I0))
     raise ValueError(f"all derivatives up to total degree {degree_cap} vanish within tolerance")
 
 

@@ -38,12 +38,11 @@ __all__ = [
 ]
 
 
-def eigenvalues(H) -> np.ndarray:
+def eigenvalues(H: np.ndarray) -> np.ndarray:
     """Full ascending spectrum of a real symmetric matrix."""
-    M = H.entries if hasattr(H, "entries") else np.asarray(H)
-    if not np.allclose(M, M.T):
+    if not np.allclose(H, H.T):
         raise ValueError("Hamiltonian must be symmetric")
-    return np.linalg.eigvalsh(M)
+    return np.linalg.eigvalsh(H)
 
 
 def _check_interval(a: float, b: float) -> None:
@@ -151,14 +150,14 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
 
     def one(t: int) -> np.ndarray:  # 0/1 flag per grid energy, then the all-energies flag
         omega = sample_configuration(model, need, int(trial_stream(seed, t).integers(2 ** 62)))
-        eig_x = np.linalg.eigh(assemble_hamiltonian(model, omega, box_x).entries)
+        eig_x = np.linalg.eigh(assemble_hamiltonian(model, omega, box_x))
         eig_y = None
         flags = []
         for E in energies:
             ok = _is_regular(eig_x, E, ix, idx_x, thresh)
             if not ok:
                 if eig_y is None:
-                    eig_y = np.linalg.eigh(assemble_hamiltonian(model, omega, box_y).entries)
+                    eig_y = np.linalg.eigh(assemble_hamiltonian(model, omega, box_y))
                 ok = _is_regular(eig_y, E, iy, idx_y, thresh)
             flags.append(ok)
         return np.array(flags + [all(flags)], dtype=float)

@@ -611,7 +611,7 @@ def test_decay_rows_compared_to_no_bound_have_empty_bound_and_pass_cells(tmp_pat
 
 def test_tail_config_with_only_zero_stored_values_keeps_its_dimension(model_cfg, tmp_path):
     cfg = json.loads(model_cfg.read_text())
-    cfg.update(dimension=2, potential={"support": [[[0, 0], 0.0]], "tail": {"C": 1.0, "alpha": 1.0, "radius": 1}})
+    cfg.update(dimension=2, potential={"support": [[[1, 1], 0.0]], "tail": {"C": 1.0, "alpha": 1.0, "radius": 1}})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run(["spectrum", "--config", str(path), "--box", "2", "--out", str(tmp_path / "o")]) == 0

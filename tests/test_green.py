@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from alloylab.green import (
+    _deplete,
     annulus,
-    depleted,
     green,
     schur_B,
     verify_resolvent_identities,
@@ -45,15 +45,7 @@ def test_green_1x1():
     g = explicit_geometry([(0,)])
     H = assemble_hamiltonian(m, {(0,): 0.0}, g)
     G = green(H, 1j)
-    assert G.entries[0, 0] == pytest.approx(1j, abs=1e-15)  # 1/(0 - i) = i
-
-
-def test_green_at_is_zero_outside_the_geometry():
-    m = make_model()
-    g = chain(3)
-    G = green(assemble_hamiltonian(m, sample_configuration(m, lambda_plus(g, m.potential), seed=0), g), 1j)
-    assert G.at((0,), (2,)) == G.entries[0, 2] != 0.0
-    assert G.at((0,), (3,)) == G.at((-1,), (1,)) == G.at((5,), (7,)) == 0.0
+    assert G[0, 0] == pytest.approx(1j, abs=1e-15)  # 1/(0 - i) = i
 
 
 def test_green_2x2_oracle():
@@ -65,8 +57,8 @@ def test_green_2x2_oracle():
     G = green(H, 2j)
     det = (-2j) * (-2j) - 1.0
     want = np.array([[-2j, 1.0], [1.0, -2j]]) / det
-    assert np.max(np.abs(G.entries - want)) < 1e-14
-    assert G.residual(H) < 1e-12
+    assert np.max(np.abs(G - want)) < 1e-14
+    assert np.max(np.abs((H - 2j * np.eye(2)) @ G - np.eye(2))) < 1e-12
 
 
 def test_green_norm_resolvent_bound():
@@ -76,8 +68,8 @@ def test_green_norm_resolvent_bound():
     H = assemble_hamiltonian(m, omega, g)
     for z in (10j, 0.3 + 0.25j):
         G = green(H, z)
-        assert np.linalg.norm(G.entries, 2) <= 1.0 / abs(z.imag) + 1e-12
-    assert np.max(np.abs(G.entries - G.entries.T)) < 1e-12  # complex symmetric
+        assert np.linalg.norm(G, 2) <= 1.0 / abs(z.imag) + 1e-12
+    assert np.max(np.abs(G - G.T)) < 1e-12  # complex symmetric
 
 
 def test_green_singular_real_energy():
@@ -94,25 +86,24 @@ def test_depleted_full_and_empty():
     g = chain(6)
     omega = sample_configuration(m, lambda_plus(g, m.potential), seed=1)
     H = assemble_hamiltonian(m, omega, g)
-    dep_full = depleted(m, omega, g, g.sites)
-    assert np.array_equal(dep_full.coupling, np.zeros((6, 6)))
-    assert np.array_equal(dep_full.depleted, H.entries)
-    dep_empty = depleted(m, omega, g, [])
-    assert np.array_equal(dep_empty.coupling, np.zeros((6, 6)))
+    Hd_full, T_full = _deplete(H, g.rows(g.sites))
+    assert np.array_equal(T_full, np.zeros((6, 6)))
+    assert np.array_equal(Hd_full, H)
+    _, T_empty = _deplete(H, g.rows([]))
+    assert np.array_equal(T_empty, np.zeros((6, 6)))
 
 
 def test_depleted_bond_structure():
     m = make_model()
     g = chain(6)
     omega = sample_configuration(m, lambda_plus(g, m.potential), seed=1)
-    dep = depleted(m, omega, g, [(0,), (1,), (2,)])
-    T = dep.coupling
+    H = assemble_hamiltonian(m, omega, g)
+    Hd, T = _deplete(H, g.rows([(0,), (1,), (2,)]))
     assert np.count_nonzero(T) == 2
     assert T[g.index_of((2,)), g.index_of((3,))] == 1.0
     assert T[g.index_of((3,)), g.index_of((2,))] == 1.0
     # H = H^L - T entrywise
-    H = assemble_hamiltonian(m, omega, g)
-    assert np.array_equal(H.entries, dep.depleted - T)
+    assert np.array_equal(H, Hd - T)
 
 
 def test_depleted_green_blocks():
@@ -121,15 +112,15 @@ def test_depleted_green_blocks():
     g = chain(9)
     omega = sample_configuration(m, lambda_plus(g, m.potential), seed=3)
     inner = [(k,) for k in range(4)]
-    dep = depleted(m, omega, g, inner)
+    Hd, _ = _deplete(assemble_hamiltonian(m, omega, g), g.rows(inner))
     z = 0.7j
-    Gd = np.linalg.inv(dep.depleted - z * np.eye(9))
+    Gd = np.linalg.inv(Hd - z * np.eye(9))
     for x in range(4):
         for y in range(4, 9):
             assert abs(Gd[x, y]) < 1e-14
     sub = g.subset(inner)
     H_in = assemble_hamiltonian(m, omega, sub)
-    G_in = np.linalg.inv(H_in.entries - z * np.eye(4))
+    G_in = np.linalg.inv(H_in - z * np.eye(4))
     assert np.max(np.abs(Gd[:4, :4] - G_in)) < 1e-9
 
 
@@ -284,8 +275,8 @@ def test_geometric_factorization_identity():
     right = g.subset([(k,) for k in range(n, 14)])
     H_right = assemble_hamiltonian(m, omega, right)
     G_right = green(H_right, z)
-    lhs = G.at(x, y)
-    rhs = G.at(x, (n - 1,)) * G_right.at((n,), y)
+    lhs = G[g.index_of(x), g.index_of(y)]
+    rhs = G[g.index_of(x), g.index_of((n - 1,))] * G_right[right.index_of((n,)), right.index_of(y)]
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -366,8 +357,8 @@ def test_geometric_factorization_right_edge():
     left = g.subset([(k,) for k in range(0, y[0] - n + 1)])
     H_left = assemble_hamiltonian(m, omega, left)
     G_left = green(H_left, z)
-    lhs = G.at(x, y)
-    rhs = G_left.at(x, (y[0] - n,)) * G.at((y[0] - n + 1,), y)
+    lhs = G[g.index_of(x), g.index_of(y)]
+    rhs = G_left[left.index_of(x), left.index_of((y[0] - n,))] * G[g.index_of((y[0] - n + 1,)), g.index_of(y)]
     assert abs(lhs - rhs) < 1e-12
 
 

@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from alloylab.model import (
     BoxGeometry,
     DisorderDensity,
-    HamiltonianMatrix,
     ModelConfig,
     SingleSitePotential,
     assemble_hamiltonian,
@@ -70,9 +69,9 @@ def test_geometry_rejects_duplicates():
      "tail requires amplitude > 0 and rate > 0"),
     (lambda: ModelConfig(2, 1.0, SingleSitePotential.delta(1), uniform01()),
      "potential dimension does not match the model"),
-    (lambda: HamiltonianMatrix(build_box(1), np.zeros((2, 2))), "matrix shape does not match geometry"),
+    (lambda: SingleSitePotential({(0,): 1.0, (0, 0): 1.0}), "all stored sites must share one dimension"),
 ], ids=["geometry-empty", "geometry-mixed-dimension", "box-negative-radius", "exterior-boundary-empty",
-        "tail-without-rate", "model-dimension-mismatch", "hamiltonian-shape"])
+        "tail-without-rate", "model-dimension-mismatch", "potential-mixed-dimension"])
 def test_constructor_contracts_no_config_reaches(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
@@ -179,8 +178,8 @@ def test_assemble_path_lambda_zero():
     g = explicit_geometry([(0,), (1,)])
     omega = sample_configuration(m, lambda_plus(g, u), seed=0)
     H = assemble_hamiltonian(m, omega, g)
-    assert np.allclose(H.entries, [[0, -1], [-1, 0]])
-    ev = np.linalg.eigvalsh(H.entries)
+    assert np.allclose(H, [[0, -1], [-1, 0]])
+    ev = np.linalg.eigvalsh(H)
     assert np.allclose(ev, [-1.0, 1.0], atol=1e-12)
 
 
@@ -189,7 +188,7 @@ def test_assemble_single_site():
     m = ModelConfig(1, 2.0, u, uniform01())
     g = explicit_geometry([(0,)])
     H = assemble_hamiltonian(m, {(0,): 1.5}, g)
-    assert H.entries.shape == (1, 1) and H.entries[0, 0] == 3.0
+    assert H.shape == (1, 1) and H[0, 0] == 3.0
 
 
 def test_assemble_tridiagonal_display():
@@ -199,7 +198,7 @@ def test_assemble_tridiagonal_display():
     m = ModelConfig(1, lam, u, uniform01())
     g = explicit_geometry([(k,) for k in range(-2, 3)])
     omega = sample_configuration(m, lambda_plus(g, u), seed=11)
-    H = assemble_hamiltonian(m, omega, g).entries
+    H = assemble_hamiltonian(m, omega, g)
     for i, s in enumerate(g.sites):
         assert H[i, i] == pytest.approx(lam * omega[s], abs=1e-15)
     off = H - np.diag(np.diag(H))
@@ -214,7 +213,7 @@ def test_assemble_symmetry_and_bond_count_2d():
     m = ModelConfig(2, 1.0, u, uniform01())
     g = build_box(2, (0, 0))
     omega = sample_configuration(m, lambda_plus(g, u), seed=2)
-    H = assemble_hamiltonian(m, omega, g).entries
+    H = assemble_hamiltonian(m, omega, g)
     assert np.array_equal(H, H.T)
     pairs = sum(1 for a in g.sites for b in g.sites
                 if sum(abs(x - y) for x, y in zip(a, b)) == 1)
@@ -227,7 +226,7 @@ def test_path_spectrum_formula():
     for n in (2, 3, 7, 20):
         g = explicit_geometry([(k,) for k in range(n)])
         omega = sample_configuration(m, lambda_plus(g, u), seed=1)
-        ev = np.linalg.eigvalsh(assemble_hamiltonian(m, omega, g).entries)
+        ev = np.linalg.eigvalsh(assemble_hamiltonian(m, omega, g))
         want = np.sort([-2 * math.cos(math.pi * k / (n + 1)) for k in range(1, n + 1)])
         assert np.max(np.abs(ev - want)) < 1e-10
 
@@ -322,12 +321,21 @@ def test_tail_sign_must_be_plus_or_minus_one(sign):
 
 
 def test_tail_dimension_comes_from_the_stored_sites_even_when_their_values_are_zero():
-    u = SingleSitePotential({(0, 0): 0.0, (1, 1): 0.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
+    u = SingleSitePotential({(1, 1): 0.0, (2, 2): 0.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
     assert u.dimension == 2
     assert u.support() == ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
-    assert u != SingleSitePotential({(0,): 0.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
+    assert u != SingleSitePotential({(2,): 0.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
     with pytest.raises(ValueError, match="a tail needs at least one stored site to fix the dimension"):
         SingleSitePotential({}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
+
+
+def test_a_stored_zero_reads_zero_next_to_a_tail():
+    u = SingleSitePotential({(0,): 1.0, (1,): 0.0}, tail_amplitude=1, tail_rate=1, truncation_radius=2)
+    assert u.value((1,)) == 0.0
+    assert u.value((-1,)) == math.exp(-1)  # a site with no stored entry takes the tail
+    assert u.support() == ((-2,), (-1,), (0,), (2,))
+    with pytest.raises(ValueError, match="u must satisfy 0 in supp u"):
+        SingleSitePotential({(0,): 0.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=1)
 
 
 def test_value_table_is_not_a_field():

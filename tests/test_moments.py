@@ -283,7 +283,7 @@ def test_singular_solve_raises():
     for n, z in ((1, 0j), (2, 1 + 0j)):
         sampler = DisorderSampler(m, chain(n))
         with pytest.raises(np.linalg.LinAlgError):
-            sampler.green_column(sampler.diagonals(np.full(n, 0.5)), z, [(0,)])
+            sampler.green_column(sampler.diagonals(np.full(n, 0.5)), z, [0])
 
 
 def test_illegal_gbsv_argument_raises(monkeypatch):
@@ -291,7 +291,7 @@ def test_illegal_gbsv_argument_raises(monkeypatch):
     sampler = DisorderSampler(m, chain(3))
     monkeypatch.setattr(sampler, "_gbsv", lambda kl, ku, ab, b, **kw: (ab, None, b, -3))
     with pytest.raises(np.linalg.LinAlgError, match="argument 3"):
-        sampler.green_column(sampler.diagonals(np.full(3, 0.5)), 1j, [(0,)])
+        sampler.green_column(sampler.diagonals(np.full(3, 0.5)), 1j, [0])
 
 
 @pytest.mark.parametrize("geometry, k", [

@@ -49,8 +49,8 @@ from alloylab.averaging import (
     resolvent_average_check,
 )
 from alloylab.green import (
+    _deplete,
     annulus,
-    depleted,
     schur_B,
     verify_resolvent_identities,
     verify_schur_identity,
@@ -136,7 +136,7 @@ def test_assembled_diagonal_is_the_site_keyed_sum(setup):
     potential = SitePotential(geometry, model.potential)
     assert potential.coupling_sites == tuple(sorted(lambda_plus(geometry, model.potential)))
     want = np.array([model.coupling * potential_value(model.potential, omega, x) for x in geometry.sites])
-    assert same_bits(np.diag(assemble_hamiltonian(model, omega, geometry).entries).copy(), want)
+    assert same_bits(np.diag(assemble_hamiltonian(model, omega, geometry)).copy(), want)
 
 
 @PROPERTY
@@ -147,7 +147,7 @@ def test_trial_hamiltonian_matches_site_keyed_assembly(setup):
     omega_vec = np.array([omega[k] for k in need])
     sampler = DisorderSampler(model, geometry)
     got = sampler.hamiltonian(sampler.diagonals(omega_vec))
-    want = assemble_hamiltonian(model, dict(zip(need, omega_vec)), geometry).entries
+    want = assemble_hamiltonian(model, dict(zip(need, omega_vec)), geometry)
     assert same_bits(got, want)
 
 
@@ -157,8 +157,8 @@ def test_sub_geometry_hamiltonian_is_a_principal_submatrix(setup, data):
     model, geometry, omega = setup
     sub = geometry.subset(data.draw(subsets(geometry.sites)))
     idx = [geometry.index_of(x) for x in sub.sites]
-    host = assemble_hamiltonian(model, omega, geometry).entries
-    assert same_bits(assemble_hamiltonian(model, omega, sub).entries, host[np.ix_(idx, idx)])
+    host = assemble_hamiltonian(model, omega, geometry)
+    assert same_bits(assemble_hamiltonian(model, omega, sub), host[np.ix_(idx, idx)])
 
 
 @PROPERTY
@@ -193,7 +193,7 @@ def test_schur_B_is_the_exterior_assembly(setup, z, data):
     if rest:  # the route before slicing: H_ext assembled on its own sub-geometry
         mask = _inner_mask(geometry, inner)
         C = adjacency_matrix(geometry)[np.ix_(mask, ~mask)]
-        H_ext = assemble_hamiltonian(model, omega, geometry.subset(rest)).entries
+        H_ext = assemble_hamiltonian(model, omega, geometry.subset(rest))
         want = C @ np.linalg.inv(H_ext - z * np.eye(len(rest), dtype=complex)) @ C.T
     assert same_bits(schur_B(model, omega, geometry, inner, z), want)
 
@@ -205,9 +205,10 @@ def test_depleted_blocks_are_the_masked_adjacency(setup, data):
     inner = data.draw(st.sets(st.sampled_from(geometry.sites)))
     mask = _inner_mask(geometry, inner)
     T = adjacency_matrix(geometry) * np.logical_xor.outer(mask, mask)
-    dep = depleted(model, omega, geometry, inner)
-    assert same_bits(dep.coupling, T)
-    assert same_bits(dep.depleted, assemble_hamiltonian(model, omega, geometry).entries + T)
+    H = assemble_hamiltonian(model, omega, geometry)
+    Hd, coupling = _deplete(H, geometry.rows(inner))
+    assert same_bits(coupling, T)
+    assert same_bits(Hd, H + T)
 
 
 @PROPERTY
@@ -219,14 +220,14 @@ def test_two_step_schur_is_the_four_assembly_route(setup, z, data):
     s1 = set(data.draw(subsets(core)))
     s2 = s1 | exterior_boundary(s1) | set(data.draw(subsets(geometry.sites)))
     geo1, geo2, ring = geometry.subset(s1), geometry.subset(s2), geometry.subset(s2 - s1)
-    H = assemble_hamiltonian(model, omega, geometry).entries
+    H = assemble_hamiltonian(model, omega, geometry)
     idx1 = [geometry.index_of(s) for s in geo1.sites]
     lhs = np.linalg.inv(H - z * np.eye(len(geometry), dtype=complex))[np.ix_(idx1, idx1)]
     at = [geo2.index_of(s) for s in ring.sites]
     B_ring = schur_B(model, omega, geometry, s2, z)[np.ix_(at, at)]
-    K = assemble_hamiltonian(model, omega, ring).entries - B_ring - z * np.eye(len(ring), dtype=complex)
+    K = assemble_hamiltonian(model, omega, ring) - B_ring - z * np.eye(len(ring), dtype=complex)
     C = adjacency_matrix(geometry)[np.ix_(idx1, [geometry.index_of(s) for s in ring.sites])]
-    S = (assemble_hamiltonian(model, omega, geo1).entries - z * np.eye(len(geo1), dtype=complex)
+    S = (assemble_hamiltonian(model, omega, geo1) - z * np.eye(len(geo1), dtype=complex)
          - C @ np.linalg.solve(K, C.T.astype(complex)))
     want = float(np.max(np.abs(lhs - np.linalg.inv(S))))
     assert same_bits(np.float64(verify_two_step_schur(model, omega, geometry, s1, s2, z)), np.float64(want))
@@ -316,7 +317,7 @@ def test_banded_green_column_matches_the_dense_solve(setup):
     e_x[sampler.geometry.index_of(x)] = 1.0
     diagonal = sampler.diagonals(omega_vec)
     want = np.linalg.solve(sampler.hamiltonian(diagonal) - z * np.eye(n), e_x)
-    got = sampler.green_column(diagonal, z, [x])[:, 0]
+    got = sampler.green_column(diagonal, z, [sampler.geometry.index_of(x)])[:, 0]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -328,13 +329,14 @@ def test_multi_source_green_columns_are_the_single_source_columns(setup, data):
     geometry = sampler.geometry
     sources = [x, *data.draw(st.lists(st.sampled_from(geometry.sites), max_size=3))]
     diagonal = sampler.diagonals(omega_vec)
-    cols = sampler.green_column(diagonal, z, sources)
+    rows = [geometry.index_of(source) for source in sources]
+    cols = sampler.green_column(diagonal, z, rows)
     assert cols.shape == (len(geometry), len(sources))
     H = sampler.hamiltonian(diagonal) - z * np.eye(len(geometry))
-    for j, source in enumerate(sources):
-        assert same_bits(cols[:, j].copy(), sampler.green_column(diagonal, z, [source])[:, 0].copy())
+    for j, row in enumerate(rows):
+        assert same_bits(cols[:, j].copy(), sampler.green_column(diagonal, z, [row])[:, 0].copy())
         e_x = np.zeros(len(geometry), dtype=complex)
-        e_x[geometry.index_of(source)] = 1.0
+        e_x[row] = 1.0
         want = np.linalg.solve(H, e_x)
         assert np.max(np.abs(cols[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -584,8 +586,8 @@ def test_shared_block_estimates_are_the_one_pair_estimates(setup, z, s, trials, 
     sampler = DisorderSampler(model, geometry)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
     for (x, y), est in zip(pairs, got):
-        iy = geometry.index_of(y)
-        samples = np.abs(np.array([sampler.green_column(diagonals[t], z, [x])[iy, 0] for t in range(trials)])) ** s
+        ix, iy = geometry.index_of(x), geometry.index_of(y)
+        samples = np.abs(np.array([sampler.green_column(diagonals[t], z, [ix])[iy, 0] for t in range(trials)])) ** s
         assert same_bits(np.array([est.mean, est.stderr]), np.array(_mean_stderr(np.array(samples))))
 
 
@@ -596,7 +598,8 @@ def _per_trial_moment_loop(model, geometry, z, exponent, x, rows, trials, seed):
     they became estimate_moments calls."""
     sampler = DisorderSampler(model, geometry)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
-    samples = [np.abs(sampler.green_column(diagonals[t], z, [x])[rows, 0]) ** exponent for t in range(trials)]
+    ix = geometry.index_of(x)
+    samples = [np.abs(sampler.green_column(diagonals[t], z, [ix])[rows, 0]) ** exponent for t in range(trials)]
     return _mean_stderr(np.array(samples))
 
 
@@ -661,34 +664,36 @@ def _hyperplane_search_loop(u, search_samples, seed):
 def potentials(draw, d=None):
     """Finite or truncated-tail u in d = 1..3, with stored cores inside and outside the tail's l1 ball.
 
-    Every core stores the origin, so a tail's core fixes d even when all its stored values are 0.0.
+    Every core stores the origin, so a tail's core fixes d even when all its other stored values are 0.0;
+    u(0) is nonzero, as a stored 0.0 is not replaced by the tail and 0 must lie in supp u.
     """
     d = draw(st.integers(1, 3)) if d is None else d
     sites = {(0,) * d} | draw(st.sets(st.tuples(*[st.integers(-3, 3)] * d), max_size=4))
     if draw(st.booleans()):
         return SingleSitePotential({k: draw(_u_value) for k in sites})
     rate, amplitude = draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 2.0))
-    core = {k: draw(st.floats(-1.0, 1.0)) * amplitude * math.exp(-rate * sum(map(abs, k))) for k in sites}
+    weight = {k: st.floats(-1.0, 1.0) for k in sites} | {(0,) * d: st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)}
+    core = {k: draw(weight[k]) * amplitude * math.exp(-rate * sum(map(abs, k))) for k in sites}
     return SingleSitePotential(core, tail_amplitude=amplitude, tail_rate=rate,
                                truncation_radius=draw(st.integers(1, 4 if d == 1 else 2)),
                                tail_sign=draw(st.sampled_from([1, -1])))
 
 
 def _effective_support_oracle(u) -> set:
-    """The stored core plus the whole l1 ball of the tail, as u.support() built it per call."""
-    supp = set(u.support_values)
+    """The nonzero stored core plus the tail's l1 ball off the stored sites, as u.support() built it per call."""
+    supp = {k for k, v in u.support_values.items() if v != 0.0}
     if u.tail_amplitude is not None:
         rad = u.truncation_radius
         for k in itertools.product(range(-rad, rad + 1), repeat=u.dimension):
-            if sum(map(abs, k)) <= rad:
+            if sum(map(abs, k)) <= rad and k not in u.support_values:
                 supp.add(k)
     return supp
 
 
 def _value_oracle(u, k) -> float:
-    """u(k) evaluated per call: the stored core first, then the tail formula inside the l1 ball."""
+    """u(k) evaluated per call: the stored core first (-0.0 reads 0.0), then the tail formula inside the l1 ball."""
     if k in u.support_values:
-        return u.support_values[k]
+        return u.support_values[k] or 0.0
     l1 = sum(map(abs, k))
     if u.tail_amplitude is not None and l1 <= u.truncation_radius:
         return u.tail_sign * u.tail_amplitude * math.exp(-u.tail_rate * l1)

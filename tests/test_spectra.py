@@ -40,7 +40,7 @@ def ldl_count_below(H: np.ndarray, E: float) -> int:
 def box_regular(model, omega, L, E, m) -> bool:
     """spectra._is_regular on the box of radius L around the origin, as each trial of the regularity run calls it."""
     box = build_box(L, (0,))
-    eig = np.linalg.eigh(assemble_hamiltonian(model, omega, box).entries)
+    eig = np.linalg.eigh(assemble_hamiltonian(model, omega, box))
     return spectra._is_regular(eig, E, box.index_of((0,)), box.rows(interior_boundary(box)), math.exp(-m * L))
 
 
@@ -77,7 +77,7 @@ def test_eigenpair_residual_spot_check():
     m = ModelConfig(1, 5.0, u, uniform01())
     g = build_box(10, (0,))
     omega = sample_configuration(m, lambda_plus(g, u), seed=40)
-    H = assemble_hamiltonian(m, omega, g).entries
+    H = assemble_hamiltonian(m, omega, g)
     vals, vecs = np.linalg.eigh(H)
     scale = np.linalg.norm(H, 2)
     for k in (0, len(vals) // 2, len(vals) - 1):
