@@ -14,6 +14,7 @@ lattice facts once: ``rows`` maps a site set to its indices, and the cached
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import json
 import math
@@ -538,9 +539,17 @@ class SitePotential:
 
     def __init__(self, geometry: BoxGeometry, u: SingleSitePotential):
         supp = u.support()
-        shifts = np.array(geometry.sites)[None, :, :] - np.array(supp)[:, None, :]
-        keys, inverse = np.unique(shifts.reshape(-1, geometry.dimension), axis=0, return_inverse=True)
-        self.coupling_sites: tuple[Site, ...] = tuple(map(tuple, keys.tolist()))
+        shifts = (np.array(geometry.sites)[None, :, :] - np.array(supp)[:, None, :]).reshape(-1, geometry.dimension)
+        # the sorted distinct rows and each row's rank among them, as np.unique(axis=0, return_inverse=True)
+        # gives them, from one lexsort (last key first) and a flag on the first row of each run; the columns
+        # are compared as they are, since one combined int64 key per row overflows for sites far apart
+        order = np.lexsort(shifts.T[::-1])
+        ordered = shifts[order]
+        first = np.ones(len(ordered), dtype=bool)
+        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        self.coupling_sites: tuple[Site, ...] = tuple(map(tuple, ordered[first].tolist()))
         self.positions = inverse.reshape(len(supp), len(geometry))
         self.values = np.array([u.value(t) for t in supp])
 
@@ -635,12 +644,22 @@ def _real_pair(value, path: str) -> list[float]:
     return [_typed(v, float, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path, n=2))]
 
 
+@contextlib.contextmanager
+def _section(name: str):
+    """Prefix a range error of a section's constructor with the section name, as in ``density: ...``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from err
+
+
 def load_model_config(path) -> tuple[ModelConfig, int | None]:
     """Load a model from a JSON config file, with the keys of ``_SCHEMA``; returns (model, default seed).
 
     potential.support is [[site, value], ...].  Unknown keys, missing required
     keys and values of the wrong JSON type or length are rejected with an
-    error that names the key path.
+    error that names the key path.  A range error of the potential or density
+    constructor is raised again with its section's name in front.
     """
     with open(path) as fh:
         text = fh.read()
@@ -660,15 +679,18 @@ def load_model_config(path) -> tuple[ModelConfig, int | None]:
             raise ValueError(f"{where}[0] has {len(site)} coordinates in dimension {d}")
         support[site] = _typed(value, float, f"{where}[1]")
     tail = pot["tail"]
-    if tail is not None:
-        u = SingleSitePotential(support or {(0,) * d: tail["C"]}, tail_amplitude=tail["C"], tail_rate=tail["alpha"],
-                                truncation_radius=tail["radius"], tail_sign=tail["sign"])
-    else:
-        u = SingleSitePotential(support)
+    with _section("potential"):
+        if tail is not None:
+            u = SingleSitePotential(support or {(0,) * d: tail["C"]}, tail_amplitude=tail["C"],
+                                    tail_rate=tail["alpha"], truncation_radius=tail["radius"], tail_sign=tail["sign"])
+        else:
+            u = SingleSitePotential(support)
 
     kind, params = dens["kind"], dens["params"]
     if kind == "piecewise_linear":
         params = [_real_pair(knot, f"density.params[{i}]") for i, knot in enumerate(params)]
     elif kind in ("uniform", "raised_cosine"):
         params = _real_pair(params, "density.params")
-    return ModelConfig(d, cfg["lambda"], u, DisorderDensity(kind, params)), cfg["seed"]
+    with _section("density"):
+        density = DisorderDensity(kind, params)
+    return ModelConfig(d, cfg["lambda"], u, density), cfg["seed"]

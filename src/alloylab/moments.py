@@ -60,24 +60,27 @@ __all__ = [
 
 
 def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
-    """fn(trial_index) for each trial in index order: shape (trials,) for scalars, (trials, k) for rows.
+    """fn(block) on contiguous ranges of trial indices, concatenated in trial order.
 
-    A trial depends only on its index (its disorder is row ``trial`` of the
-    estimator's ``DisorderSampler.omega`` block), so the result is bitwise
-    identical no matter how many workers run.  With w = min(threads, trials)
-    workers, the trials are cut into w contiguous index ranges, one
-    ``pool.map`` task each, and the results are stacked in trial order.
+    ``fn`` takes a ``range`` of trial indices and returns one entry per trial
+    in it: shape (len(block),) for scalars, (len(block), k) for rows.  The
+    trials go to w = min(threads, trials) workers, one contiguous block each
+    (block w is ``range(trials * w // workers, trials * (w + 1) // workers)``);
+    one worker calls ``fn(range(trials))`` with no pool.  A trial depends
+    only on its index (its disorder is row ``trial`` of the estimator's
+    ``DisorderSampler.omega`` block), so as long as ``fn`` computes each trial
+    independently of the others in its block, the result is bitwise identical
+    no matter how many workers run.
     """
     _check_trials(trials)
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads}")
     workers = min(threads, trials)
     if workers == 1:
-        return np.array([fn(t) for t in range(trials)])
-    chunks = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
+        return np.asarray(fn(range(trials)))
+    blocks = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda chunk: [fn(t) for t in chunk], chunks))
-    return np.array([result for part in parts for result in part])
+        return np.concatenate(list(pool.map(fn, blocks)))
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,14 @@ class DisorderSampler:
         return -adjacency_matrix(self.geometry)
 
     def hamiltonian(self, diagonal: np.ndarray) -> np.ndarray:
-        H = self.hopping.copy()
-        np.fill_diagonal(H, diagonal)
+        """-Delta + diag(diagonal) as (n, n), or as the (trials, n, n) stack for a (trials, n) block.
+
+        Each matrix is a copy of ``hopping`` with its diagonal written, so
+        ``hamiltonian(block)[t]`` equals ``hamiltonian(block[t])`` bit for bit.
+        """
+        H = np.broadcast_to(self.hopping, diagonal.shape[:-1] + self.hopping.shape).copy()
+        sites = np.arange(len(self.geometry))
+        H[..., sites, sites] = diagonal
         return H
 
     def green_column(self, diagonal: np.ndarray, z: complex, sources) -> np.ndarray:
@@ -215,10 +224,10 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
     sampler = DisorderSampler(model, geometry)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
 
-    def one(trial: int) -> np.ndarray:
-        return sampler.green_column(diagonals[trial], z, source_rows)[rows, js]
+    def values(block: range) -> np.ndarray:  # one banded LU per trial
+        return np.array([sampler.green_column(diagonals[t], z, source_rows)[rows, js] for t in block])
 
-    means, stderrs = _mean_stderr(np.abs(run_trials(one, trials, threads)) ** s_exp)
+    means, stderrs = _mean_stderr(np.abs(run_trials(values, trials, threads)) ** s_exp)
     return [MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y, complex(z))
             for (x, y), mean, stderr in zip(pairs, means, stderrs)]
 

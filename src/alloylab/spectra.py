@@ -63,9 +63,20 @@ class WegnerReport:
     bound_satisfied: bool
 
 
+# doubles per stacked eigensolve: sub-stacks of at most 4 MiB of matrices
+_EIGVALSH_STACK = 2 ** 19
+
+
 def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
               threads: int = 1) -> WegnerReport:
-    """MC mean eigenvalue count in the interval against the exact count bound."""
+    """MC mean eigenvalue count in the interval against the exact count bound.
+
+    Each worker's block of trials is diagonalized as (trials, n, n) stacks of
+    at most max(1, 2**19 // n**2) matrices, one ``np.linalg.eigvalsh`` call
+    each.  eigvalsh runs the same LAPACK call on every matrix of a stack as
+    on a single matrix, so the counts do not depend on the stacking, nor on
+    the number of threads.
+    """
     _check_coupling(model.coupling)
     a, b = float(interval[0]), float(interval[1])
     _check_interval(a, b)
@@ -73,13 +84,16 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     sampler = DisorderSampler(model, geometry)
     coeff = wegner_coefficients(model.potential, l)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
+    stack = max(1, _EIGVALSH_STACK // len(geometry) ** 2)
 
-    def one(trial: int) -> float:
-        H = sampler.hamiltonian(diagonals[trial])
-        ev = np.linalg.eigvalsh(H)
-        return float(np.sum((ev >= a) & (ev <= b)))
+    def counts(block: range) -> np.ndarray:
+        parts = []
+        for start in range(block.start, block.stop, stack):
+            ev = np.linalg.eigvalsh(sampler.hamiltonian(diagonals[start:min(start + stack, block.stop)]))
+            parts.append(np.sum((ev >= a) & (ev <= b), axis=1))
+        return np.concatenate(parts).astype(float)
 
-    mean, stderr = map(float, _mean_stderr(run_trials(one, trials, threads)))
+    mean, stderr = map(float, _mean_stderr(run_trials(counts, trials, threads)))
     bound = (1.0 / (2.0 * model.coupling) * model.density.total_variation
              * (b - a) * coeff["t_l1_total"])
     return WegnerReport((a, b), l, mean, stderr, trials, bound,
@@ -162,6 +176,6 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
             flags.append(ok)
         return np.array(flags + [all(flags)], dtype=float)
 
-    freq, _ = _mean_stderr(run_trials(one, trials, threads))
+    freq, _ = _mean_stderr(run_trials(lambda block: np.array([one(t) for t in block]), trials, threads))
     return RegularityReport(L, x, y, m, energies, tuple(freq[:-1]), float(freq[-1]), trials,
                             "grid approximation of the energy continuum; upper-bias estimate")

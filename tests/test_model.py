@@ -403,6 +403,20 @@ def test_config_loader_rejects_unknown_keys(tmp_path):
         load_model_config(cfg)
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"potential": {"tail": {"C": 1.0, "alpha": 1.0, "radius": 0}}},
+     "potential: tail requires a truncation radius >= 1"),
+    ({"density": {"kind": "uniform", "params": [1, 0]}}, "density: uniform(a,b) needs b > a"),
+], ids=["potential", "density"])
+def test_config_loader_names_the_section_of_a_range_error(tmp_path, section, message):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"dimension": 1, "lambda": 1, "potential": {"support": [[[0], 1]]},
+                               "density": {"kind": "uniform", "params": [0, 1]}, **section}))
+    with pytest.raises(ValueError) as err:
+        load_model_config(cfg)
+    assert str(err.value) == message
+
+
 def test_config_loader_reports_line(tmp_path):
     cfg = tmp_path / "m.json"
     cfg.write_text('{"dimension": 1,\n "lambda": oops}')

@@ -383,10 +383,18 @@ def test_bounds_need_a_positive_coupling(call):
 
 
 def test_run_trials_stacks_scalars_and_rows_in_index_order():
-    rows = run_trials(lambda t: np.array([t, 2.0 * t]), 5, threads=3)
-    assert rows.shape == (5, 2)
-    assert rows.tolist() == [[t, 2.0 * t] for t in range(5)]
-    assert run_trials(float, 4).tolist() == [0.0, 1.0, 2.0, 3.0]
+    blocks = []
+
+    def rows(block):
+        blocks.append(block)
+        return np.array([[t, 2.0 * t] for t in block])
+
+    # 7 trials on 3 threads: a ragged last block, and the parts join in trial order
+    out = run_trials(rows, 7, threads=3)
+    assert out.shape == (7, 2)
+    assert out.tolist() == [[t, 2.0 * t] for t in range(7)]
+    assert sorted(blocks, key=lambda block: block.start) == [range(0, 2), range(2, 4), range(4, 7)]
+    assert run_trials(lambda block: np.array(block, dtype=float), 4).tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("threads", [0, -2])
@@ -395,9 +403,10 @@ def test_run_trials_rejects_fewer_than_one_thread(threads):
         run_trials(float, 4, threads)
 
 
-@pytest.mark.parametrize("trials, threads, workers", [(3, 10 ** 9, 3), (5, 2, 2), (1, 10 ** 9, None)])
+@pytest.mark.parametrize("trials, threads, workers",
+                         [(3, 10 ** 9, 3), (5, 2, 2), (7, 3, 3), (1, 10 ** 9, None), (4, 1, None)])
 def test_run_trials_starts_at_most_one_worker_per_trial(monkeypatch, trials, threads, workers):
-    started = []
+    started, blocks = [], []
 
     class Recorder:  # stands in for the pool, so no thread is started
         def __init__(self, max_workers):
@@ -412,9 +421,18 @@ def test_run_trials_starts_at_most_one_worker_per_trial(monkeypatch, trials, thr
         def map(self, fn, items):
             return map(fn, items)
 
+    def scalars(block):
+        blocks.append(block)
+        return np.array(block, dtype=float)
+
     monkeypatch.setattr(moments, "ThreadPoolExecutor", Recorder)
-    assert run_trials(float, trials, threads).tolist() == [float(t) for t in range(trials)]
+    assert run_trials(scalars, trials, threads).tolist() == [float(t) for t in range(trials)]
+    # no pool for one worker; otherwise one contiguous block per worker, in order, sizes within one
     assert started == ([] if workers is None else [workers])
+    assert len(blocks) == (workers or 1)
+    assert all(type(block) is range and block.step == 1 for block in blocks)
+    assert [t for block in blocks for t in block] == list(range(trials))
+    assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
 
 
 _DELTA = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())

@@ -22,8 +22,10 @@ checks are checked against the vectorised density and the slogdet/svd
 integrands they replace, and the pole average over a piecewise-linear
 density against its closed form.  The value table of a single-site potential
 in d = 1, 2, 3 is checked bit for bit against the per-call support and tail
-formula it replaces.  The density transform keeps the 64-step bisection it
-replaced as its oracle: raised-cosine and uniform draws match it (or, for
+formula it replaces, and the SitePotential coupling table on lexicographic
+and shuffled geometries in d = 1, 2, 3 against the np.unique construction
+it replaces.  The density transform keeps the 64-step bisection it replaced
+as its oracle: raised-cosine and uniform draws match it (or, for
 the uniform, the old a + (b - a) u) bit for bit, and piecewise-linear draws
 match it to 1e-12 where the density is not small, and at every knot mass,
 where a zero-density plateau must not be skipped.
@@ -714,6 +716,33 @@ def test_a_potential_has_the_dimension_of_its_stored_sites(d, data):
     u = data.draw(potentials(d))
     assert u.dimension == d
     assert all(len(k) == d for k in u.support())
+
+
+def _site_potential_oracle(geometry, u):
+    """coupling_sites and positions from np.unique over the shifted site rows, as SitePotential built them."""
+    supp = u.support()
+    shifts = np.array(geometry.sites)[None, :, :] - np.array(supp)[:, None, :]
+    keys, inverse = np.unique(shifts.reshape(-1, geometry.dimension), axis=0, return_inverse=True)
+    return tuple(map(tuple, keys.tolist())), inverse.reshape(len(supp), len(geometry))
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_site_potential_table_matches_the_unique_rows_construction(d, data):
+    # negative coordinates, lexicographic or shuffled site order, and sites at +-2**62,
+    # whose differences a mixed-radix key in int64 could not hold
+    sites = data.draw(st.sets(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=30))
+    if data.draw(st.booleans()):
+        far = data.draw(st.tuples(*[st.integers(-4, 4)] * d))
+        axis = data.draw(st.integers(0, d - 1))
+        sites |= {far[:axis] + (sign * 2 ** 62,) + far[axis + 1:] for sign in (1, -1)}
+    order = data.draw(st.one_of(st.just(sorted(sites)), st.permutations(sorted(sites))))
+    geometry = BoxGeometry(tuple(order))
+    u = data.draw(potentials(d))
+    potential = SitePotential(geometry, u)
+    coupling_sites, positions = _site_potential_oracle(geometry, u)
+    assert potential.coupling_sites == coupling_sites
+    assert same_bits(potential.positions, positions)
 
 
 @st.composite

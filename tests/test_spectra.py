@@ -18,7 +18,7 @@ from alloylab.model import (
     lambda_plus,
     sample_configuration,
 )
-from alloylab.moments import one_d_constants
+from alloylab.moments import DisorderSampler, one_d_constants
 from alloylab.spectra import (
     eigenvalues,
     pair_regularity_probability,
@@ -60,6 +60,17 @@ def test_eigenvalues_1x1():
     g = explicit_geometry([(0,)])
     H = assemble_hamiltonian(m, {(0,): 0.7}, g)
     assert eigenvalues(H) == pytest.approx([2.1])
+
+
+def test_eigenvalues_reject_a_non_symmetric_matrix():
+    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
+    m = ModelConfig(1, 5.0, u, uniform01())
+    g = build_box(3, (0,))
+    H = assemble_hamiltonian(m, sample_configuration(m, lambda_plus(g, u), seed=2), g)
+    assert eigenvalues(H).shape == (len(g),)
+    H[0, 1] += 0.5
+    with pytest.raises(ValueError, match="Hamiltonian must be symmetric"):
+        eigenvalues(H)
 
 
 def test_eigenvalues_residual_and_inertia_oracle():
@@ -115,6 +126,35 @@ def test_wegner_empirical_linearity():
     r2 = wegner_mc(m, 6, (-0.1, 0.1), trials=1500, seed=12)
     assert r1.mean_count > 20 * r1.stderr and r2.mean_count > 20 * r2.stderr
     assert 1.5 <= r1.mean_count / r2.mean_count <= 2.5
+
+
+def test_wegner_stacked_counts_match_one_eigensolve_per_trial(monkeypatch):
+    # 49 sites: sub-stacks of 2**19 // 49**2 = 218 matrices, so 500 trials cross two stack boundaries
+    m = ModelConfig(2, 1.0, SingleSitePotential.from_values({(0, 0): 1.0, (1, 0): -0.5}), uniform01())
+    a, b, trials, seed = -0.5, 0.5, 500, 4
+    recorded, run_trials = [], spectra.run_trials
+
+    def recording_run_trials(fn, trials, threads=1):
+        recorded.append(run_trials(fn, trials, threads))
+        return recorded[-1]
+
+    monkeypatch.setattr(spectra, "run_trials", recording_run_trials)
+    reports = [wegner_mc(m, 3, (a, b), trials, seed, threads=threads) for threads in (1, 2, 3)]
+    monkeypatch.undo()
+    assert reports[1:] == reports[:1] * 2
+    assert all(r.tobytes() == recorded[0].tobytes() for r in recorded)
+
+    sampler = DisorderSampler(m, build_box(3, (0, 0)))
+    block = sampler.diagonals(sampler.omega(seed, trials))
+    stack = sampler.hamiltonian(block)
+    assert stack.shape == (trials, 49, 49)
+    assert all(stack[t].tobytes() == sampler.hamiltonian(block[t]).tobytes() for t in range(trials))
+    want = []
+    for row in block:
+        ev = np.linalg.eigvalsh(sampler.hamiltonian(row))
+        want.append(float(np.sum((ev >= a) & (ev <= b))))
+    assert recorded[0].tolist() == want
+    assert 0 < min(want) < max(want)
 
 
 def test_apriori_wegner_pipeline():
