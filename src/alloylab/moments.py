@@ -109,7 +109,9 @@ class DisorderSampler:
     The Green column comes from a banded LU (LAPACK ``gbsv``).  The
     half-bandwidth k is the longest index span of ``geometry.bonds``: 1 for a
     chain, side^(d-1) for a lexicographically ordered box, and up to n - 1 for
-    an arbitrary site order, which is still exact, only slower.
+    an arbitrary site order, which is still exact, only slower.  The band is
+    kept in Fortran order, the layout LAPACK reads, so f2py hands each
+    trial's copy to ``gbsv`` as it is, with no second, transposing copy.
     """
 
     def __init__(self, model: ModelConfig, geometry: BoxGeometry):
@@ -121,13 +123,14 @@ class DisorderSampler:
 
     @cached_property
     def _band(self) -> np.ndarray:
-        """-Delta in gbsv layout, built on the first solve.
+        """-Delta in gbsv layout, Fortran-ordered, built on the first solve.
 
-        a[i, j] sits at row 2k + i - j; rows 0..k-1 hold the LU fill-in.
+        a[i, j] sits at row 2k + i - j; rows 0..k-1 hold the LU fill-in.  In
+        C order f2py would copy (and transpose) the band before every solve.
         """
         k = self.half_bandwidth
         i, j = self.geometry.bonds.T
-        band = np.zeros((3 * k + 1, len(self.geometry)), dtype=complex)
+        band = np.zeros((3 * k + 1, len(self.geometry)), dtype=complex, order="F")
         band[2 * k + i - j, j] = band[2 * k + j - i, i] = -1.0
         return band
 
@@ -175,7 +178,7 @@ class DisorderSampler:
     def green_column(self, diagonal: np.ndarray, z: complex, sources) -> np.ndarray:
         """G(z; ., i) for each row i in ``sources``, as (n, len(sources)) from one banded LU; singular H - z raises."""
         k = self.half_bandwidth
-        ab = self._band.copy()
+        ab = self._band.copy(order="F")  # a plain copy() would be C-ordered
         ab[2 * k] = diagonal - z
         rhs = np.zeros((ab.shape[1], len(sources)), dtype=complex, order="F")
         for j, i in enumerate(sources):  # scalar writes: a fancy-indexed write costs as much as the solve

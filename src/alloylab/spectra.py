@@ -67,14 +67,35 @@ class WegnerReport:
 _EIGVALSH_STACK = 2 ** 19
 
 
+def _sturm_below(diagonals: np.ndarray, energies) -> np.ndarray:
+    """#{eigenvalues < E} of the chain -Delta + diag(a), as (len(energies), rows): one count per
+    energy E and per row a of the (rows, n) ``diagonals``.
+
+    By Sylvester's law the count is the number of negative LDL^T pivots of H - E, and with unit
+    hoppings d_1 = a_1 - E, d_k = a_k - E - 1/d_{k-1}.  A pivot with |d| <= the smallest normal
+    double is taken as -tiny, as LAPACK's ``dstebz`` does, so no step divides by zero.
+    """
+    tiny = np.finfo(float).tiny
+    shifted = diagonals.T[:, None, :] - np.asarray(energies, dtype=float)[:, None]
+    below = np.zeros(shifted.shape[1:], dtype=np.int64)
+    d = np.full(shifted.shape[1:], np.inf)  # 1/inf = 0, so the first step is d_1 = a_1 - E
+    for column in shifted:
+        d = column - 1.0 / d
+        d[np.abs(d) <= tiny] = -tiny
+        below += d < 0
+    return below
+
+
 def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
               threads: int = 1) -> WegnerReport:
     """MC mean eigenvalue count in the interval against the exact count bound.
 
-    Each worker's block of trials is diagonalized as (trials, n, n) stacks of
-    at most max(1, 2**19 // n**2) matrices, one ``np.linalg.eigvalsh`` call
-    each.  eigvalsh runs the same LAPACK call on every matrix of a stack as
-    on a single matrix, so the counts do not depend on the stacking, nor on
+    In d = 1 H is tridiagonal with unit hoppings, so each worker counts its block of trials
+    with ``_sturm_below``, as #{ev < nextafter(b, +inf)} - #{ev < a}, from the diagonals alone.
+    In d >= 2 each worker's block is diagonalized as (trials, n, n) stacks of at most
+    max(1, 2**19 // n**2) matrices, one ``np.linalg.eigvalsh`` call each.  eigvalsh runs the
+    same LAPACK call on every matrix of a stack as on a single matrix.  Either way a trial's
+    count depends only on its own row, so the counts do not depend on the stacking, nor on
     the number of threads.
     """
     _check_coupling(model.coupling)
@@ -87,6 +108,9 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     stack = max(1, _EIGVALSH_STACK // len(geometry) ** 2)
 
     def counts(block: range) -> np.ndarray:
+        if model.dimension == 1:
+            below = _sturm_below(diagonals[block.start:block.stop], (a, np.nextafter(b, np.inf)))
+            return (below[1] - below[0]).astype(float)
         parts = []
         for start in range(block.start, block.stop, stack):
             ev = np.linalg.eigvalsh(sampler.hamiltonian(diagonals[start:min(start + stack, block.stop)]))

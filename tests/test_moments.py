@@ -294,6 +294,34 @@ def test_illegal_gbsv_argument_raises(monkeypatch):
         sampler.green_column(sampler.diagonals(np.full(3, 0.5)), 1j, [0])
 
 
+@pytest.mark.parametrize("geometry", [chain(9), build_box(3, (0, 0))], ids=["chain", "d2-box"])
+def test_gbsv_gets_a_fortran_band_and_solves_as_on_the_c_ordered_band(monkeypatch, geometry):
+    m = ModelConfig(geometry.dimension, 1.5, SingleSitePotential.delta(geometry.dimension), uniform01())
+    sampler = DisorderSampler(m, geometry)
+    diagonal = sampler.diagonals(np.random.default_rng(5).uniform(0.0, 1.0, len(sampler.potential.coupling_sites)))
+    z, sources = 0.3 + 0.2j, [0, len(geometry) // 2]
+    gbsv, layouts = sampler._gbsv, []
+
+    def spy(kl, ku, ab, b, **kw):
+        layouts.append(ab.flags.f_contiguous)
+        return gbsv(kl, ku, ab, b, **kw)
+
+    monkeypatch.setattr(sampler, "_gbsv", spy)
+    got = sampler.green_column(diagonal, z, sources)
+    assert layouts == [True]
+    assert sampler._band.flags.f_contiguous
+
+    # the C-ordered band that green_column passed before, solved by the same LAPACK call
+    k = sampler.half_bandwidth
+    ab = np.ascontiguousarray(sampler._band)
+    ab[2 * k] = diagonal - z
+    rhs = np.zeros((len(geometry), len(sources)), dtype=complex, order="F")
+    rhs[sources, range(len(sources))] = 1.0
+    _, _, want, info = gbsv(k, k, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    assert info == 0
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("geometry, k", [
     (chain(1), 0),
     (chain(7), 1),

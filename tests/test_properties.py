@@ -28,11 +28,16 @@ it replaces.  The density transform keeps the 64-step bisection it replaced
 as its oracle: raised-cosine and uniform draws match it (or, for
 the uniform, the old a + (b - a) u) bit for bit, and piecewise-linear draws
 match it to 1e-12 where the density is not small, and at every knot mass,
-where a zero-density plateau must not be skipped.
+where a zero-density plateau must not be skipped.  The chain's Sturm
+eigenvalue counts match the eigvalsh counts on chains of 1-40 sites with
+repeated and zero diagonal entries, exactly unless an eigenvalue lies within
+rounding of an interval end, which is drawn at random, on an eigenvalue and
+on either of its neighbouring doubles.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +89,7 @@ from alloylab.moments import (
     gap_constants,
 )
 from alloylab.rng import site_stream, trial_stream, zigzag
+from alloylab.spectra import _sturm_below
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -341,6 +347,59 @@ def test_multi_source_green_columns_are_the_single_source_columns(setup, data):
         e_x[row] = 1.0
         want = np.linalg.solve(H, e_x)
         assert np.max(np.abs(cols[:, j] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _chain_stack(block):
+    """-Delta + diag(row) on a chain, as (rows, n, n)."""
+    n = block.shape[1]
+    H = np.broadcast_to(-(np.eye(n, k=1) + np.eye(n, k=-1)), block.shape + (n,)).copy()
+    H[:, np.arange(n), np.arange(n)] = block
+    return H
+
+
+_chain_diagonal = st.one_of(st.just(0.0), st.sampled_from([-1.0, 0.5, 2.0]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def interval_ends(draw, ev):
+    """Two interval ends: random, an eigenvalue from ev, or an eigenvalue's nextafter on either side."""
+    ends = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["random", "eigenvalue", "below", "above"]))
+        if kind == "random":
+            ends.append(draw(st.floats(-8.0, 8.0)))
+        else:
+            e = float(draw(st.sampled_from(ev.tolist())))
+            ends.append({"eigenvalue": e, "below": math.nextafter(e, -math.inf),
+                         "above": math.nextafter(e, math.inf)}[kind])
+    return sorted(ends)
+
+
+@PROPERTY
+@given(st.integers(1, 40).flatmap(lambda n: arrays(float, st.tuples(st.integers(1, 4), st.just(n)),
+                                                  elements=_chain_diagonal)),
+       st.data())
+def test_sturm_counts_are_the_eigvalsh_counts(block, data):
+    ev = np.linalg.eigvalsh(_chain_stack(block))
+    a, b = data.draw(interval_ends(ev[0]))
+    below = _sturm_below(block, (a, np.nextafter(b, np.inf)))
+    assert below.shape == (2, len(block)) and below.dtype == np.int64
+    got = below[1] - below[0]
+    want = np.sum((ev >= a) & (ev <= b), axis=1)
+    for row, vals in enumerate(ev):
+        # an eigenvalue within rounding of an end may fall on either side of it
+        near = np.sum(np.minimum(abs(vals - a), abs(vals - b)) <= 1e-12 * max(1.0, np.max(np.abs(vals))))
+        assert abs(got[row] - want[row]) <= near
+        if not near:
+            assert below[0, row] == np.sum(vals < a) and below[1, row] == np.sum(vals <= b)
+
+
+def test_sturm_zero_pivot_is_taken_as_minus_tiny():
+    # -Delta on 4 sites has eigenvalues -2cos(k pi / 5): two below 0; d_1 = 0 and d_3 = -tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _sturm_below(np.zeros((1, 4)), [0.0]).tolist() == [[2]]
+        assert _sturm_below(np.zeros((2, 1)), [0.0, 1e-300, -1e-300]).tolist() == [[1, 1], [1, 1], [0, 0]]
 
 
 @PROPERTY

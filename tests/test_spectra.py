@@ -157,6 +157,36 @@ def test_wegner_stacked_counts_match_one_eigensolve_per_trial(monkeypatch):
     assert 0 < min(want) < max(want)
 
 
+def test_wegner_chain_sturm_counts_match_one_eigensolve_per_trial(monkeypatch):
+    # 17 sites, a tail wide enough that the counts vary; d = 1 builds no H and calls no eigvalsh
+    m = ModelConfig(1, 1.3, SingleSitePotential.exponential(rate=1.2, truncation_radius=12), uniform01())
+    a, b, trials, seed = -0.3, 0.4, 500, 4
+    recorded, run_trials = [], spectra.run_trials
+
+    def recording_run_trials(fn, trials, threads=1):
+        recorded.append(run_trials(fn, trials, threads))
+        return recorded[-1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the d = 1 count must not diagonalize")
+
+    monkeypatch.setattr(spectra, "run_trials", recording_run_trials)
+    monkeypatch.setattr(DisorderSampler, "hamiltonian", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    reports = [wegner_mc(m, 8, (a, b), trials, seed, threads=threads) for threads in (1, 2, 3)]
+    monkeypatch.undo()
+    assert reports[1:] == reports[:1] * 2
+    assert all(r.tobytes() == recorded[0].tobytes() for r in recorded)
+
+    sampler = DisorderSampler(m, build_box(8, (0,)))
+    want = []
+    for row in sampler.diagonals(sampler.omega(seed, trials)):
+        ev = np.linalg.eigvalsh(sampler.hamiltonian(row))
+        want.append(float(np.sum((ev >= a) & (ev <= b))))
+    assert recorded[0].tolist() == want
+    assert 0 < min(want) < max(want)
+
+
 def test_apriori_wegner_pipeline():
     # diagonal-moment sweep fixes C, then the count bound dominates the MC mean
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
