@@ -2,8 +2,9 @@
 
 Each check pairs a numerically evaluated average (adaptive quadrature split
 at the integrable algebraic singularities, the roots of the relevant
-determinant polynomial, and at the density's knots, or Monte Carlo for
-multi-variable averages) with the corresponding closed-form upper bound; the
+determinant polynomial, and at the density's knots, with QAWS at a real
+scalar pole, or Monte Carlo for multi-variable averages) with the
+corresponding closed-form upper bound; the
 margin bound - integral should be nonnegative up to the integration error.
 """
 
@@ -118,13 +119,48 @@ def graf_bound_value(density: DisorderDensity, s: float) -> float:
     return density.linf ** s * density.l1 ** (1.0 - s) * _fractional_prefactor(s)
 
 
+def _real_pole_average(density: DisorderDensity, s: float, beta: float) -> tuple[float, float]:
+    """integral of |t - beta|^{-s} rho(t) dt for real beta, panel by panel between the knots and beta.
+
+    A panel that ends at beta goes to QUADPACK's QAWS (Piessens et al., 1983)
+    with |t - beta|^{-s} as its algebraic end weight, in u = t - beta so that
+    a panel of a few ulps keeps its resolution.  QAWS evaluates only rho, never
+    the pole, so no knot beside it is dropped: dropping one put its kink inside
+    the QAWS panel, where the error estimate missed it.  Every other panel is
+    integrated in u = log|t - beta|, which turns a pole just beyond its end (a
+    pole just outside the support, or just across a knot) into the smooth
+    integrand e^{(1-s)u} rho(t); QAGS in t extrapolated such a panel to the
+    limit of a pole on its end, e.g. 5.0000000010 for 4.9207553414.
+    """
+    from scipy.integrate import quad  # slow to import, and only the quadrature checks need it
+
+    pdf = density.pdf
+    inside = [beta] if density.a < beta < density.b else []
+    edges = sorted({density.a, density.b, *density.breakpoints, *inside})
+    val = err = 0.0
+    for x, y in zip(edges, edges[1:]):
+        # clamped, since beta + u may round out of the panel, where rho can jump to 0
+        if beta in (x, y):
+            v, e = quad(lambda u: pdf(min(max(beta + u, x), y)), x - beta, y - beta,
+                        weight="alg", wvar=(-s, 0.0) if x == beta else (0.0, -s))
+        else:
+            side = math.copysign(1.0, x - beta)
+            ends = sorted((math.log(abs(x - beta)), math.log(abs(y - beta))))
+            v, e = quad(lambda u: math.exp((1.0 - s) * u) * pdf(min(max(beta + side * math.exp(u), x), y)),
+                        *ends, limit=400)
+        val += v
+        err += e
+    return val, err
+
+
 def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageCheck:
     """integral of |xi - beta|^{-s} rho(xi) dxi against the one-pole bound."""
     bound = graf_bound_value(density, s)  # checks the exponent before any quadrature
     beta = complex(beta)
-    singular = [beta.real] if abs(beta.imag) < 1e-14 else []
-    f = lambda t: abs(t - beta) ** (-s)
-    val, err = _integrate(f, density, singular)
+    if abs(beta.imag) < 1e-14:
+        val, err = _real_pole_average(density, s, beta.real)
+    else:
+        val, err = _integrate(lambda t: abs(t - beta) ** (-s), density, [])
     return AverageCheck(val, bound, err)
 
 
@@ -182,20 +218,71 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     return AverageCheck(float(mean), bound, 3.0 * float(stderr))
 
 
+def _smallest_singular_value(m: list) -> float:
+    """sigma_min of the n x n matrix M, n <= 3, from its row-major entries m (Python scalars, |m_ij| <= 1).
+
+    With F = ||M||_F^2 and D = |det M|, in closed form:
+    - n = 1: |m|.
+    - n = 2: D / sigma_max, with sigma_max^2 = (F + sqrt(F^2 - 4D^2)) / 2.  The
+      discriminant is taken as (p - t)^2 + 4|q|^2 over M^*M = [[p, q], [q*, t]],
+      which is the same number but does not cancel when sigma_1 ~ sigma_2.
+    - n = 3: D / sqrt(y_1), where y_1 = sigma_1^2 sigma_2^2 is the largest root
+      of y^3 - G y^2 + F D^2 y - D^4 and G = ||adj M||_F^2 is the sum of the
+      squared cofactors.  Newton from y = G, above every root, falls to it
+      monotonically.  Near a double root (sigma_2 ~ sigma_3) the coefficients
+      fix y_1 only to about sqrt(eps), 5e-6 relative at M = I, so where the
+      rounding bound eps * S / (p'(y) y) on y exceeds about 1e-14, with S the
+      sum of the moduli of the cubic's terms, svd answers instead.
+    D = 0 gives 0.0.  The m_ij are at most 1 in modulus so that D^4 and y^3
+    neither overflow nor underflow.
+    """
+    if len(m) == 1:
+        return abs(m[0])
+    if len(m) == 4:
+        a, b, c, d = m
+        D = abs(a * d - b * c)
+        if D == 0.0:
+            return 0.0
+        p, t = abs(a) ** 2 + abs(c) ** 2, abs(b) ** 2 + abs(d) ** 2
+        return D / math.sqrt((p + t + math.hypot(p - t, 2.0 * abs(a.conjugate() * b + c.conjugate() * d))) / 2.0)
+    a, b, c, d, e, f, g, h, i = m
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    D = abs(a * c0 + b * c1 + c * c2)
+    if D == 0.0:
+        return 0.0
+    G = math.hypot(*map(abs, (c0, c1, c2, c * h - b * i, a * i - c * g, b * g - a * h,
+                             b * f - c * e, c * d - a * f, a * e - b * d))) ** 2
+    FD2 = math.hypot(*map(abs, m)) ** 2 * D * D
+    D4 = D ** 4
+    y, slope = G, G * G + FD2  # p(G) > 0 and p'(G) > 0
+    while slope > 0.0:  # p' can reach 0 only by rounding, beside a near-double root
+        below = y - (((y - G) * y + FD2) * y - D4) / slope
+        if not below < y:
+            break
+        y, slope = below, (3.0 * below - 2.0 * G) * below + FD2
+    if not ((y + G) * y * y + FD2 * y + D4) < 100.0 * slope * y:  # also when p'(y) <= 0
+        return float(np.linalg.svd(np.reshape(m, (3, 3)), compute_uv=False)[-1])
+    return D / math.sqrt(y)
+
+
 def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of ||(A + rV)^{-1}||^{s/n} rho(r) dr against the norm-determinant bound."""
     A, V, logdetV, roots, p = _pencil(A, V, s)
     n = A.shape[0]
+    R = density.support_radius
+    if n <= 3:
+        # a power of 2 scales every entry of A + rV on the support to modulus <= 1 without rounding
+        scale = 2.0 ** -math.frexp(float(np.abs(A).max() + R * np.abs(V).max()))[1]
+        a, v = (scale * A).ravel().tolist(), (scale * V).ravel().tolist()
+        smallest = lambda r: _smallest_singular_value([x + r * y for x, y in zip(a, v)]) / scale
+    else:
+        smallest = lambda r: float(np.linalg.svd(A + r * V, compute_uv=False)[-1])
 
     def f(r):
-        svals = np.linalg.svd(A + r * V, compute_uv=False)
-        smallest = float(svals[-1])
-        if smallest == 0.0:
-            return math.inf
-        return smallest ** (-p)
+        sigma = smallest(r)
+        return math.inf if sigma == 0.0 else sigma ** (-p)
 
     val, err = _integrate(f, density, roots.real)
-    R = density.support_radius
     normA = float(np.linalg.norm(A, 2))
     normV = float(np.linalg.norm(V, 2))
     bound = (density.l1 ** (1.0 - s) * density.linf ** s * (normA + R * normV) ** (s * (n - 1) / n)

@@ -46,6 +46,23 @@ def test_graf_complex_pole():
     assert chk.integral_value < 2 * math.sqrt(2)
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.8, 0.95])
+def test_graf_pole_a_few_ulps_inside_the_support(s):
+    # the panel [1, beta] is 5 ulps wide; a node of QAGP on it landed on the pole: ZeroDivisionError
+    beta = 1 + 1e-15
+    chk = graf_check(DisorderDensity("uniform", (1, 2)), s, beta)
+    exact = ((beta - 1) ** (1 - s) + (2 - beta) ** (1 - s)) / (1 - s)
+    assert abs(chk.integral_value - exact) <= chk.error + 1e-15
+
+
+def test_graf_pole_just_outside_the_support():
+    # QAGS extrapolated to the pole-on-the-end limit 1/(1 - s) = 5.0000000010, reporting an error of 1.2e-9
+    d, s = 1e-9, 0.8
+    chk = graf_check(uniform01(), s, -d)
+    exact = ((1 + d) ** (1 - s) - d ** (1 - s)) / (1 - s)  # 4.9207553414
+    assert abs(chk.integral_value - exact) <= chk.error
+
+
 def test_graf_tightness_inside_support():
     for beta in (0.1, 0.5, 0.9):
         chk = graf_check(uniform01(), 0.5, beta)
@@ -167,6 +184,14 @@ def test_resolvent_average_scalar():
     chk = resolvent_average_check(np.zeros((1, 1)), np.eye(1), uniform01(), 0.5)
     assert chk.integral_value == pytest.approx(2.0, abs=1e-8)
     assert chk.holds()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_resolvent_average_of_a_multiple_of_the_identity(n):
+    # A + rV = rI: every singular value is r, a triple root of the n = 3 cubic, so svd answers there
+    s = 0.5
+    chk = resolvent_average_check(np.zeros((n, n)), np.eye(n), uniform01(), s)
+    assert chk.integral_value == pytest.approx(1.0 / (1.0 - s / n), abs=1e-8)  # int_0^1 r^{-s/n} dr
 
 
 def test_resolvent_average_random_instances():
