@@ -19,15 +19,14 @@ from .model import (
     ModelConfig,
     Site,
     _as_site,
-    assemble_hamiltonian,
+    assemble_hamiltonian,  # this and sample_configuration are unused: bench/test_layertrace.py pins both bindings
     build_box,
+    explicit_geometry,
     interior_boundary,
-    lambda_plus,
     sample_configuration,
 )
 from .moments import DisorderSampler, _check_coupling, run_trials
 from .poscomb import wegner_coefficients
-from .rng import trial_stream
 
 __all__ = [
     "WegnerReport",
@@ -128,19 +127,17 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
 # regularity of boxes at real energies
 
 
-def _is_regular(eig, E: float, ix: int, idx, thresh: float) -> bool:
-    """|G(E; ix, w)| <= thresh at every index w in idx, from eig = (vals, vecs).
+def _regular(vals: np.ndarray, vecs: np.ndarray, energies: np.ndarray, ix: int, idx, thresh: float) -> np.ndarray:
+    """(trials, energies) flags |G(E; ix, w)| <= thresh at every index w in idx, from a stack of eigenpairs.
 
-    The eigenbasis keeps the real-energy solve stable near resonances; a gap
-    below the resolution threshold counts as E in the spectrum, which is
-    never regular.
+    G(E; ix, .) = (vecs[ix, :] / (vals - E)) @ vecs.T: the eigenbasis keeps the real-energy solve
+    stable near resonances.  A gap |vals - E| <= 1e-12 max(1, ||vals||_inf) counts as E in the
+    spectrum, which is never regular; its row divides by 1 instead, so an exact hit raises no warning.
     """
-    vals, vecs = eig
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if float(np.min(np.abs(vals - E))) <= 1e-12 * scale:
-        return False
-    row = (vecs[ix, :] / (vals - E)) @ vecs.T
-    return bool(np.max(np.abs(row[idx])) <= thresh)
+    gap = vals[:, None, :] - energies[:, None]
+    resonant = np.min(np.abs(gap), axis=2) <= 1e-12 * np.maximum(1.0, np.max(np.abs(vals), axis=1))[:, None]
+    rows = (vecs[:, ix, None, :] / np.where(resonant[..., None], 1.0, gap)) @ vecs[:, idx, :].transpose(0, 2, 1)
+    return ~resonant & (np.max(np.abs(rows), axis=2) <= thresh)
 
 
 @dataclass(frozen=True)
@@ -163,13 +160,19 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
 
     The boxes must be separated enough that their couplings are independent;
     the continuum of energies is approximated by a finite grid, which biases
-    the estimate upward, so the report says so.  Each box is diagonalized at
-    most once per trial, the y box only once some energy needs it.  Trial t
-    draws its sites with a configuration seed taken from trial_stream(seed, t).
+    the estimate upward, so the report says so.  Trial t's couplings are row t
+    of one ``DisorderSampler.omega`` block on the union of the two boxes.  A
+    box's H is its own -Delta (never the union's: at the minimum separation the
+    boxes can be one bond apart) plus its slice ``union.rows(box)`` of the
+    trial's lambda V.  Each worker diagonalizes the x box for sub-stacks of its
+    block, one ``np.linalg.eigh`` call each, as ``wegner_mc`` does; the y box
+    only for the trials that some energy leaves x-irregular.
     """
     if grid_points < 1:
         raise ValueError(f"need at least one grid energy, got {grid_points}")
     x, y = _as_site(x), _as_site(y)
+    if len(x) != model.dimension or len(y) != model.dimension:
+        raise ValueError(f"x = {x} and y = {y} must both have the model's dimension {model.dimension}")
     diam = model.potential.diameter_linf()
     sep = max(abs(a - b) for a, b in zip(x, y))
     if sep < 2 * L + diam + 1:
@@ -179,27 +182,32 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     a, b = float(interval[0]), float(interval[1])
     _check_interval(a, b)
     energies = tuple(np.linspace(a, b, grid_points)) if grid_points > 1 else (0.5 * (a + b),)
-    box_x = build_box(L, x)
-    box_y = build_box(L, y)
-    need = lambda_plus(box_x, model.potential) | lambda_plus(box_y, model.potential)
-    ix, iy = box_x.index_of(x), box_y.index_of(y)
-    idx_x, idx_y = box_x.rows(interior_boundary(box_x)), box_y.rows(interior_boundary(box_y))
-    thresh = math.exp(-m * L)
+    box_x, box_y = build_box(L, x), build_box(L, y)
+    union = explicit_geometry(box_x.sites + box_y.sites)
+    sampler = DisorderSampler(model, union)
+    diagonals = sampler.diagonals(sampler.omega(seed, trials))
+    grid, thresh, n = np.array(energies), math.exp(-m * L), len(box_x)
+    stack = max(1, _EIGVALSH_STACK // (n * max(n, len(energies))))  # bounds H, its vectors and the G rows
 
-    def one(t: int) -> np.ndarray:  # 0/1 flag per grid energy, then the all-energies flag
-        omega = sample_configuration(model, need, int(trial_stream(seed, t).integers(2 ** 62)))
-        eig_x = np.linalg.eigh(assemble_hamiltonian(model, omega, box_x))
-        eig_y = None
-        flags = []
-        for E in energies:
-            ok = _is_regular(eig_x, E, ix, idx_x, thresh)
-            if not ok:
-                if eig_y is None:
-                    eig_y = np.linalg.eigh(assemble_hamiltonian(model, omega, box_y))
-                ok = _is_regular(eig_y, E, iy, idx_y, thresh)
-            flags.append(ok)
-        return np.array(flags + [all(flags)], dtype=float)
+    def regular(box, centre):
+        """sub -> the (len(sub), energies) flags of the box for those trials, from one stacked eigh."""
+        own, rows = DisorderSampler(model, box), union.rows(box)
+        ix, idx = box.index_of(centre), box.rows(interior_boundary(box))
+        return lambda sub: _regular(*np.linalg.eigh(own.hamiltonian(diagonals[sub][:, rows])), grid, ix, idx, thresh)
 
-    freq, _ = _mean_stderr(run_trials(lambda block: np.array([one(t) for t in block]), trials, threads))
+    regular_x, regular_y = regular(box_x, x), regular(box_y, y)
+
+    def flags(block: range) -> np.ndarray:  # per trial: 0/1 per grid energy, then the all-energies flag
+        parts = []
+        for start in range(block.start, block.stop, stack):
+            sub = np.arange(start, min(start + stack, block.stop))
+            ok = regular_x(sub)
+            need = ~ok.all(axis=1)
+            if need.any():
+                ok[need] |= regular_y(sub[need])
+            parts.append(np.column_stack([ok, ok.all(axis=1)]))
+        return np.concatenate(parts).astype(float)
+
+    freq, _ = _mean_stderr(run_trials(flags, trials, threads))
     return RegularityReport(L, x, y, m, energies, tuple(freq[:-1]), float(freq[-1]), trials,
                             "grid approximation of the energy continuum; upper-bias estimate")

@@ -1,12 +1,14 @@
 """Eigenvalues, Wegner MC and box regularity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from alloylab import spectra
+from alloylab import model as model_module
+from alloylab import moments, spectra
 from alloylab.model import (
     DisorderDensity,
     ModelConfig,
@@ -19,6 +21,7 @@ from alloylab.model import (
     sample_configuration,
 )
 from alloylab.moments import DisorderSampler, one_d_constants
+from alloylab.rng import trial_stream
 from alloylab.spectra import (
     eigenvalues,
     pair_regularity_probability,
@@ -37,11 +40,27 @@ def ldl_count_below(H: np.ndarray, E: float) -> int:
     return int(np.sum(ev_blocks < 0))
 
 
+def is_regular(eig, E: float, ix: int, idx, thresh: float) -> bool:
+    """Dense oracle: |G(E; ix, w)| <= thresh at every index w in idx, from one eig = (vals, vecs).
+
+    A gap |vals - E| <= 1e-12 max(1, ||vals||_inf) counts as E in the spectrum, which is never regular.
+    """
+    vals, vecs = eig
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if float(np.min(np.abs(vals - E))) <= 1e-12 * scale:
+        return False
+    row = (vecs[ix, :] / (vals - E)) @ vecs.T
+    return bool(np.max(np.abs(row[idx])) <= thresh)
+
+
 def box_regular(model, omega, L, E, m) -> bool:
-    """spectra._is_regular on the box of radius L around the origin, as each trial of the regularity run calls it."""
+    """is_regular on the box of radius L around the origin; spectra._regular must give the same flag."""
     box = build_box(L, (0,))
-    eig = np.linalg.eigh(assemble_hamiltonian(model, omega, box))
-    return spectra._is_regular(eig, E, box.index_of((0,)), box.rows(interior_boundary(box)), math.exp(-m * L))
+    vals, vecs = np.linalg.eigh(assemble_hamiltonian(model, omega, box))
+    args = box.index_of((0,)), box.rows(interior_boundary(box)), math.exp(-m * L)
+    flag = is_regular((vals, vecs), E, *args)
+    assert spectra._regular(vals[None], vecs[None], np.array([E]), *args).tolist() == [[flag]]
+    return flag
 
 
 def test_eigenvalues_path_formula():
@@ -276,15 +295,90 @@ def test_pair_regularity_grid_refinement_monotone():
     assert freqs[0] >= freqs[1] >= freqs[2]  # conjunction over more events
 
 
+def regularity_oracle(model, L, x, y, energies, m, trials, seed) -> np.ndarray:
+    """(trials, 2, energies) flags of the x and the y box on the scalar path: trial t's configuration is
+    dict(zip(coupling_sites, omega[t])) of the union's sampler, then per box one assemble_hamiltonian,
+    one eigh and one is_regular per energy."""
+    box_x, box_y = build_box(L, x), build_box(L, y)
+    sampler = DisorderSampler(model, explicit_geometry(box_x.sites + box_y.sites))
+    u = model.potential
+    assert set(sampler.potential.coupling_sites) == lambda_plus(box_x, u) | lambda_plus(box_y, u)
+    omega = sampler.omega(seed, trials)
+    flags = np.zeros((trials, 2, len(energies)), dtype=bool)
+    for t in range(trials):
+        configuration = dict(zip(sampler.potential.coupling_sites, omega[t]))
+        for k, (box, centre) in enumerate([(box_x, x), (box_y, y)]):
+            eig = np.linalg.eigh(assemble_hamiltonian(model, configuration, box))
+            for e, E in enumerate(energies):
+                flags[t, k, e] = is_regular(eig, E, box.index_of(centre), box.rows(interior_boundary(box)),
+                                            math.exp(-m * L))
+    return flags
+
+
+_CHAIN = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())
+_PLANE = ModelConfig(2, 3.0, SingleSitePotential.from_values({(0, 0): 1.0, (1, 0): -0.5}), uniform01())
+
+
+def _eigenvalue_of_trial(model, L, x, y, t, seed, k):
+    """The k-th eigenvalue of trial t's x box on the scalar path: a grid energy that hits the spectrum exactly."""
+    sampler = DisorderSampler(model, explicit_geometry(build_box(L, x).sites + build_box(L, y).sites))
+    configuration = dict(zip(sampler.potential.coupling_sites, sampler.omega(seed, t + 1)[t]))
+    return float(np.linalg.eigh(assemble_hamiltonian(model, configuration, build_box(L, x)))[0][k])
+
+
+@pytest.mark.parametrize("case", ["one-bond-apart", "y-before-x", "exact-eigenvalue", "small-stacks"])
+def test_pair_regularity_stacked_flags_match_the_dense_oracle(case, monkeypatch):
+    # one-bond-apart: diam = 0 and |x - y| = 2L + 1, so sites 2 and 3 of the union are bonded; each box
+    # must keep its own hopping.  y-before-x: y's box comes first in the union and interleaves with x's
+    # in lexicographic order, so each box must take its diagonal by union.rows(box), not by position.
+    model, L, x, y, interval, grid, m, trials, seed = {
+        "one-bond-apart": (_CHAIN, 2, (0,), (5,), (-1.0, 1.0), 5, 0.3, 24, 5),
+        "y-before-x": (_PLANE, 2, (0, 0), (-1, 6), (-1.0, 1.0), 5, 0.3, 24, 6),
+        "exact-eigenvalue": (_CHAIN, 2, (0,), (5,), None, 3, 0.3, 24, 5),
+        "small-stacks": (_PLANE, 2, (0, 0), (6, 0), (-1.0, 1.0), 5, 0.3, 40, 8),
+    }[case]
+    if case == "exact-eigenvalue":  # trial 3's x box has its middle eigenvalue on the grid
+        E = _eigenvalue_of_trial(model, L, x, y, 3, seed, 2)
+        interval = (E, E + 0.5)
+    if case == "small-stacks":  # 25 sites and 5 energies: sub-stacks of 3 trials, cut across every worker block
+        monkeypatch.setattr(spectra, "_EIGVALSH_STACK", 3 * 25 * 25 + 7)
+    recorded, run_trials = [], spectra.run_trials
+
+    def recording_run_trials(fn, trials, threads=1):
+        recorded.append(run_trials(fn, trials, threads))
+        return recorded[-1]
+
+    monkeypatch.setattr(spectra, "run_trials", recording_run_trials)
+    reports = [pair_regularity_probability(model, L, x, y, interval, grid, m, trials, seed, threads=threads)
+               for threads in (1, 2, 3)]
+    monkeypatch.undo()
+    assert reports[1:] == reports[:1] * 2
+    assert all(r.tobytes() == recorded[0].tobytes() for r in recorded)
+
+    flags = regularity_oracle(model, L, x, y, reports[0].energies, m, trials, seed)
+    pair = flags[:, 0] | flags[:, 1]
+    assert recorded[0].tolist() == np.column_stack([pair, pair.all(axis=1)]).astype(float).tolist()
+    # both boxes decide some energy either way, and the y box is needed
+    assert 0 < flags[:, 0].mean() < 1 and 0 < flags[:, 1].mean() < 1 and not pair.all()
+    if case == "exact-eigenvalue":
+        assert reports[0].energies[0] == interval[0] and not flags[3, 0, 0]
+
+
 def test_pair_regularity_trial_keys_do_not_collide_across_seeds(monkeypatch):
-    # an additive key seed + 1000003 t would give seed 7's trial 1 the key of seed 1000010's trial 0
+    # an additive key seed + 1000003 t would give seed 7's trial 1 the key of seed 1000010's trial 0; the
+    # couplings come from trial streams only, with no per-site key
     keys = []
 
-    def recording(model, sites, seed):
-        keys.append(seed)
-        return sample_configuration(model, sites, seed)
+    def recording(seed, trial):
+        stream = trial_stream(seed, trial)
+        keys.append(tuple(stream.bit_generator.seed_seq.entropy))
+        return stream
 
-    monkeypatch.setattr(spectra, "sample_configuration", recording)
+    def forbidden(*args):
+        raise AssertionError("regularity must draw no site stream")
+
+    monkeypatch.setattr(moments, "trial_stream", recording)
+    monkeypatch.setattr(model_module, "site_stream", forbidden)
     m = ModelConfig(1, 10.0, SingleSitePotential.delta(1), uniform01())
     runs = []
     for seed in (7, 7 + 1000003):
@@ -293,6 +387,12 @@ def test_pair_regularity_trial_keys_do_not_collide_across_seeds(monkeypatch):
         runs.append(set(keys))
     assert len(runs[0]) == len(runs[1]) == 3
     assert runs[0].isdisjoint(runs[1])
+
+
+@pytest.mark.parametrize("x, y", [((0, 0), (9,)), ((0,), (0, 9)), ((0, 0, 0), (9, 0, 0))])
+def test_pair_regularity_rejects_sites_of_another_dimension(x, y):
+    with pytest.raises(ValueError, match=re.escape(f"x = {x} and y = {y} must both have the model's dimension 2")):
+        pair_regularity_probability(_PLANE, 2, x, y, (-1, 1), 3, 0.1, 5, 1)
 
 
 def test_pair_regularity_separation_enforced():
