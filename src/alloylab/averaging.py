@@ -20,7 +20,6 @@ from .rng import trial_stream
 
 __all__ = [
     "AverageCheck",
-    "graf_bound_value",
     "graf_check",
     "det_average_check",
     "detgen_check",
@@ -115,10 +114,6 @@ def _det_power(r: float, logdetV: float, roots, p: float) -> float:
 # scalar pole average
 
 
-def graf_bound_value(density: DisorderDensity, s: float) -> float:
-    return density.linf ** s * density.l1 ** (1.0 - s) * _fractional_prefactor(s)
-
-
 def _real_pole_average(density: DisorderDensity, s: float, beta: float) -> tuple[float, float]:
     """integral of |t - beta|^{-s} rho(t) dt for real beta, panel by panel between the knots and beta.
 
@@ -155,7 +150,7 @@ def _real_pole_average(density: DisorderDensity, s: float, beta: float) -> tuple
 
 def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageCheck:
     """integral of |xi - beta|^{-s} rho(xi) dxi against the one-pole bound."""
-    bound = graf_bound_value(density, s)  # checks the exponent before any quadrature
+    bound = density.linf ** s * density.l1 ** (1.0 - s) * _fractional_prefactor(s)  # checks s before any quadrature
     beta = complex(beta)
     if abs(beta.imag) < 1e-14:
         val, err = _real_pole_average(density, s, beta.real)
@@ -312,8 +307,6 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
     if density.deriv_l1 is None:
         raise ValueError("density must have an integrable derivative (raised_cosine or end-matched piecewise_linear)")
 
-    ex = np.zeros(n)
-    ex[x] = 1.0
     ey = np.zeros(n)
     ey[y] = 1.0
 

@@ -48,7 +48,7 @@ class Output:
         self.header = list(header)
         self.rows = [list(r) for r in rows]
 
-    def check(self, name: str, value: float, bound: float | None, passed: bool | None):
+    def check(self, name: str, value: float | None, bound: float | None, passed: bool | None):
         margin = None if bound is None else bound - value
         self.summary.append({"check": name, "value": value, "bound": bound,
                              "margin": margin, "pass": passed})
@@ -87,7 +87,7 @@ def _load(args) -> tuple:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --threads and --instances."""
+    """argparse type of --trials, --threads and --instances."""
     try:
         value = int(text)
     except ValueError:
@@ -179,7 +179,7 @@ def cmd_decay(args, model, seed, out: Output) -> None:
     checked = [r for r in prof["rows"] if r["pass"] is not None]
     verdict = all(r["pass"] for r in checked) if checked else None  # no distance reached min_dist: nothing compared
     out.check("1d-decay-bound", float(sum(not r["pass"] for r in checked)), 0.0, verdict)
-    out.check("decay-rate-fit", prof["fit"].slope, None, None)
+    out.check("decay-rate-fit", None if prof["fit"] is None else prof["fit"].slope, None, None)
 
 
 def cmd_finite_volume(args, model, seed, out: Output) -> None:
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(needs_seed=mc)
 
     def trial_flags(sp, trials: int):  # only the subcommands that run MC trials
-        sp.add_argument("--trials", type=int, default=trials)
+        sp.add_argument("--trials", type=_positive_int, default=trials)
         sp.add_argument("--threads", type=_positive_int, default=1, help="worker thread cap")
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one disorder realization")

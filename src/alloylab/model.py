@@ -37,7 +37,6 @@ __all__ = [
     "exterior_boundary",
     "lambda_plus",
     "SitePotential",
-    "potential_value",
     "assemble_hamiltonian",
     "sample_configuration",
     "load_model_config",
@@ -556,22 +555,10 @@ class SitePotential:
     def __call__(self, omega: np.ndarray) -> np.ndarray:
         """V on the sites, for couplings ordered like ``coupling_sites``, or per row of a (trials, couplings) block."""
         V = np.zeros(omega.shape[:-1] + self.positions.shape[1:])
-        # term by term in supp-u order, as potential_value adds: np.add.reduce may sum pairwise
+        # term by term in supp-u order, as the exact sum over supp u adds: np.add.reduce may sum pairwise
         for value, pos in zip(self.values, self.positions):
             V += value * omega[..., pos]
         return V
-
-
-def potential_value(u: SingleSitePotential, omega: dict[Site, float], x) -> float:
-    """V(x) = sum_k omega_k u(x - k), an exact finite sum over supp u."""
-    x = _as_site(x)
-    total = 0.0
-    for t in u.support():
-        k = site_sub(x, t)
-        if k not in omega:
-            raise KeyError(f"configuration missing omega at {k} (needed for V({x}))")
-        total += omega[k] * u.value(t)
-    return total
 
 
 def assemble_hamiltonian(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry) -> np.ndarray:

@@ -98,7 +98,7 @@ class MomentEstimate:
 
 
 class DisorderSampler:
-    """Precomputed assembly data: per trial only the diagonal changes.
+    """Assembly data, each part built on its first use: per trial only the diagonal changes.
 
     The hopping part of H is fixed by the geometry; the random diagonal is
     lambda V, with V built by the SitePotential that assemble_hamiltonian also
@@ -117,9 +117,17 @@ class DisorderSampler:
     def __init__(self, model: ModelConfig, geometry: BoxGeometry):
         self.model = model
         self.geometry = geometry
-        self.potential = SitePotential(geometry, model.potential)
-        i, j = geometry.bonds.T
-        self.half_bandwidth = int(np.max(j - i, initial=0))
+
+    @cached_property
+    def potential(self) -> SitePotential:
+        """The coupling-to-V map, built on the first draw: a sampler that only assembles never reads it."""
+        return SitePotential(self.geometry, self.model.potential)
+
+    @cached_property
+    def half_bandwidth(self) -> int:
+        """The longest index span of ``geometry.bonds``, read on the first solve: only the band needs the bonds."""
+        i, j = self.geometry.bonds.T
+        return int(np.max(j - i, initial=0))
 
     @cached_property
     def _band(self) -> np.ndarray:
@@ -398,7 +406,8 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
 
     x is the left end of the box, y sweeps; for connected supp u the exponent
     is s/n and the bound uses the explicit contraction constants, otherwise
-    s/(n+r) with the gap constants.  Also fits a decay rate to log(mean).
+    s/(n+r) with the gap constants.  Also fits a decay rate to log(mean);
+    ``fit`` is None when fewer than two distances have a fittable mean.
     """
     if model.dimension != 1:
         raise ValueError("decay profiles are one-dimensional")
@@ -429,13 +438,12 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
             logs.append(math.log(est.mean))
             rel = est.stderr / est.mean if est.stderr > 0 else 1e-6
             weights.append(1.0 / rel ** 2)
+    fit = None  # fewer than two fittable distances: no rate, not a rate of 0
     if len(dists) >= 2:
         coef = np.polyfit(dists, logs, 1, w=np.sqrt(weights))
         pred = np.polyval(coef, dists)
         res = float(np.sqrt(np.mean((np.array(logs) - pred) ** 2)))
         fit = DecayFit(float(coef[0]), res, tuple(dists))
-    else:
-        fit = DecayFit(0.0, math.inf, tuple(dists))
 
     rows = []
     for est in estimates:

@@ -83,12 +83,6 @@ def generating_derivative(u: SingleSitePotential, I) -> float:
     return total
 
 
-def derivative_truncation_error(u: SingleSitePotential, I) -> float:
-    """Bound on the tail of D^I F(1) discarded by truncating u."""
-    # |prod ff(k_j, i_j)| <= (|k|_1 + |I|)^|I|
-    return _tail_sum(u, sum(int(i) for i in I))
-
-
 @dataclass(frozen=True)
 class LeadingDerivative:
     I0: MultiIndex
@@ -122,7 +116,8 @@ def find_I0(u: SingleSitePotential, degree_cap: int = 12) -> LeadingDerivative:
                 hits.append((I, val))
         if hits:
             I0, c_u = hits[0]
-            return LeadingDerivative(I0, c_u, derivative_truncation_error(u, I0))
+            # the tail of D^I0 F(1) that truncating u discards: |prod ff(k_j, i_j)| <= (|k|_1 + |I0|)^|I0|
+            return LeadingDerivative(I0, c_u, _tail_sum(u, sum(I0)))
     raise ValueError(f"all derivatives up to total degree {degree_cap} vanish within tolerance")
 
 

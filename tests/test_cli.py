@@ -521,14 +521,19 @@ def test_threads_flag_only_on_trial_subcommands(model_cfg):
 
 
 _COUNT_FLAGS = [(["moments", "--trials", "4"], "--threads", value) for value in ("0", "-2", "abc")] + [
-    ([name], "--instances", value) for name in ("green-identities", "averaging") for value in ("0", "-1", "x")]
+    ([name], "--instances", value) for name in ("green-identities", "averaging") for value in ("0", "-1", "x")] + [
+    (["moments"], "--trials", "0"), (["finite-volume", "--region", "8", "--L", "3"], "--trials", "0")]
 
 
-@pytest.mark.parametrize("argv, flag, value", _COUNT_FLAGS,
-                         ids=[value if flag == "--threads" else f"{argv[0]}-instances-{value}"
-                              for argv, flag, value in _COUNT_FLAGS])
+def _count_flag_id(argv, flag, value):
+    if flag == "--threads":
+        return value
+    return f"{argv[0]}-no-trials" if flag == "--trials" else f"{argv[0]}-instances-{value}"
+
+
+@pytest.mark.parametrize("argv, flag, value", _COUNT_FLAGS, ids=[_count_flag_id(*case) for case in _COUNT_FLAGS])
 def test_threads_flag_must_be_a_positive_integer(model_cfg, tmp_path, capsys, argv, flag, value):
-    # --instances takes the same argparse type as --threads
+    # --instances and --trials take the same argparse type as --threads
     assert run(argv + ["--config", str(model_cfg), "--out", str(tmp_path / "o"), flag, value]) == 1
     assert f"error: argument {flag}: expected a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
@@ -609,6 +614,17 @@ def test_decay_rows_compared_to_no_bound_have_empty_bound_and_pass_cells(tmp_pat
         assert r["pass"] in (("true", "false") if compared else ("",)), r
 
 
+def test_decay_with_no_fit_reports_no_rate(tmp_path, capsys):
+    # one distance on a two-site chain: nothing to fit, and a slope of 0 would read as "no decay"
+    config = Path(__file__).resolve().parent.parent / "bench" / "configs" / "uniform_d1.json"
+    argv = ["decay", "--config", str(config), "--box", "2", "--trials", "50", "--seed", "3",
+            "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    assert "[----] decay-rate-fit: value=\n" in capsys.readouterr().out
+    (row,) = [r for r in csv.reader(open(tmp_path / "o_summary.csv")) if r[0] == "decay-rate-fit"]
+    assert row == ["decay-rate-fit", "", "", "", ""]
+
+
 def test_tail_config_with_only_zero_stored_values_keeps_its_dimension(model_cfg, tmp_path):
     cfg = json.loads(model_cfg.read_text())
     cfg.update(dimension=2, potential={"support": [[[1, 1], 0.0]], "tail": {"C": 1.0, "alpha": 1.0, "radius": 1}})
@@ -670,8 +686,6 @@ def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("coupling, argv", [
-    (50.0, ["moments", "--trials", "0"]),
-    (50.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "0"]),
     (0.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "4"]),
     (0.0, ["wegner", "--l", "3", "--trials", "4"]),
     (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--grid", "0"]),
@@ -685,7 +699,7 @@ def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, 
     (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--emin", "nan"]),
     (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "nan"]),
     (50.0, ["decay", "--box", "6", "--trials", "4", "--imag", "nan"]),
-], ids=["moments-no-trials", "finite-volume-no-trials", "finite-volume-zero-coupling", "wegner-zero-coupling",
+], ids=["finite-volume-zero-coupling", "wegner-zero-coupling",
         "regularity-no-grid", "wegner-reversed-interval", "conditional-one-attempt", "conditional-negative-attempts",
         "moments-nan-imag", "moments-inf-energy", "finite-volume-nan-imag", "regularity-nan-m", "regularity-nan-emin",
         "wegner-nan-emin", "decay-nan-imag"])

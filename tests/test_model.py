@@ -3,7 +3,9 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,9 +25,10 @@ from alloylab.model import (
     interior_boundary,
     lambda_plus,
     load_model_config,
-    potential_value,
     sample_configuration,
 )
+
+from oracles import potential_value
 
 
 def uniform01():
@@ -433,3 +436,11 @@ def test_piecewise_sampler_matches_cdf():
     # quantile really inverts the cdf
     for q in (0.05, 0.35, 0.65, 0.95):
         assert float(d.cdf(d.quantile(q))) == pytest.approx(q, abs=1e-10)
+
+
+def test_importing_the_model_loads_only_what_it_uses():
+    # callers import the modules, so the package loads none of the checks; a fresh interpreter, since pytest has them
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    child = "import sys, alloylab.model; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'alloylab'))"
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["alloylab", "alloylab.green", "alloylab.model", "alloylab.rng"]

@@ -335,6 +335,24 @@ def test_half_bandwidth_is_measured_from_the_geometry(geometry, k):
     assert DisorderSampler(m, geometry).half_bandwidth == k
 
 
+def _d2_model():
+    return ModelConfig(2, 1.0, SingleSitePotential.from_values({(0, 0): 1.0, (1, 0): -0.5}), uniform01())
+
+
+def test_a_sampler_that_only_draws_never_finds_the_bonds():
+    geometry = build_box(2, (0, 0))
+    sampler = DisorderSampler(_d2_model(), geometry)
+    sampler.diagonals(sampler.omega(3, 4))
+    assert "bonds" not in geometry.__dict__
+
+
+def test_a_sampler_that_only_assembles_never_maps_the_couplings():
+    geometry = build_box(2, (0, 0))
+    sampler = DisorderSampler(_d2_model(), geometry)
+    sampler.hamiltonian(np.zeros(len(geometry)))
+    assert "potential" not in sampler.__dict__
+
+
 # ---------------------------------------------------------------------------
 # finite-volume screening sum
 

@@ -80,7 +80,6 @@ from alloylab.model import (
     interior_boundary,
     lambda_plus,
     neighbors,
-    potential_value,
     sample_configuration,
 )
 from alloylab.moments import (
@@ -93,6 +92,8 @@ from alloylab.moments import (
 )
 from alloylab.rng import site_stream, trial_stream, zigzag
 from alloylab.spectra import _sturm_below
+
+from oracles import potential_value
 
 PROPERTY = settings(max_examples=60, deadline=None)
 

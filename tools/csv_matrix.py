@@ -2,14 +2,16 @@
 
     python3 tools/csv_matrix.py > tools/csv_matrix.expected
 
-Runs all 11 subcommands on 5 configs, the 4 in ``bench/configs/`` and the
-piecewise-linear ``tools/piecewise_linear_d1.json`` (no benchmark config
-samples that density kind), at seeds 3 and 7, and each trial subcommand once
+Runs all 11 subcommands on 7 configs, the 4 in ``bench/configs/`` and the 3
+in ``tools/``, at seeds 3 and 7, and each trial subcommand once
 more at seed 3 with ``--threads 2`` (``decay`` always runs with it), in this
 process, through ``alloylab.cli.run`` on the ``src/`` of this checkout, with
 BLAS pinned to one thread.  Flags are small, so the whole matrix takes
 seconds.  A run that a config cannot take (``decay`` on the d=2 model, say)
-exits 1 and is digested like any other.
+exits 1 and is digested like any other.  The configs in ``tools/`` reach what
+no benchmark config does: ``piecewise_linear_d1`` samples that density kind,
+``gap_d1`` has a gap in supp u, so ``decay`` runs ``moments.gap_constants``,
+and ``raised_cosine_d2`` is a d=2 model that ``apriori`` accepts.
 
 The first line stamps the numpy and scipy versions and the BLAS build of
 each, since another BLAS may round differently.  Then each run prints one
