@@ -87,7 +87,7 @@ def _load(args) -> tuple:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --trials, --threads and --instances."""
+    """argparse type of the count flags: --trials, --threads, --instances, --grid and --attempts."""
     try:
         value = int(text)
     except ValueError:
@@ -226,17 +226,19 @@ def cmd_regularity(args, model, seed, out: Output) -> None:
 
 
 def cmd_conditional(args, model, seed, out: Output) -> None:
+    pairs = [(a, sigma) for a in (0.5, 1.0, 2.0) for sigma in (0.5, 1.0)]
+    a, sigma = np.array(pairs).T
+    blocks = [(l, m) for l in range(1, 5) for m in range(0, 5)]
+    # per (l, m) block: formula mean, formula variance, oracle mean, oracle variance, one column per pair
+    values = np.array([(*gaussian.gaussian_conditional(a, sigma, l, m), *gaussian.conditional_oracle(a, sigma, l, m))
+                       for l, m in blocks])
     rows = []
     worst = 0.0
-    for a in (0.5, 1.0, 2.0):
-        for sigma in (0.5, 1.0):
-            for l in range(1, 5):
-                for m in range(0, 5):
-                    got = gaussian.gaussian_conditional(a, sigma, l, m)
-                    want = gaussian.conditional_oracle(a, sigma, l, m)
-                    diff = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
-                    worst = max(worst, diff)
-                    rows.append([a, sigma, l, m, got[1], want[1], diff])
+    for p, pair in enumerate(pairs):
+        for (l, m), (got_mean, got_var, want_mean, want_var) in zip(blocks, values[:, :, p].tolist()):
+            diff = max(abs(got_mean - want_mean), abs(got_var - want_var))
+            worst = max(worst, diff)
+            rows.append([*pair, l, m, got_var, want_var, diff])
     out.table(["u_minus1", "sigma", "l", "m", "variance_formula", "variance_oracle", "diff"], rows)
     out.check("conditional-variance-agreement", worst, 1e-10, worst <= 1e-10)
     res = gaussian.negexample_check(model.potential, args.delta, args.delta_prime,
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--separation", type=int, default=20)
     sp.add_argument("--emin", type=float, default=-1.0)
     sp.add_argument("--emax", type=float, default=1.0)
-    sp.add_argument("--grid", type=int, default=21)
+    sp.add_argument("--grid", type=_positive_int, default=21)
     sp.add_argument("--m", type=float, default=0.2)
     trial_flags(sp, 200)
 
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, True)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--delta-prime", dest="delta_prime", type=float, default=0.05)
-    sp.add_argument("--attempts", type=int, default=100000)
+    sp.add_argument("--attempts", type=_positive_int, default=100000)
 
     sp = sub.add_parser("apriori", help="non-local a-priori bound vs MC moments")
     common(sp, True)

@@ -145,19 +145,19 @@ def negexample_check(u: SingleSitePotential, delta: float, delta_prime: float,
 # Gaussian conditionals for supp u = {-1, 0}
 
 
-def s_l(a: float, l: int) -> float:
-    """Geometric sum sum_{i=0..l} a^{2i} (s_0 = 1)."""
+def s_l(a, l: int):
+    """Geometric sum sum_{i=0..l} a^{2i} (s_0 = 1), elementwise for an array a."""
     if l < 0:
         raise ValueError("l must be >= 0")
     return sum(a ** (2 * i) for i in range(l + 1))
 
 
-def build_A_l(a: float, l: int) -> np.ndarray:
-    """The l x (l+1) band matrix mapping couplings to potential values."""
-    A = np.zeros((l, l + 1))
-    for i in range(l):
-        A[i, i] = 1.0
-        A[i, i + 1] = a
+def build_A_l(a, l: int) -> np.ndarray:
+    """The l x (l+1) band matrix mapping couplings to potential values; one per entry of an array a."""
+    A = np.zeros(np.shape(a) + (l, l + 1))
+    i = np.arange(l)
+    A[..., i, i] = 1.0
+    A[..., i, i + 1] = np.asarray(a)[..., None]
     return A
 
 
@@ -183,69 +183,80 @@ def a_l_determinants(a: float, l: int) -> dict:
     }
 
 
-def gaussian_conditional(a: float, sigma: float, l: int, m: int,
-                         v_minus=None, v_plus=None) -> tuple[float, float]:
+def _stack(a, sigma, l: int, m: int):
+    """(a, sigma) as equal-length 1-D float arrays, plus whether both came as scalars."""
+    if l < 1 or m < 0:
+        raise ValueError("need l >= 1 and m >= 0")
+    if np.ndim(a) > 1 or np.ndim(sigma) > 1:
+        raise ValueError("a and sigma must be scalars or 1-D arrays")
+    scalar = np.ndim(a) == 0 and np.ndim(sigma) == 0
+    a, sigma = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                                   np.atleast_1d(np.asarray(sigma, dtype=float)))
+    return a, sigma, scalar
+
+
+def _values(v, n: int, name: str) -> np.ndarray:
+    """The n conditioning values (zeros when not given), shared by every (a, sigma) of a stack."""
+    v = np.zeros(n) if v is None else np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have length {n}")
+    return v
+
+
+def _result(scalar: bool, mean: np.ndarray, var: np.ndarray):
+    return (float(mean[0]), float(var[0])) if scalar else (mean, var)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[i] . y[i] for each row i, by the same BLAS dot as the 1-D product x[i] @ y[i]."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def gaussian_conditional(a, sigma, l: int, m: int, v_minus=None, v_plus=None):
     """(mean, variance) of V(0) given the l values to the right and m to the left.
 
     Closed forms: variance sigma^2 (a^2 - 1 + 1/s_m + 1/s_l) for m, l >= 1 and
     sigma^2 (a^2 + 1/s_l) for m = 0 (one-sided conditioning); the means use
-    the corner rows of (A A^T)^{-1}.  Here a = u(-1) and u(0) = 1.
+    the corner rows of (A A^T)^{-1}.  Here a = u(-1) and u(0) = 1.  a and
+    sigma may be equal-length 1-D arrays: the result is then a pair of arrays,
+    from one stacked inverse per band matrix; scalars give a pair of floats.
     """
-    if l < 1:
-        raise ValueError("need l >= 1")
-    if m < 0:
-        raise ValueError("need m >= 0")
-    if a == 0.0:
+    a, sigma, scalar = _stack(a, sigma, l, m)
+    if np.any(a == 0.0):
         raise ValueError("u(-1) = 0 decouples the sites; conditioning is vacuous")
-    v_plus = np.zeros(l) if v_plus is None else np.asarray(v_plus, dtype=float)
-    if v_plus.shape != (l,):
-        raise ValueError("v_plus must have length l")
+    v_minus, v_plus = _values(v_minus, m, "v_minus"), _values(v_plus, l, "v_plus")
     Ml = build_A_l(a, l)
-    right = float(np.linalg.inv(Ml @ Ml.T)[0, :] @ v_plus)  # the corner term of the l values to the right
+    right = _dot(np.linalg.inv(Ml @ Ml.transpose(0, 2, 1))[:, 0, :], v_plus)  # the corner term of the right values
     if m == 0:
-        return a * right, sigma ** 2 * (a ** 2 + 1.0 / s_l(a, l))
-    v_minus = np.zeros(m) if v_minus is None else np.asarray(v_minus, dtype=float)
-    if v_minus.shape != (m,):
-        raise ValueError("v_minus must have length m")
+        return _result(scalar, a * right, sigma ** 2 * (a ** 2 + 1.0 / s_l(a, l)))
     gamma = sigma ** 2 * (a ** 2 - 1.0 + 1.0 / s_l(a, m) + 1.0 / s_l(a, l))
     Mm = build_A_l(a, m)
-    inv_m = np.linalg.inv(Mm @ Mm.T)
-    return a * (float(inv_m[m - 1, :] @ v_minus) + right), gamma
+    inv_m = np.linalg.inv(Mm @ Mm.transpose(0, 2, 1))
+    return _result(scalar, a * (_dot(inv_m[:, m - 1, :], v_minus) + right), gamma)
 
 
-def conditional_oracle(a: float, sigma: float, l: int, m: int,
-                       v_minus=None, v_plus=None) -> tuple[float, float]:
+def conditional_oracle(a, sigma, l: int, m: int, v_minus=None, v_plus=None):
     """Exact covariance algebra for the same conditional law.
 
     Y = V(0), W = (V(-m)..V(-1), V(1)..V(l)) as linear maps of i.i.d.
-    N(0, sigma^2) couplings; mean and variance come from
-    cov(Y,W) cov(W,W)^{-1} applied to the conditioning vector.
+    N(0, sigma^2) couplings w_{-m}..w_{l+1}; mean and variance come from
+    cov(Y,W) cov(W,W)^{-1} applied to the conditioning vector.  Array a and
+    sigma are handled as in gaussian_conditional, with one stacked cond and
+    one stacked solve.
     """
-    if l < 1 or m < 0:
-        raise ValueError("need l >= 1 and m >= 0")
-    idx = list(range(-m - 1, l + 2))  # couplings w_j entering the involved values
-    pos = {j: i for i, j in enumerate(idx)}
-    dim = len(idx)
-
-    def value_row(x: int) -> np.ndarray:
-        row = np.zeros(dim)
-        row[pos[x]] = 1.0       # u(0) = 1
-        row[pos[x + 1]] = a     # u(-1) = a
-        return row
-
-    Y = value_row(0)
-    rows = [value_row(k) for k in range(-m, 0)] + [value_row(k) for k in range(1, l + 1)]
-    Wm = np.array(rows)
+    a, sigma, scalar = _stack(a, sigma, l, m)
+    v = np.concatenate([_values(v_minus, m, "v_minus"), _values(v_plus, l, "v_plus")])
+    rows = build_A_l(a, l + m + 1)  # V(-m)..V(l)
+    Y = rows[:, m]
+    Wm = np.delete(rows, m, axis=1)
     s2 = sigma ** 2
-    covYY = s2 * float(Y @ Y)
-    covWY = s2 * (Wm @ Y)
-    covWW = s2 * (Wm @ Wm.T)
-    if np.linalg.cond(covWW) > 1e14:
-        raise np.linalg.LinAlgError("conditioning covariance is numerically singular")
-    solve = np.linalg.solve(covWW, covWY)
-    var = covYY - float(covWY @ solve)
-    v_minus = np.zeros(m) if v_minus is None else np.asarray(v_minus, dtype=float)
-    v_plus = np.zeros(l) if v_plus is None else np.asarray(v_plus, dtype=float)
-    v = np.concatenate([v_minus, v_plus])
-    mean = float(solve @ v)
-    return mean, var
+    covYY = s2 * _dot(Y, Y)
+    covWY = s2[:, None] * (Wm @ Y[..., None])[..., 0]
+    covWW = s2[:, None, None] * (Wm @ Wm.transpose(0, 2, 1))
+    singular = ~(np.linalg.cond(covWW) <= 1e14)
+    if np.any(singular):
+        members = ", ".join(f"(a={x!r}, sigma={s!r})"
+                            for x, s in zip(a[singular].tolist(), sigma[singular].tolist()))
+        raise np.linalg.LinAlgError(f"conditioning covariance is numerically singular at {members}")
+    solve = np.linalg.solve(covWW, covWY[..., None])[..., 0]
+    return _result(scalar, _dot(solve, v), covYY - _dot(covWY, solve))

@@ -39,7 +39,8 @@ __all__ = [
 
 def eigenvalues(H: np.ndarray) -> np.ndarray:
     """Full ascending spectrum of a real symmetric matrix."""
-    if not np.allclose(H, H.T):
+    # exact symmetry, the usual case, is cheap to confirm; allclose only judges what it misses
+    if not (np.array_equal(H, H.T) or np.allclose(H, H.T)):
         raise ValueError("Hamiltonian must be symmetric")
     return np.linalg.eigvalsh(H)
 

@@ -522,18 +522,21 @@ def test_threads_flag_only_on_trial_subcommands(model_cfg):
 
 _COUNT_FLAGS = [(["moments", "--trials", "4"], "--threads", value) for value in ("0", "-2", "abc")] + [
     ([name], "--instances", value) for name in ("green-identities", "averaging") for value in ("0", "-1", "x")] + [
-    (["moments"], "--trials", "0"), (["finite-volume", "--region", "8", "--L", "3"], "--trials", "0")]
+    (["moments"], "--trials", "0"), (["finite-volume", "--region", "8", "--L", "3"], "--trials", "0"),
+    (["regularity", "--L", "2", "--separation", "8", "--trials", "2"], "--grid", "0"),
+    (["conditional"], "--attempts", "-4")]
 
 
 def _count_flag_id(argv, flag, value):
     if flag == "--threads":
         return value
-    return f"{argv[0]}-no-trials" if flag == "--trials" else f"{argv[0]}-instances-{value}"
+    return {"--trials": f"{argv[0]}-no-trials", "--instances": f"{argv[0]}-instances-{value}",
+            "--grid": "regularity-no-grid", "--attempts": "conditional-negative-attempts"}[flag]
 
 
 @pytest.mark.parametrize("argv, flag, value", _COUNT_FLAGS, ids=[_count_flag_id(*case) for case in _COUNT_FLAGS])
 def test_threads_flag_must_be_a_positive_integer(model_cfg, tmp_path, capsys, argv, flag, value):
-    # --instances and --trials take the same argparse type as --threads
+    # --instances, --trials, --grid and --attempts take the same argparse type as --threads
     assert run(argv + ["--config", str(model_cfg), "--out", str(tmp_path / "o"), flag, value]) == 1
     assert f"error: argument {flag}: expected a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
@@ -688,10 +691,8 @@ def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, 
 @pytest.mark.parametrize("coupling, argv", [
     (0.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "4"]),
     (0.0, ["wegner", "--l", "3", "--trials", "4"]),
-    (50.0, ["regularity", "--L", "2", "--separation", "8", "--trials", "2", "--grid", "0"]),
     (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "0.1", "--emax", "-0.1"]),
     (50.0, ["conditional", "--attempts", "1"]),
-    (50.0, ["conditional", "--attempts", "-4"]),
     (50.0, ["moments", "--trials", "4", "--imag", "nan"]),
     (50.0, ["moments", "--trials", "4", "--energy", "inf"]),
     (50.0, ["finite-volume", "--region", "8", "--L", "3", "--trials", "4", "--imag", "nan"]),
@@ -700,7 +701,7 @@ def test_seed_outside_the_64_bit_key_range_exits_1(model_cfg, tmp_path, capsys, 
     (50.0, ["wegner", "--l", "3", "--trials", "4", "--emin", "nan"]),
     (50.0, ["decay", "--box", "6", "--trials", "4", "--imag", "nan"]),
 ], ids=["finite-volume-zero-coupling", "wegner-zero-coupling",
-        "regularity-no-grid", "wegner-reversed-interval", "conditional-one-attempt", "conditional-negative-attempts",
+        "wegner-reversed-interval", "conditional-one-attempt",
         "moments-nan-imag", "moments-inf-energy", "finite-volume-nan-imag", "regularity-nan-m", "regularity-nan-emin",
         "wegner-nan-emin", "decay-nan-imag"])
 def test_contract_violations_exit_1(model_cfg, tmp_path, capsys, coupling, argv):

@@ -187,9 +187,52 @@ def test_conditional_formula_matches_the_oracle_given_conditioning_values(a, sig
     assert max(abs(mean_f - mean_o), abs(var_f - var_o)) <= 1e-10
 
 
-def test_conditional_rejects_decoupled():
+# the CLI's grid of (a, sigma) pairs, with negative a added
+_PAIRS = [(a, sigma) for a in (0.5, 1.0, 2.0, -0.5, -2.0) for sigma in (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("conditional", [gaussian_conditional, conditional_oracle])
+def test_stacked_calls_equal_scalar_calls_bit_for_bit(conditional):
+    a, sigma = np.array(_PAIRS).T
+    rng = np.random.default_rng(25)
+    for l in range(1, 5):
+        for m in range(0, 5):
+            for v_minus, v_plus in ((None, None), (rng.normal(size=m), rng.normal(size=l))):
+                means, variances = conditional(a, sigma, l, m, v_minus, v_plus)
+                one_by_one = [conditional(*pair, l, m, v_minus, v_plus) for pair in _PAIRS]
+                assert means.tolist() == [mean for mean, _ in one_by_one]
+                assert variances.tolist() == [var for _, var in one_by_one]
+
+
+def test_scalar_calls_return_floats():
+    for conditional in (gaussian_conditional, conditional_oracle):
+        for m in (0, 2):
+            mean, var = conditional(0.5, 1.0, 2, m, v_plus=[0.3, -0.1])
+            assert type(mean) is float and type(var) is float
+
+
+def test_a_near_singular_member_of_a_stack_is_named():
+    a, sigma = np.array([0.5, 1.0, 2.0]), np.array([1.0, 0.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular at \(a=1\.0, sigma=0\.0\)$"):
+        conditional_oracle(a, sigma, 2, 1)
+
+
+@pytest.mark.parametrize("kwargs", [{"l": 0, "m": 1}, {"l": 2, "m": -1}, {"l": 2, "m": 1, "v_plus": [1.0]},
+                                    {"l": 2, "m": 1, "v_minus": [1.0, 2.0]}, {"l": 2, "m": 1, "a": np.ones((2, 2))},
+                                    {"l": 2, "m": 1, "sigma": [1.0, 1.0, 1.0]}],
+                         ids=["no-right-values", "negative-m", "short-v-plus", "long-v-minus", "2-d-a",
+                              "unequal-lengths"])
+@pytest.mark.parametrize("conditional", [gaussian_conditional, conditional_oracle])
+def test_stacked_calls_keep_every_contract(conditional, kwargs):
+    args = {"a": np.array([0.5, 2.0]), "sigma": np.array([1.0, 0.5]), **kwargs}
     with pytest.raises(ValueError):
-        gaussian_conditional(0.0, 1.0, 2, 2)
+        conditional(**args)
+
+
+def test_conditional_rejects_decoupled():
+    for a in (0.0, np.array([0.5, 0.0])):  # alone, or as one member of a stack
+        with pytest.raises(ValueError, match="decouples"):
+            gaussian_conditional(a, 1.0, 2, 2)
 
 
 def min_conditional_std(a: float, sigma: float, L: int) -> float:

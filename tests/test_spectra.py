@@ -92,6 +92,19 @@ def test_eigenvalues_reject_a_non_symmetric_matrix():
         eigenvalues(H)
 
 
+@pytest.mark.parametrize("change, symmetric", [(0.0, True), (1e-12, True), (1e-3, False), (math.nan, False)],
+                         ids=["exact", "within-allclose", "beyond-allclose", "nan"])
+def test_eigenvalues_judge_symmetry_as_allclose_does(change, symmetric):
+    # the exact comparison comes first, but only allclose's verdict decides
+    H = np.diag([1.0, 2.0, 3.0]) - np.eye(3, k=1) - np.eye(3, k=-1)
+    H[0, 1] += change
+    if symmetric:
+        assert eigenvalues(H).shape == (3,)
+    else:
+        with pytest.raises(ValueError, match="Hamiltonian must be symmetric"):
+            eigenvalues(H)
+
+
 def test_eigenvalues_residual_and_inertia_oracle():
     rng = np.random.default_rng(10)
     A = rng.normal(size=(20, 20))
