@@ -10,7 +10,13 @@ margin bound - integral should be nonnegative up to the integration error.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +80,96 @@ def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
     return mean.reshape(samples.shape[1:]), stderr.reshape(samples.shape[1:])
 
 
+_SCIPY_LOAD = threading.Lock()
+
+
+def _scipy_module(name: str):
+    """scipy's compiled module ``name``, e.g. "scipy.integrate._quadpack", without its package.
+
+    ``import scipy.integrate._quadpack`` would first run scipy/integrate/__init__.py,
+    hundreds of modules and tens of MB for the one extension these checks call.
+    This loads the extension file from scipy's package directory instead and
+    enters it in sys.modules under its name; a module already there (its package
+    was imported) is returned as it is.  The lock keeps two threads' first
+    solves from loading it twice.
+    """
+    with _SCIPY_LOAD:
+        module = sys.modules.get(name)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")  # finds the package directory without importing it
+            finders = [importlib.machinery.FileFinder(os.path.join(root, *name.split(".")[1:-1]), (
+                importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+                for root in (scipy.submodule_search_locations if scipy else [])]
+            spec = next(filter(None, (f.find_spec(name) for f in finders)), None)
+            if spec is None:
+                raise ImportError(f"no compiled module {name} in the installed scipy", name=name)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    return module
+
+
+_TOL = 1.49e-8  # quad's default epsabs and epsrel
+
+_QUADPACK_MESSAGES = {  # scipy.integrate.quad's text for each return code ier of QUADPACK
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  If increasing the limit yields "
+       "no improvement it is advised to analyze \n  the integrand in order to determine the difficulties.  "
+       "If the position of a \n  local difficulty can be determined (singularity, discontinuity) one will "
+       "\n  probably gain from splitting up the interval and calling the integrator \n  on the subranges.  "
+       "Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+       "the requested tolerance from being achieved.  The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  in the extrapolation table.  "
+       "It is assumed that the requested tolerance\n  cannot be achieved, and that the returned result "
+       "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    6: "The input is invalid.",
+    7: "Abnormal termination of the routine.  The estimates for result\n  and error are less reliable.  "
+       "It is assumed that the requested accuracy\n  has not been achieved.",
+}
+
+
+def _quad(f, a: float, b: float, points=None, alg=None, limit: int = 50) -> tuple[float, float]:
+    """(value, error) of scipy.integrate.quad(f, a, b, points=points, limit=limit) on a finite interval,
+    or of quad(f, a, b, weight="alg", wvar=alg, limit=limit): the same QUADPACK call (QAGS, QAGP or
+    QAWS) with the same arguments, so the same numbers, without importing scipy.integrate.
+
+    A return code of 1-5 or 7 warns IntegrationWarning with quad's message, as quad does; any other
+    nonzero code raises ValueError.
+    """
+    if a == b:
+        return 0.0, 0.0
+    flip, a, b = b < a, min(a, b), max(a, b)
+    quadpack = _scipy_module("scipy.integrate._quadpack")
+    if alg is not None:
+        val, err, ier = quadpack._qawse(f, a, b, alg, 1, (), 0, _TOL, _TOL, limit)
+    elif points is None:
+        val, err, ier = quadpack._qagse(f, a, b, (), 0, _TOL, _TOL, limit)
+    else:
+        # duplicates would force evaluations on the singular points
+        inner = np.unique(points)
+        inner = inner[(a < inner) & (inner < b)]
+        val, err, ier = quadpack._qagpe(f, a, b, np.concatenate((inner, (0.0, 0.0))), (), 0, _TOL, _TOL, limit)
+    if ier != 0:
+        msg = _QUADPACK_MESSAGES.get(ier, "Unknown error.").format(limit=limit)
+        if ier not in (1, 2, 3, 4, 5, 7):
+            raise ValueError(f"QUADPACK returned ier={ier}: {msg}")
+        from scipy.integrate import IntegrationWarning  # the whole package, but only when a quadrature fails
+
+        warnings.warn(msg, IntegrationWarning, stacklevel=2)
+    return (-val if flip else val), err
+
+
 def _integrate(f, density: DisorderDensity, singular_points) -> tuple[float, float]:
     """Adaptive quadrature of f * rho over the support, split at singularities and at the density's knots."""
-    from scipy.integrate import quad  # slow to import, and only the quadrature checks need it
-
     lo, hi = density.a, density.b
     singular = {float(p) for p in singular_points if lo < p < hi}
-    # a knot by a singular point would leave a panel too narrow for quad's nodes to miss the singularity
+    # a knot by a singular point would leave a panel too narrow for QUADPACK's nodes to miss the singularity
     knots = {t for t in density.breakpoints if all(abs(t - p) > 1e-9 * (hi - lo) for p in singular)}
     pts = sorted(singular | knots)
     pdf = density.pdf
-    val, err = quad(lambda t: f(t) * pdf(t), lo, hi, points=pts or None, limit=400)
+    val, err = _quad(lambda t: f(t) * pdf(t), lo, hi, points=pts or None, limit=400)
     return float(val), float(err)
 
 
@@ -127,8 +212,6 @@ def _real_pole_average(density: DisorderDensity, s: float, beta: float) -> tuple
     integrand e^{(1-s)u} rho(t); QAGS in t extrapolated such a panel to the
     limit of a pole on its end, e.g. 5.0000000010 for 4.9207553414.
     """
-    from scipy.integrate import quad  # slow to import, and only the quadrature checks need it
-
     pdf = density.pdf
     inside = [beta] if density.a < beta < density.b else []
     edges = sorted({density.a, density.b, *density.breakpoints, *inside})
@@ -136,13 +219,13 @@ def _real_pole_average(density: DisorderDensity, s: float, beta: float) -> tuple
     for x, y in zip(edges, edges[1:]):
         # clamped, since beta + u may round out of the panel, where rho can jump to 0
         if beta in (x, y):
-            v, e = quad(lambda u: pdf(min(max(beta + u, x), y)), x - beta, y - beta,
-                        weight="alg", wvar=(-s, 0.0) if x == beta else (0.0, -s))
+            v, e = _quad(lambda u: pdf(min(max(beta + u, x), y)), x - beta, y - beta,
+                         alg=(-s, 0.0) if x == beta else (0.0, -s))
         else:
             side = math.copysign(1.0, x - beta)
             ends = sorted((math.log(abs(x - beta)), math.log(abs(y - beta))))
-            v, e = quad(lambda u: math.exp((1.0 - s) * u) * pdf(min(max(beta + side * math.exp(u), x), y)),
-                        *ends, limit=400)
+            v, e = _quad(lambda u: math.exp((1.0 - s) * u) * pdf(min(max(beta + side * math.exp(u), x), y)),
+                         *ends, limit=400)
         val += v
         err += e
     return val, err

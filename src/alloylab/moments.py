@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .averaging import _check_trials, _fractional_prefactor, _mean_stderr
+from .averaging import _check_trials, _fractional_prefactor, _mean_stderr, _scipy_module
 from .green import annulus
 from .model import (
     BoxGeometry,
@@ -144,9 +144,8 @@ class DisorderSampler:
 
     @cached_property
     def _gbsv(self):
-        from scipy.linalg import get_lapack_funcs  # loaded with the first solve, not with the package
-
-        return get_lapack_funcs("gbsv", dtype=complex)
+        """LAPACK zgbsv, the routine get_lapack_funcs("gbsv", dtype=complex) returns, loaded on the first solve."""
+        return _scipy_module("scipy.linalg._flapack").zgbsv
 
     def omega(self, seed: int, trials: int) -> np.ndarray:
         """Couplings of trials 0..trials-1 as one (trials, |coupling_sites|) block.

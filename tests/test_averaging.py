@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import _quadpack
 
 from alloylab.averaging import (
     _det_power,
+    _quad,
+    _scipy_module,
     det_average_check,
     detgen_check,
     graf_check,
@@ -100,6 +104,42 @@ def _pdf_evaluations(density, beta) -> int:
     density.pdf = counting
     graf_check(density, 0.5, beta)
     return calls
+
+
+@pytest.mark.parametrize("check", [det_average_check, resolvent_average_check])
+def test_quadpack_failure_reaches_the_caller(check):
+    # a pencil root 1e-15 below the support end 1: QAGP reports ier = 3, and the check warns with quad's text
+    with pytest.warns(IntegrationWarning, match="Extremely bad integrand behavior occurs at some points"):
+        check(np.array([[-(1 + 1e-15)]]), np.eye(1), DisorderDensity("uniform", (1, 2)), 0.8)
+
+
+def test_scipy_module_is_the_loaded_module_or_an_import_error():
+    assert _scipy_module("scipy.integrate._quadpack") is _quadpack  # the package loaded it, so it is reused
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
+        _scipy_module("scipy.linalg._no_such_module")
+
+
+@pytest.mark.parametrize("ier", [1, 2, 3, 4, 5, 6, 7, 8, 80])
+@pytest.mark.parametrize("routine, kw, quad_kw", [
+    ("_qagse", {}, {}),
+    ("_qagpe", {"points": [0.5]}, {"points": [0.5]}),
+    ("_qawse", {"alg": (-0.5, 0.0)}, {"weight": "alg", "wvar": (-0.5, 0.0)}),
+], ids=["qags", "qagp", "qaws"])
+@pytest.mark.parametrize("limit", [50, 400])
+def test_quadpack_return_codes_are_reported_as_quad_reports_them(monkeypatch, ier, routine, kw, quad_kw, limit):
+    # _quad and quad call the same module, so one patched routine shows both the same return code
+    monkeypatch.setattr(_quadpack, routine, lambda *args: (0.25, 1e-3, ier))
+    if ier in (1, 2, 3, 4, 5, 7):
+        with pytest.warns(IntegrationWarning) as got:
+            assert _quad(math.cos, 0.0, 1.0, limit=limit, **kw) == (0.25, 1e-3)
+        with pytest.warns(IntegrationWarning) as want:
+            quad(math.cos, 0.0, 1.0, limit=limit, **quad_kw)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    else:
+        with pytest.raises(ValueError, match=f"ier={ier}"):
+            _quad(math.cos, 0.0, 1.0, limit=limit, **kw)
+        with pytest.raises(ValueError):
+            quad(math.cos, 0.0, 1.0, limit=limit, **quad_kw)
 
 
 @pytest.mark.parametrize("beta", [0.7, 0.3 + 0.2j, 1.5])

@@ -433,6 +433,14 @@ def test_a_mutated_config_loads_or_exits_1_naming_the_key(mutation):
     assert typed is None or _nested(typed.group(1), path), (path, err)
 
 
+# the last two runs solve and integrate: moments races two workers to the first banded solve
+_SCIPY_RUNS = [["spectrum", "--box", "4"], ["green-identities", "--instances", "2"], ["poscomb", "--l", "2"],
+               ["conditional", "--attempts", "2000"],
+               ["regularity", "--L", "2", "--separation", "8", "--grid", "3", "--trials", "2"],
+               ["wegner", "--l", "2", "--trials", "4"],
+               ["moments", "--box", "4", "--dist", "2", "--trials", "4", "--threads", "2"],
+               ["averaging", "--instances", "1"]]
+
 _SCIPY_CHILD = """
 import json, sys
 import alloylab.cli as cli
@@ -440,16 +448,12 @@ import alloylab.cli as cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-config, out = sys.argv[1:]
+config, out, runs = sys.argv[1:]
 loaded, codes = {}, {}
 cli.build_parser()
 cli.load_model_config(config)
 loaded["setup"] = scipy_modules()
-for argv in (["spectrum", "--box", "4"], ["green-identities", "--instances", "2"], ["poscomb", "--l", "2"],
-             ["conditional", "--attempts", "2000"],
-             ["regularity", "--L", "2", "--separation", "8", "--grid", "3", "--trials", "2"],
-             ["wegner", "--l", "2", "--trials", "4"],
-             ["moments", "--box", "4", "--dist", "2", "--trials", "4"], ["averaging", "--instances", "1"]):
+for argv in json.loads(runs):
     codes[argv[0]] = cli.run(argv + ["--config", config, "--out", f"{out}/{argv[0]}"])
     loaded[argv[0]] = scipy_modules()
 print(json.dumps({"loaded": loaded, "codes": codes}))
@@ -458,16 +462,17 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 
 @pytest.fixture(scope="module")
 def scipy_loads(tmp_path_factory):
-    """The scipy modules loaded after each step of one fresh CLI process, and each subcommand's exit code."""
+    """The scipy modules loaded after each step of one fresh CLI process, each subcommand's exit code,
+    and the config and output directory of its runs."""
     tmp = tmp_path_factory.mktemp("scipy")
     cfg = tmp / "model.json"
     cfg.write_text(json.dumps({"dimension": 1, "lambda": 50.0, "potential": {"support": [[[0], 1.0], [[1], -0.5]]},
                                "density": {"kind": "uniform", "params": [0, 1]}, "seed": 7}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_CHILD, str(cfg), str(tmp)], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_CHILD, str(cfg), str(tmp), json.dumps(_SCIPY_RUNS)],
+                          env=env, capture_output=True, text=True, check=True)
+    return {**json.loads(proc.stdout.splitlines()[-1]), "config": str(cfg), "out": tmp}
 
 
 def test_cli_setup_loads_no_scipy(scipy_loads):
@@ -482,10 +487,25 @@ def test_subcommands_without_quadrature_or_banded_solves_load_no_scipy(scipy_loa
 
 
 def test_scipy_loads_on_first_use(scipy_loads):
+    # each loads the one compiled module it calls, and no module of the scipy.linalg or scipy.integrate
+    # package; _quadpack's first call imports scipy and scipy._lib._ccallback, a dozen small modules
     codes, loaded = scipy_loads["codes"], scipy_loads["loaded"]
     assert codes["moments"] == codes["averaging"] == 0
-    assert "scipy.linalg" in loaded["moments"] and "scipy.integrate" not in loaded["moments"]
-    assert "scipy.integrate" in loaded["averaging"]
+    assert loaded["moments"] == ["scipy.linalg._flapack"]
+    added = sorted(set(loaded["averaging"]) - set(loaded["moments"]))
+    assert [m for m in added if m.startswith(("scipy.integrate", "scipy.linalg"))] == ["scipy.integrate._quadpack"]
+    assert all(m in ("scipy", "scipy.integrate._quadpack") or m.startswith(("scipy._", "scipy.version"))
+               for m in added), added
+
+
+def test_standalone_scipy_modules_write_the_bytes_of_the_packages(scipy_loads, tmp_path):
+    import scipy.integrate  # noqa: F401  (both packages loaded here, as a caller that imports them would)
+    import scipy.linalg  # noqa: F401
+
+    for argv in _SCIPY_RUNS[-2:]:
+        assert run(argv + ["--config", scipy_loads["config"], "--out", str(tmp_path / argv[0])]) == 0
+        got = (tmp_path / f"{argv[0]}.csv").read_bytes()
+        assert got and got == (scipy_loads["out"] / f"{argv[0]}.csv").read_bytes(), argv[0]
 
 
 def test_missing_seed_rejected(tmp_path, capsys):

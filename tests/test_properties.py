@@ -22,8 +22,10 @@ checks are checked against the vectorised density and the slogdet/svd
 integrands they replace, the closed-form smallest singular value (n <= 3)
 against svd at the pencil's real roots, on exactly singular and on
 double-singular-value matrices, and the pole average over a piecewise-linear
-density against its closed form.  The value table of a single-site potential
-in d = 1, 2, 3 is checked bit for bit against the per-call support and tail
+density against its closed form.  The direct QUADPACK calls of the averaging
+checks match scipy.integrate.quad bit for bit, warnings included, on smooth,
+kinked, singular and discontinuous integrands.  The value table of a
+single-site potential in d = 1, 2, 3 is checked bit for bit against the per-call support and tail
 formula it replaces, and the SitePotential coupling table on lexicographic
 and shuffled geometries in d = 1, 2, 3 against the np.unique construction
 it replaces.  The density transform keeps the 64-step bisection it replaced
@@ -52,6 +54,7 @@ from alloylab.averaging import (
     _det_power,
     _mean_stderr,
     _pencil,
+    _quad,
     _smallest_singular_value,
     det_average_check,
     detgen_check,
@@ -959,6 +962,39 @@ def test_smallest_singular_value_matches_svd(pencil, kind, seed):
     # the n = 3 determinant is a cofactor expansion, good to eps * sigma_1^3, which D / sqrt(y_1) divides by sigma_1 sigma_2
     tol = 1e-13 * float(sv[0]) * (float(sv[0]) / float(sv[1]) if n == 3 else 1.0)
     assert abs(got - float(sv[-1])) <= tol
+
+
+_QUAD_INTEGRANDS = {  # smooth, kinked, singular and discontinuous at c
+    "cos": lambda c, p: lambda t: math.cos(c * t),
+    "kink": lambda c, p: lambda t: abs(t - c) ** p,
+    "pole": lambda c, p: lambda t: math.inf if t == c else abs(t - c) ** -p,
+    "step": lambda c, p: lambda t: 1.0 if t < c else -p,
+}
+
+
+def _quad_outcome(call) -> tuple:
+    """The bits of (value, error) of one quadrature and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val, err = call()
+    return float(val).hex(), float(err).hex(), [(w.category, str(w.message)) for w in caught]
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(_QUAD_INTEGRANDS)), st.floats(-3.0, 3.0), st.floats(0.1, 0.95),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.sampled_from([50, 400]), st.data())
+def test_quad_is_scipy_quad_bit_for_bit(kind, c, p, a, b, limit, data):
+    # QAGS, QAGP with points duplicated, on an end, outside and at c, and QAWS, each on (a, b) and (b, a)
+    f = _QUAD_INTEGRANDS[kind](c, p)
+    want = _quad_outcome(lambda: quad(f, a, b, limit=limit))
+    assert _quad_outcome(lambda: _quad(f, a, b, limit=limit)) == want
+    points = data.draw(st.lists(st.one_of(st.floats(-5.0, 5.0), st.sampled_from([a, b, c])), min_size=1, max_size=6))
+    points += points[:data.draw(st.integers(0, len(points)))]
+    want = _quad_outcome(lambda: quad(f, a, b, points=points, limit=limit))
+    assert _quad_outcome(lambda: _quad(f, a, b, points=points, limit=limit)) == want
+    alg = data.draw(st.tuples(st.floats(-0.95, 1.0), st.floats(-0.95, 1.0)))
+    want = _quad_outcome(lambda: quad(f, a, b, weight="alg", wvar=alg, limit=limit))
+    assert _quad_outcome(lambda: _quad(f, a, b, alg=alg, limit=limit)) == want
 
 
 def _pole_average_closed_form(density, s, beta) -> float:
