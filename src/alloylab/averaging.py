@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,54 +110,34 @@ def _scipy_module(name: str):
 
 _TOL = 1.49e-8  # quad's default epsabs and epsrel
 
-_QUADPACK_MESSAGES = {  # scipy.integrate.quad's text for each return code ier of QUADPACK
-    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  If increasing the limit yields "
-       "no improvement it is advised to analyze \n  the integrand in order to determine the difficulties.  "
-       "If the position of a \n  local difficulty can be determined (singularity, discontinuity) one will "
-       "\n  probably gain from splitting up the interval and calling the integrator \n  on the subranges.  "
-       "Perhaps a special-purpose integrator should be used.",
-    2: "The occurrence of roundoff error is detected, which prevents \n  "
-       "the requested tolerance from being achieved.  The error may be \n  underestimated.",
-    3: "Extremely bad integrand behavior occurs at some points of the\n  integration interval.",
-    4: "The algorithm does not converge.  Roundoff error is detected\n  in the extrapolation table.  "
-       "It is assumed that the requested tolerance\n  cannot be achieved, and that the returned result "
-       "(if full_output = 1) is \n  the best which can be obtained.",
-    5: "The integral is probably divergent, or slowly convergent.",
-    6: "The input is invalid.",
-    7: "Abnormal termination of the routine.  The estimates for result\n  and error are less reliable.  "
-       "It is assumed that the requested accuracy\n  has not been achieved.",
-}
-
 
 def _quad(f, a: float, b: float, points=None, alg=None, limit: int = 50) -> tuple[float, float]:
     """(value, error) of scipy.integrate.quad(f, a, b, points=points, limit=limit) on a finite interval,
     or of quad(f, a, b, weight="alg", wvar=alg, limit=limit): the same QUADPACK call (QAGS, QAGP or
     QAWS) with the same arguments, so the same numbers, without importing scipy.integrate.
 
-    A return code of 1-5 or 7 warns IntegrationWarning with quad's message, as quad does; any other
-    nonzero code raises ValueError.
+    A nonzero return code hands the call to quad itself, which repeats the same deterministic
+    QUADPACK call and warns IntegrationWarning or raises ValueError with its own text.
     """
     if a == b:
         return 0.0, 0.0
-    flip, a, b = b < a, min(a, b), max(a, b)
+    lo, hi = min(a, b), max(a, b)
     quadpack = _scipy_module("scipy.integrate._quadpack")
     if alg is not None:
-        val, err, ier = quadpack._qawse(f, a, b, alg, 1, (), 0, _TOL, _TOL, limit)
+        val, err, ier = quadpack._qawse(f, lo, hi, alg, 1, (), 0, _TOL, _TOL, limit)
     elif points is None:
-        val, err, ier = quadpack._qagse(f, a, b, (), 0, _TOL, _TOL, limit)
+        val, err, ier = quadpack._qagse(f, lo, hi, (), 0, _TOL, _TOL, limit)
     else:
         # duplicates would force evaluations on the singular points
         inner = np.unique(points)
-        inner = inner[(a < inner) & (inner < b)]
-        val, err, ier = quadpack._qagpe(f, a, b, np.concatenate((inner, (0.0, 0.0))), (), 0, _TOL, _TOL, limit)
+        inner = inner[(lo < inner) & (inner < hi)]
+        val, err, ier = quadpack._qagpe(f, lo, hi, np.concatenate((inner, (0.0, 0.0))), (), 0, _TOL, _TOL, limit)
     if ier != 0:
-        msg = _QUADPACK_MESSAGES.get(ier, "Unknown error.").format(limit=limit)
-        if ier not in (1, 2, 3, 4, 5, 7):
-            raise ValueError(f"QUADPACK returned ier={ier}: {msg}")
-        from scipy.integrate import IntegrationWarning  # the whole package, but only when a quadrature fails
+        from scipy.integrate import quad  # the whole package, but only when a quadrature fails
 
-        warnings.warn(msg, IntegrationWarning, stacklevel=2)
-    return (-val if flip else val), err
+        kw = {"weight": "alg", "wvar": alg} if alg is not None else {"points": points}
+        return quad(f, a, b, limit=limit, **kw)
+    return (-val if b < a else val), err
 
 
 def _integrate(f, density: DisorderDensity, singular_points) -> tuple[float, float]:
@@ -181,12 +160,6 @@ def _pencil(A, V, s: float) -> tuple:
     if sign == 0 or not np.isfinite(logdetV):
         raise ValueError("V must be invertible")
     return A, V, logdetV, np.linalg.eigvals(-np.linalg.solve(V, A)), s / A.shape[0]
-
-
-def _check_dissipative(A: np.ndarray) -> None:
-    """Im A = (A - A^*) / 2i must be positive semidefinite, up to -1e-10."""
-    if float(np.min(np.linalg.eigvalsh((A - A.conj().T) / 2j))) < -1e-10:
-        raise ValueError("A must be dissipative (nonnegative imaginary part)")
 
 
 def _det_power(r: float, logdetV: float, roots, p: float) -> float:
@@ -233,7 +206,8 @@ def _real_pole_average(density: DisorderDensity, s: float, beta: float) -> tuple
 
 def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageCheck:
     """integral of |xi - beta|^{-s} rho(xi) dxi against the one-pole bound."""
-    bound = density.linf ** s * density.l1 ** (1.0 - s) * _fractional_prefactor(s)  # checks s before any quadrature
+    pref = _fractional_prefactor(s)  # checks s before any quadrature
+    bound = density.linf ** s * pref
     beta = complex(beta)
     if abs(beta.imag) < 1e-14:
         val, err = _real_pole_average(density, s, beta.real)
@@ -249,9 +223,10 @@ def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageChec
 def det_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of |det(A + rV)|^{-s/n} rho(r) dr against |det V|^{-s/n} times the pole bound."""
     A, V, logdetV, roots, p = _pencil(A, V, s)
+    pref = _fractional_prefactor(s)  # checks s before any quadrature
+    bound = math.exp(-p * logdetV) * density.linf ** s * pref
     roots_list = roots.tolist()  # one log per root at each node, not one determinant
     val, err = _integrate(lambda r: _det_power(r, logdetV, roots_list, p), density, roots.real)
-    bound = math.exp(-p * logdetV) * density.l1 ** (1.0 - s) * density.linf ** s * _fractional_prefactor(s)
     return AverageCheck(val, bound, err)
 
 
@@ -346,8 +321,12 @@ def _smallest_singular_value(m: list) -> float:
 def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of ||(A + rV)^{-1}||^{s/n} rho(r) dr against the norm-determinant bound."""
     A, V, logdetV, roots, p = _pencil(A, V, s)
+    pref = _fractional_prefactor(s)  # checks s before any quadrature
     n = A.shape[0]
     R = density.support_radius
+    normA = float(np.linalg.norm(A, 2))
+    normV = float(np.linalg.norm(V, 2))
+    bound = density.linf ** s * (normA + R * normV) ** (s * (n - 1) / n) * pref * math.exp(-(s / n) * logdetV)
     if n <= 3:
         # a power of 2 scales every entry of A + rV on the support to modulus <= 1 without rounding
         scale = 2.0 ** -math.frexp(float(np.abs(A).max() + R * np.abs(V).max()))[1]
@@ -361,10 +340,6 @@ def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensi
         return math.inf if sigma == 0.0 else sigma ** (-p)
 
     val, err = _integrate(f, density, roots.real)
-    normA = float(np.linalg.norm(A, 2))
-    normV = float(np.linalg.norm(V, 2))
-    bound = (density.l1 ** (1.0 - s) * density.linf ** s * (normA + R * normV) ** (s * (n - 1) / n)
-             * _fractional_prefactor(s) * math.exp(-(s / n) * logdetV))
     return AverageCheck(val, bound, err)
 
 
@@ -386,9 +361,12 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
         raise ValueError("W must be positive at the probed sites")
     if complex(z).imag >= 0:
         raise ValueError("z must lie in the lower half-plane")
-    _check_dissipative(A)
+    if float(np.min(np.linalg.eigvalsh((A - A.conj().T) / 2j))) < -1e-10:  # Im A = (A - A^*) / 2i, up to -1e-10
+        raise ValueError("A must be dissipative (nonnegative imaginary part)")
     if density.deriv_l1 is None:
         raise ValueError("density must have an integrable derivative (raised_cosine or end-matched piecewise_linear)")
+    pref = _fractional_prefactor(s)  # checks s before any quadrature
+    bound = 8.0 * 4.0 ** (-s) / (wdiag[x] * wdiag[y]) ** (s / 2.0) * density.linf ** s * pref
 
     ey = np.zeros(n)
     ey[y] = 1.0
@@ -399,6 +377,4 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
         return abs(col[x]) ** s
 
     val, err = _integrate(f, density, [])
-    bound = (8.0 * 4.0 ** (-s) / (wdiag[x] * wdiag[y]) ** (s / 2.0)
-             * density.linf ** s * _fractional_prefactor(s))
     return AverageCheck(val, bound, err)

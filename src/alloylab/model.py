@@ -18,6 +18,7 @@ import contextlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -272,14 +273,8 @@ class SingleSitePotential:
         return SingleSitePotential({(0,) * d: value})
 
     @staticmethod
-    def from_values(values: dict, d: int | None = None) -> "SingleSitePotential":
-        vals = {}
-        for k, v in values.items():
-            k = _as_site(k)
-            if d is not None and len(k) != d:
-                raise ValueError("site dimension mismatch")
-            vals[k] = float(v)
-        return SingleSitePotential(vals)
+    def from_values(values: dict) -> "SingleSitePotential":
+        return SingleSitePotential(values)
 
     @staticmethod
     def exponential(rate: float, truncation_radius: int, d: int = 1,
@@ -391,7 +386,6 @@ class DisorderDensity:
             raise ValueError(f"unknown density kind {kind!r}")
         # interior abscissae where rho has a kink, for quadrature to split at
         self.breakpoints = self._ts[1:-1] if kind == "piecewise_linear" else []
-        self.l1 = 1.0
         self.support_radius = max(abs(self.a), abs(self.b))
 
     # -- evaluation ---------------------------------------------------------
@@ -503,7 +497,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.coupling < 0:
+        if not self.coupling >= 0:  # NaN fails too
             raise ValueError("coupling lambda must be >= 0")
         if self.potential.dimension != self.dimension:
             raise ValueError("potential dimension does not match the model")
@@ -602,7 +596,8 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a J
 def _typed(value, kind, path: str = "", n: int | None = None):
     """A config value of JSON type ``kind``, named by its dotted key ``path`` (empty for the whole config).
 
-    A real (``float``) may be written as a JSON integer; true and false are no
+    A real (``float``) may be written as a JSON integer and must be finite (json
+    reads NaN, Infinity and integers past every float); true and false are no
     number.  With ``n``, a list has n entries.  A section table as ``kind``
     takes a JSON object with no other keys, and gives each of its keys the
     checked value, or the key's default when the value is missing or null.
@@ -613,6 +608,8 @@ def _typed(value, kind, path: str = "", n: int | None = None):
         raise ValueError(f"{path or 'config'} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     if n is not None and len(value) != n:
         raise ValueError(f"{path} must have {n} entries, got {len(value)}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, +-Infinity or an integer past every float
+        raise ValueError(f"{path} must be finite")
     if table is None:
         return float(value) if kind is float else value
     if not table.keys() >= value.keys():

@@ -149,14 +149,11 @@ def compute_R_l(C: float, alpha: float, c_u: float, I0, l: int, d: int) -> tuple
     return R, int(math.ceil(R))
 
 
-def exponential_envelope(u: SingleSitePotential, alpha: float | None = None) -> tuple[float, float]:
-    """(C, alpha) with |u(k)| <= C e^{-alpha |k|_1} over the effective support."""
+def exponential_envelope(u: SingleSitePotential) -> tuple[float, float]:
+    """(C, alpha) with |u(k)| <= C e^{-alpha |k|_1} over the effective support: the tail's, or alpha = 1."""
     if u.tail_amplitude is not None:
         return u.tail_amplitude, u.tail_rate
-    if alpha is None:
-        alpha = 1.0
-    C = max(abs(u.value(k)) * math.exp(alpha * l1_norm(k)) for k in u.support())
-    return C, alpha
+    return max(abs(u.value(k)) * math.exp(l1_norm(k)) for k in u.support()), 1.0
 
 
 def prop2_min(u: SingleSitePotential, l: int, R_int: int | None = None,

@@ -1,12 +1,14 @@
 """Quadrature/MC averages against the closed-form spectral-averaging bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.integrate import _quadpack
 
+from alloylab import averaging
 from alloylab.averaging import (
     _det_power,
     _quad,
@@ -136,10 +138,11 @@ def test_quadpack_return_codes_are_reported_as_quad_reports_them(monkeypatch, ie
             quad(math.cos, 0.0, 1.0, limit=limit, **quad_kw)
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
     else:
-        with pytest.raises(ValueError, match=f"ier={ier}"):
+        with pytest.raises(ValueError) as got:
             _quad(math.cos, 0.0, 1.0, limit=limit, **kw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as want:
             quad(math.cos, 0.0, 1.0, limit=limit, **quad_kw)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("beta", [0.7, 0.3 + 0.2j, 1.5])
@@ -277,6 +280,28 @@ def test_nonmonotone_requires_w11_density():
         nonmonotone_average_check(1j * np.eye(1), np.eye(1), uniform01(), 0.5, 0, 0, -0.5j)
 
 
+_CHECK_AT_S = {
+    "graf": lambda s: graf_check(uniform01(), s, 0.5),
+    "det": lambda s: det_average_check(np.array([[-0.5]]), np.eye(1), uniform01(), s),
+    "resolvent": lambda s: resolvent_average_check(np.array([[-0.5]]), np.eye(1), uniform01(), s),
+    "nonmonotone": lambda s: nonmonotone_average_check(1j * np.eye(1), np.eye(1), rc01(), s, 0, 0, -0.5j),
+}
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 3.0, -0.5, math.nan])
+@pytest.mark.parametrize("check", list(_CHECK_AT_S))
+def test_exponent_is_checked_before_any_quadrature(monkeypatch, check, s):
+    # s = 3 with a pole inside the support diverges: quadrature first would warn before the contract's error
+    calls = []
+    real = averaging._quad
+    monkeypatch.setattr(averaging, "_quad", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"exponent s must lie in \(0, 1\)"):
+            _CHECK_AT_S[check](s)
+    assert calls == []
+
+
 def test_randomized_margins_all_checks():
     # every bound is an upper bound on its integral across random instances
     rng = np.random.default_rng(9)
@@ -294,17 +319,17 @@ def test_randomized_margins_all_checks():
 
 
 def kappa_form(dens, s, kappa):
-    """Two-term pole bound at a free split parameter kappa."""
-    return dens.l1 / kappa ** s + 2.0 * kappa ** (1.0 - s) * dens.linf / (1.0 - s)
+    """Two-term pole bound at a free split parameter kappa, for a density of unit mass."""
+    return 1.0 / kappa ** s + 2.0 * kappa ** (1.0 - s) * dens.linf / (1.0 - s)
 
 
 def test_graf_bound_is_optimized_kappa_form():
     # the closed-form constant is the minimum of the two-term bound over the
-    # split parameter, attained at kappa* = s ||rho||_1 / (2 ||rho||_inf)
+    # split parameter, attained at kappa* = s ||rho||_1 / (2 ||rho||_inf), with ||rho||_1 = 1
     dens = uniform01()
     for s in (0.2, 0.5, 0.8):
         chk = graf_check(dens, s, 0.3)
-        kappa_star = s * dens.l1 / (2.0 * dens.linf)
+        kappa_star = s / (2.0 * dens.linf)
         assert chk.bound_value == pytest.approx(kappa_form(dens, s, kappa_star), rel=1e-12)
         for kappa in (0.01, 0.1, 0.5, 2.0, 10.0):
             assert kappa_form(dens, s, kappa) >= chk.bound_value - 1e-12
@@ -332,10 +357,10 @@ def test_nonmonotone_kappa_form_dominates():
     s = 0.5
     chk = nonmonotone_average_check(1j * np.eye(1), np.eye(1), dens, s, 0, 0, -0.5j)
     for kappa in (0.1, 0.5, 2.0):
-        loose = 8.0 * 4.0 ** (-s) * (dens.l1 / kappa ** s
+        loose = 8.0 * 4.0 ** (-s) * (1.0 / kappa ** s
                                      + 2.0 * dens.linf * kappa ** (1.0 - s) / (1.0 - s))
         assert chk.integral_value <= loose + 1e-8
     # and the shipped bound is the optimized one
-    kappa_star = s * dens.l1 / (2.0 * dens.linf)
+    kappa_star = s / (2.0 * dens.linf)
     assert chk.bound_value == pytest.approx(
         8.0 * 4.0 ** (-s) * kappa_form(dens, s, kappa_star), rel=1e-12)

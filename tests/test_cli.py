@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -282,9 +283,9 @@ def test_config_error_exit_code(tmp_path):
     assert run(["spectrum", "--config", str(bad)]) == 1
 
 
-def _tail_sign(sign):
-    """A config edit: u is a bare exponential tail with the given sign."""
-    return lambda cfg: {**cfg, "potential": {"tail": {"C": 1.0, "alpha": 1.0, "radius": 4, "sign": sign}}}
+def _tail(**kw):
+    """A config edit: u is a bare exponential tail with C = alpha = 1 and radius 4 unless kw says otherwise."""
+    return lambda cfg: {**cfg, "potential": {"tail": {"C": 1.0, "alpha": 1.0, "radius": 4, **kw}}}
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -301,9 +302,9 @@ def _tail_sign(sign):
     (lambda cfg: {**cfg, "lambda": "5"}, "lambda must be a number"),
     (lambda cfg: {**cfg, "seed": 7.5}, "seed must be an integer"),
     (lambda cfg: {**cfg, "seed": True}, "seed must be an integer"),
-    (_tail_sign(3), "tail sign must be 1 or -1, got 3"),
-    (_tail_sign(0), "tail sign must be 1 or -1, got 0"),
-    (_tail_sign(-2), "tail sign must be 1 or -1, got -2"),
+    (_tail(sign=3), "tail sign must be 1 or -1, got 3"),
+    (_tail(sign=0), "tail sign must be 1 or -1, got 0"),
+    (_tail(sign=-2), "tail sign must be 1 or -1, got -2"),
     (lambda cfg: {**cfg, "potential": {"support": []}}, "potential must not be identically zero"),
     (lambda cfg: {**cfg, "potential": {"tail": {"C": 0, "alpha": 1.0, "radius": 4}}},
      "tail requires amplitude > 0 and rate > 0"),
@@ -329,12 +330,26 @@ def _tail_sign(sign):
     (lambda cfg: {**cfg, "density": {"kind": "gaussian", "params": [0, 1]}}, "unknown density kind 'gaussian'"),
     (lambda cfg: {**cfg, "dimension": 0, "potential": {"support": [[[], 1.0]]}}, "dimension must be >= 1"),
     (lambda cfg: {**cfg, "lambda": -1.0}, "coupling lambda must be >= 0"),
+    # json reads NaN and Infinity, which json.dumps writes for these floats
+    (lambda cfg: {**cfg, "lambda": math.nan}, "error: lambda must be finite"),
+    (lambda cfg: {**cfg, "lambda": math.inf}, "error: lambda must be finite"),
+    (lambda cfg: {**cfg, "lambda": 10 ** 400}, "error: lambda must be finite"),
+    (lambda cfg: {**cfg, "density": {"kind": "uniform", "params": [0, math.inf]}},
+     "error: density.params[1] must be finite"),
+    (lambda cfg: {**cfg, "density": {"kind": "uniform", "params": [-math.inf, 1]}},
+     "error: density.params[0] must be finite"),
+    (lambda cfg: {**cfg, "density": {"kind": "piecewise_linear", "params": [[0, 0], [0.5, math.nan], [1, 0]]}},
+     "error: density.params[1][1] must be finite"),
+    (lambda cfg: {**cfg, "potential": {"support": [[[0], math.nan]]}}, "error: potential.support[0][1] must be finite"),
+    (_tail(C=math.inf), "error: potential.tail.C must be finite"),
+    (_tail(alpha=math.nan), "error: potential.tail.alpha must be finite"),
 ], ids=["top-level-list", "potential-list", "support-number", "tail-number", "params-null", "dimension-list",
         "tail-without-C", "support-entry-of-one", "params-of-one", "lambda-string", "seed-float", "seed-bool",
         "tail-sign-3", "tail-sign-0", "tail-sign-minus-2", "potential-zero", "tail-C-zero", "tail-alpha-negative",
         "tail-radius-zero", "origin-outside-support", "uniform-reversed", "raised-cosine-empty", "one-knot",
         "knots-decreasing", "knots-repeated", "knot-negative", "knots-no-mass", "discrete-density", "unknown-density",
-        "dimension-zero", "lambda-negative"])
+        "dimension-zero", "lambda-negative", "lambda-nan", "lambda-inf", "lambda-integer-past-every-float",
+        "uniform-b-inf", "uniform-a-minus-inf", "knot-value-nan", "support-value-nan", "tail-C-inf", "tail-alpha-nan"])
 def test_malformed_config_section_exit_1(model_cfg, tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edit(json.loads(model_cfg.read_text()))))

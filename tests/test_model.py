@@ -73,8 +73,9 @@ def test_geometry_rejects_duplicates():
     (lambda: ModelConfig(2, 1.0, SingleSitePotential.delta(1), uniform01()),
      "potential dimension does not match the model"),
     (lambda: SingleSitePotential({(0,): 1.0, (0, 0): 1.0}), "all stored sites must share one dimension"),
+    (lambda: ModelConfig(1, math.nan, SingleSitePotential.delta(1), uniform01()), "coupling lambda must be >= 0"),
 ], ids=["geometry-empty", "geometry-mixed-dimension", "box-negative-radius", "exterior-boundary-empty",
-        "tail-without-rate", "model-dimension-mismatch", "potential-mixed-dimension"])
+        "tail-without-rate", "model-dimension-mismatch", "potential-mixed-dimension", "model-nan-coupling"])
 def test_constructor_contracts_no_config_reaches(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()

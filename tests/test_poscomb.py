@@ -241,6 +241,7 @@ def test_wegner_coefficients_scaling():
 
 def test_exponential_envelope_dominates():
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5, (3,): 0.25})
-    C, alpha = exponential_envelope(u, alpha=0.7)
+    C, alpha = exponential_envelope(u)
+    assert alpha == 1.0
     for k in u.support():
         assert abs(u.value(k)) <= C * math.exp(-alpha * sum(abs(c) for c in k)) + 1e-12
