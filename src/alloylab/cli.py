@@ -19,7 +19,13 @@ import numpy as np
 
 from . import averaging, gaussian, model as model_mod, moments, poscomb, spectra
 from .green import verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
-from .model import build_box, explicit_geometry, lambda_plus, load_model_config, sample_configuration
+from .model import (
+    Site,
+    build_box,
+    explicit_geometry,
+    load_model_config,
+    sample_configuration,  # unused: bench/test_layertrace.py pins this binding
+)
 from .rng import trial_stream
 
 
@@ -102,9 +108,19 @@ def _positive_int(text: str) -> int:
 # run loads (model, seed), and each fills the Output that run writes
 
 
+def _couplings(model, geometry, seed: int) -> dict[Site, float]:
+    """One realisation's couplings on lambda_plus(geometry) as {site: omega}, from one keyed draw.
+
+    They are row 0 of ``DisorderSampler.omega(seed, 1)``: one ``trial_stream(seed, 0)``
+    key for the whole realisation, in ``coupling_sites`` order.
+    """
+    sampler = moments.DisorderSampler(model, geometry)
+    return dict(zip(sampler.potential.coupling_sites, sampler.omega(seed, 1)[0].tolist()))
+
+
 def cmd_spectrum(args, model, seed, out: Output) -> None:
     geometry = build_box(args.box, (0,) * model.dimension)
-    omega = sample_configuration(model, lambda_plus(geometry, model.potential), seed)
+    omega = _couplings(model, geometry, seed)
     H = model_mod.assemble_hamiltonian(model, omega, geometry)
     ev = spectra.eigenvalues(H)
     out.table(["index", "eigenvalue"], [[i, float(v)] for i, v in enumerate(ev)])
@@ -120,7 +136,7 @@ def cmd_green_identities(args, model, seed, out: Output) -> None:
     for i in range(args.instances):
         radius = int(rng.integers(6, 13)) if d == 1 else int(rng.integers(2, 4))
         geometry = build_box(radius, (0,) * d)
-        omega = sample_configuration(model, lambda_plus(geometry, model.potential), int(rng.integers(2 ** 62)))
+        omega = _couplings(model, geometry, int(rng.integers(2 ** 62)))
         z = complex(float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 2.0)))
         inner = build_box(max(0, radius - 2), (0,) * d).sites
         inner2 = build_box(radius - 1, (0,) * d).sites

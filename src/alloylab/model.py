@@ -569,7 +569,9 @@ def sample_configuration(model: ModelConfig, sites, seed: int) -> dict[Site, flo
 
     Each site takes one uniform from its own ``site_stream``, and all of them
     go through one density transform, which is elementwise, so every value is
-    what transforming that site's uniform alone gives.
+    what transforming that site's uniform alone gives.  No subcommand draws
+    this way: they take a realisation as one ``DisorderSampler.omega`` row,
+    and site-keyed draws are the tests' oracle.
     """
     keys = sorted({_as_site(x) for x in sites})
     draws = model.density.sample(np.array([site_stream(seed, s).random() for s in keys]))

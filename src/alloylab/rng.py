@@ -1,9 +1,11 @@
 """Deterministic random streams keyed by (seed, site) or (seed, trial).
 
 Every Monte Carlo quantity in this package is a pure function of its seed:
-per-site draws use a stream derived from the site coordinates, per-trial
-draws use a stream derived from the trial index.  Results are therefore
-independent of evaluation order and of how work is distributed over threads.
+every subcommand draws from streams derived from a trial index, one per MC
+trial or disorder realisation.  Per-site streams, derived from the site
+coordinates, key only the site-keyed configurations that the tests draw as
+an oracle.  Results are therefore independent of evaluation order and of
+how work is distributed over threads.
 Seeds and site coordinates lie in [-2**63, 2**63), trial indices in [0, 2**64).
 """
 

@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alloylab import cli, moments
+from alloylab import model as model_module
 from alloylab.cli import run
-from alloylab.model import (_SCHEMA, DisorderDensity, build_box, explicit_geometry, load_model_config,
-                            sample_configuration)
+from alloylab.model import _SCHEMA, DisorderDensity, build_box, explicit_geometry, load_model_config
+from alloylab.rng import trial_stream
 
 
 @pytest.fixture()
@@ -76,12 +77,13 @@ def test_green_identities_subcommand(model_cfg, tmp_path):
 def test_green_identity_instance_keys_do_not_collide_across_seeds(model_cfg, tmp_path, monkeypatch):
     # an additive key seed + i would give seed 7's instance 1 the key of seed 8's instance 0
     keys = []
+    omega = moments.DisorderSampler.omega
 
-    def recording(model, sites, seed):
+    def recording(sampler, seed, trials):
         keys.append(seed)
-        return sample_configuration(model, sites, seed)
+        return omega(sampler, seed, trials)
 
-    monkeypatch.setattr(cli, "sample_configuration", recording)
+    monkeypatch.setattr(moments.DisorderSampler, "omega", recording)
     runs = []
     for seed in (7, 8):
         keys.clear()
@@ -90,6 +92,30 @@ def test_green_identity_instance_keys_do_not_collide_across_seeds(model_cfg, tmp
         runs.append(set(keys))
     assert len(runs[0]) == len(runs[1]) == 3
     assert runs[0].isdisjoint(runs[1])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("command, flags, realisations", [("spectrum", ["--box", "3"], 1),
+                                                           ("green-identities", ["--instances", "3"], 3)])
+def test_one_trial_key_per_realisation_and_no_site_key(d, command, flags, realisations, tmp_path, monkeypatch):
+    # each realisation's couplings are row 0 of one omega block: one trial_stream(key, 0), no per-site key
+    cfg = {"dimension": d, "lambda": 5.0, "potential": {"support": [[[0] * d, 1.0], [[1] + [0] * (d - 1), -0.5]]},
+           "density": {"kind": "raised_cosine", "params": [0, 1]}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cfg))
+    trials = []
+
+    def recording(seed, trial):
+        trials.append(trial)
+        return trial_stream(seed, trial)
+
+    def forbidden(*args):
+        raise AssertionError(f"{command} must draw no site stream")
+
+    monkeypatch.setattr(moments, "trial_stream", recording)
+    monkeypatch.setattr(model_module, "site_stream", forbidden)
+    assert run([command, "--config", str(path), "--seed", "5", "--out", str(tmp_path / "o"), *flags]) == 0
+    assert trials == [0] * realisations
 
 
 def test_decay_subcommand_and_determinism(model_cfg, tmp_path):

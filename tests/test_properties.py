@@ -39,6 +39,7 @@ rounding of an interval end, which is drawn at random, on an eigenvalue and
 on either of its neighbouring doubles.
 """
 
+import argparse
 import itertools
 import math
 import warnings
@@ -50,6 +51,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
+from alloylab import cli, spectra
 from alloylab.averaging import (
     _det_power,
     _mean_stderr,
@@ -485,6 +487,25 @@ def test_omega_block_rows_are_the_single_trial_draws(density, trials, sites, see
     assert block.shape == (trials, m)
     for t in range(trials):
         assert same_bits(block[t], density.sample(trial_stream(seed, t).random(m)))
+
+
+@PROPERTY
+@given(models(), densities(), st.integers(0, 3), st.integers(-2 ** 62, 2 ** 62))
+def test_cli_realisation_is_one_omega_row(base, density, radius, seed):
+    # spectrum and green-identities: the couplings are row 0 of omega(seed, 1), and spectrum's H is the
+    # sampler's assembly of that row
+    model = ModelConfig(base.dimension, base.coupling, base.potential, density)
+    geometry = build_box(radius, (0,) * model.dimension)
+    sampler = DisorderSampler(model, geometry)
+    row = sampler.omega(seed, 1)[0]
+    omega = cli._couplings(model, geometry, seed)
+    assert type(omega) is dict and tuple(omega) == sampler.potential.coupling_sites
+    assert same_bits(np.array(list(omega.values())), row)
+    assembled = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "eigenvalues", lambda H: assembled.append(H) or np.linalg.eigvalsh(H))
+        cli.cmd_spectrum(argparse.Namespace(box=radius), model, seed, cli.Output(None))
+    assert same_bits(assembled[0], sampler.hamiltonian(sampler.diagonals(row)))
 
 
 @PROPERTY

@@ -18,7 +18,8 @@ each, since another BLAS may round differently.  Then each run prints one
 line: subcommand, config, seed, threads (``-`` for a subcommand without
 ``--threads``), exit code, then the sha256 of each CSV it wrote and of its
 stdout+stderr.  The runs work in a temporary directory under relative
-paths, so no path of the checkout reaches an output.  The committed
+paths, so no path of the checkout reaches an output.  ``tools/value_diff.py``
+runs the same list, keeping the CSV text.  The committed
 ``csv_matrix.expected`` is this output; ``tests/test_ledger.py`` compares a
 fresh run with it, and a change that moves values on purpose regenerates it.
 """
@@ -41,9 +42,6 @@ import numpy  # noqa: E402
 import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from alloylab.cli import run  # noqa: E402
 
 SEEDS = (3, 7)
 THREADED_SEED = 3
@@ -76,11 +74,16 @@ def stamp() -> str:
     return f"# numpy {numpy.__version__} [{blas(numpy)}] scipy {scipy.__version__} [{blas(scipy)}]"
 
 
-def main() -> int:
+def outputs(run):
+    """Each ledger run through ``run`` (``alloylab.cli.run``), in ledger order.
+
+    Yields ((subcommand, config, seed, threads), exit code, {file name: bytes}
+    of the CSVs it wrote, its stdout+stderr).  The runs work in a temporary
+    directory under relative paths.
+    """
     configs = sorted([*(ROOT / "bench" / "configs").glob("*.json"), *(ROOT / "tools").glob("*.json")],
                      key=lambda path: path.name)
     home = os.getcwd()
-    print(stamp(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -100,12 +103,21 @@ def main() -> int:
                                 *run_flags]
                         with contextlib.redirect_stdout(streams), contextlib.redirect_stderr(streams):
                             code = run(argv)
-                        digests = [f"{p.name}={_sha(p.read_bytes())}" for p in sorted(Path("out").iterdir())]
-                        print(name, cfg.stem, seed, threads, code, *digests,
-                              f"stdio={_sha(streams.getvalue().encode())}", flush=True)
+                        files = {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+                        yield (name, cfg.stem, seed, threads), code, files, streams.getvalue()
                         shutil.rmtree("out")
         finally:
             os.chdir(home)
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from alloylab.cli import run
+
+    print(stamp(), flush=True)
+    for key, code, files, stdio in outputs(run):
+        digests = [f"{name}={_sha(data)}" for name, data in files.items()]
+        print(*key, code, *digests, f"stdio={_sha(stdio.encode())}", flush=True)
     return 0
 
 
