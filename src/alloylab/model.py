@@ -286,9 +286,7 @@ class SingleSitePotential:
 
 
 def _l1_sphere_count(d: int, m: int) -> int:
-    """Number of sites in Z^d with |k|_1 = m."""
-    if m == 0:
-        return 1
+    """Number of sites in Z^d with |k|_1 = m, for m >= 1."""
     total = 0
     for j in range(1, min(d, m) + 1):  # j = number of nonzero coordinates
         total += math.comb(d, j) * (2 ** j) * math.comb(m - 1, j - 1)

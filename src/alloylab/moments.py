@@ -41,7 +41,6 @@ __all__ = [
     "MomentEstimate",
     "OneDConstants",
     "GapConstants",
-    "DecayFit",
     "DisorderSampler",
     "estimate_moment",
     "estimate_moments",
@@ -91,7 +90,6 @@ class MomentEstimate:
     exponent: float
     x: Site
     y: Site
-    z: complex
 
     def upper(self) -> float:
         return self.mean + 3 * self.stderr
@@ -238,7 +236,7 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
         return np.array([sampler.green_column(diagonals[t], z, source_rows)[rows, js] for t in block])
 
     means, stderrs = _mean_stderr(np.abs(run_trials(values, trials, threads)) ** s_exp)
-    return [MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y, complex(z))
+    return [MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y)
             for (x, y), mean, stderr in zip(pairs, means, stderrs)]
 
 
@@ -336,12 +334,10 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
     r = largest_gap(u)  # also checks d = 1 and min supp u = 0
     n = len(_chain_values(u))
     R = density.support_radius
-    rows = []
-    for i in range(n + r):
-        rows.append(np.array([u.value((i - k,)) for k in range(r + 1)]))
+    # every window meets supp u: one holding neither 0 nor n - 1 lies in [1, n - 2] and is
+    # longer than the largest gap r, so no norm is zero
+    rows = [np.array([u.value((i - k,)) for k in range(r + 1)]) for i in range(n + r)]
     norms = np.array([np.linalg.norm(row) for row in rows])
-    if np.any(norms == 0):
-        raise ValueError("every length-(r+1) window must meet supp u; r is inconsistent")
     d0 = 1.0 / ((n + r) * (r + 1) ** (r / 2.0))
 
     # all candidates in one block (the same numbers as successive random(r + 1)
@@ -358,16 +354,8 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
     best_dist = float(min(abs(dot) / norm for dot, norm in zip(dots, norms)))
 
     ratio = 0.0 if r == 0 else max(abs(alpha[i]) / abs(alpha[0]) for i in range(1, r + 1))
-    prod_alpha = math.prod(abs(dot) * coupling for dot in dots)
-    D_direct = (density.linf ** ((r + 1) * s) * (2 * R) ** (r * s) * pref * abs(alpha[0]) ** s
-                * (1.0 + ratio) ** (r * s) * prod_alpha ** (-s / (n + r)))
 
-    vol_factor = 2.0 * (n + r) * (r + 1) ** (r / 2.0)
-    prod_sq = math.prod(float(row @ row) for row in rows)
-    D_volume = (density.linf ** ((r + 1) * s) * (2 * R) ** (r * s) * pref
-                * (1.0 + vol_factor) ** (r * s) * vol_factor ** s
-                / (prod_sq ** (s / (2 * (n + r))) * coupling ** s))
-
+    # the bound on the first l + 1 rows; at l = n + r - 1 it is the full-period D
     def d_plus_direct(l: int) -> float:
         t = s * (l + 1) / (n + r)
         prod_l = math.prod(abs(dot) * coupling for dot in dots[: l + 1])
@@ -381,22 +369,15 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
         return (density.linf ** ((r + 1) * t) * (2 * R) ** (r * t) * pref
                 * (1.0 + vol_l) ** (r * s) * vol_l ** s / prod_sq_l ** (s / (2 * (n + r))))
 
-    D_plus = max(d_plus_direct(l) for l in range(n + r))
-    D_plus_vol = max(d_plus_volume(l) for l in range(n + r))
-    mu = -math.log(D_direct) if D_direct < 1 else 0.0
+    direct = [d_plus_direct(l) for l in range(n + r)]
+    volume = [d_plus_volume(l) for l in range(n + r)]
+    mu = -math.log(direct[-1]) if direct[-1] < 1 else 0.0
     return GapConstants(n, r, s, coupling, tuple(float(a) for a in alpha), best_dist, d0,
-                        D_direct, D_volume, D_plus, D_plus_vol, mu)
+                        direct[-1], volume[-1], max(direct), max(volume), mu)
 
 
 # ---------------------------------------------------------------------------
 # decay profiles
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    slope: float
-    residual: float
-    distances: tuple[int, ...]
 
 
 def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
@@ -405,8 +386,9 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
 
     x is the left end of the box, y sweeps; for connected supp u the exponent
     is s/n and the bound uses the explicit contraction constants, otherwise
-    s/(n+r) with the gap constants.  Also fits a decay rate to log(mean);
-    ``fit`` is None when fewer than two distances have a fittable mean.
+    s/(n+r) with the gap constants.  ``fit`` is the slope of a weighted
+    least-squares line through log(mean) against distance, or None when fewer
+    than two distances have a fittable mean.
     """
     if model.dimension != 1:
         raise ValueError("decay profiles are one-dimensional")
@@ -439,10 +421,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
             weights.append(1.0 / rel ** 2)
     fit = None  # fewer than two fittable distances: no rate, not a rate of 0
     if len(dists) >= 2:
-        coef = np.polyfit(dists, logs, 1, w=np.sqrt(weights))
-        pred = np.polyval(coef, dists)
-        res = float(np.sqrt(np.mean((np.array(logs) - pred) ** 2)))
-        fit = DecayFit(float(coef[0]), res, tuple(dists))
+        fit = float(np.polyfit(dists, logs, 1, w=np.sqrt(weights))[0])
 
     rows = []
     for est in estimates:
@@ -477,7 +456,8 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     zero-convention for the rest) of the MC mean of
     |G_{region minus W_x}(z; x, w)|^{s/(2|Theta|)}; the scaled value
     multiplies by L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}, leaving
-    out only the non-explicit prefactor of the criterion.
+    out only the non-explicit prefactor of the criterion, so ``scaled`` is
+    not the criterion itself.
     """
     (x,) = _check_average_args(region, z, s, x)
     _check_coupling(model.coupling)
@@ -507,7 +487,6 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
         "xi": xi,
         "exponent": exponent,
         "annulus": ann,
-        "note": "non-explicit criterion prefactor omitted",
     }
 
 
@@ -533,7 +512,7 @@ def exponential_weights(u: SingleSitePotential) -> dict:
     d = u.dimension
     c = math.log(1.0 + ubar / (2.0 * u.l1())) / n
     C = ((math.exp(c) + 1.0) / (math.exp(c) - 1.0)) ** d
-    return {"c": c, "C": C, "ubar": ubar, "n": n, "sign_flipped": flipped, "dimension": d}
+    return {"c": c, "C": C, "ubar": ubar, "sign_flipped": flipped}
 
 
 def nonlocal_apriori_bound(u: SingleSitePotential, density: DisorderDensity,

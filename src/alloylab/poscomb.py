@@ -156,14 +156,11 @@ def exponential_envelope(u: SingleSitePotential) -> tuple[float, float]:
     return max(abs(u.value(k)) * math.exp(l1_norm(k)) for k in u.support()), 1.0
 
 
-def prop2_min(u: SingleSitePotential, l: int, R_int: int | None = None,
-              lead: LeadingDerivative | None = None) -> float:
-    """min over x in the l-box of (2/c_u) sum_{k in R-box} k^I0 u(x - k)."""
-    if lead is None:
-        lead = find_I0(u)
-    if R_int is None:
-        C, alpha = exponential_envelope(u)
-        _, R_int = compute_R_l(C, alpha, lead.c_u, lead.I0, l, u.dimension)
+def prop2_min(u: SingleSitePotential, l: int, R_int: int, lead: LeadingDerivative) -> float:
+    """min over x in the l-box of (2/c_u) sum_{k in R-box} k^I0 u(x - k).
+
+    R_int and lead are ``wegner_coefficients``' radius and ``find_I0``'s result.
+    """
     d = u.dimension
     box_l = build_box(l, (0,) * d)
     best = math.inf

@@ -55,7 +55,6 @@ def _check_interval(a: float, b: float) -> None:
 @dataclass(frozen=True)
 class WegnerReport:
     interval: tuple[float, float]
-    box_radius: int
     mean_count: float
     stderr: float
     trials: int
@@ -120,7 +119,7 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     mean, stderr = map(float, _mean_stderr(run_trials(counts, trials, threads)))
     bound = (1.0 / (2.0 * model.coupling) * model.density.total_variation
              * (b - a) * coeff["t_l1_total"])
-    return WegnerReport((a, b), l, mean, stderr, trials, bound,
+    return WegnerReport((a, b), mean, stderr, trials, bound,
                         bool(mean + 3 * stderr <= bound))
 
 
@@ -151,7 +150,6 @@ class RegularityReport:
     per_energy_frequency: tuple[float, ...]
     pair_frequency: float
     trials: int
-    note: str
 
 
 def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
@@ -161,7 +159,7 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
 
     The boxes must be separated enough that their couplings are independent;
     the continuum of energies is approximated by a finite grid, which biases
-    the estimate upward, so the report says so.  Trial t's couplings are row t
+    ``pair_frequency`` upward.  Trial t's couplings are row t
     of one ``DisorderSampler.omega`` block on the union of the two boxes.  A
     box's H is its own -Delta (never the union's: at the minimum separation the
     boxes can be one bond apart) plus its slice ``union.rows(box)`` of the
@@ -210,5 +208,4 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
         return np.concatenate(parts).astype(float)
 
     freq, _ = _mean_stderr(run_trials(flags, trials, threads))
-    return RegularityReport(L, x, y, m, energies, tuple(freq[:-1]), float(freq[-1]), trials,
-                            "grid approximation of the energy continuum; upper-bias estimate")
+    return RegularityReport(L, x, y, m, energies, tuple(freq[:-1]), float(freq[-1]), trials)

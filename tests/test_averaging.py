@@ -69,6 +69,19 @@ def test_graf_pole_just_outside_the_support():
     assert abs(chk.integral_value - exact) <= chk.error
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: QAGS misses the peak of width |Im beta| at a near-real "
+                                      "complex pole, 4.1% and 1.0% off with a reported error below 1e-10")
+@pytest.mark.parametrize("beta, exact", [
+    # 40-digit mpmath, from u eps^{-s} 2F1(1/2, s/2; 3/2; -u^2/eps^2) at u = 1 - Re beta and u = -Re beta
+    (0.3 + 1e-7j, 8.2458197427455274),
+    (0.5 + 1e-10j, 8.6201152441774460),
+])
+def test_graf_near_real_complex_pole(beta, exact):
+    chk = graf_check(uniform01(), 0.8, beta)
+    assert chk.holds()
+    assert abs(chk.integral_value - exact) <= max(chk.error, 1e-12 * exact)
+
+
 def test_graf_tightness_inside_support():
     for beta in (0.1, 0.5, 0.9):
         chk = graf_check(uniform01(), 0.5, beta)

@@ -86,8 +86,9 @@ def test_pinned_interval_with_no_accepted_proposal_is_inconclusive():
     # one proposal per group, conditioned on V landing in a window of width 1e-9
     u = SingleSitePotential.from_values({(0,): 1.0, (1,): -1.0})
     res = negexample_check(u, delta=1e-9, delta_prime=1e-9, attempts=2, seed=0)
-    assert res == {"accepted": 0, "violations": 0, "violation_fraction": None, "attempts": 2,
-                   "inconclusive": True, "constants": negexample_constants(u)}
+    const = negexample_constants(u)
+    assert res == {"accepted": 0, "violations": 0, "attempts": 2, "inconclusive": True, "constants": const,
+                   "v0_range": None, "target_interval": (const.m - const.c * 1e-9, const.m + const.c * 1e-9)}
 
 
 def test_pinned_interval_rejects_bad_deltas():

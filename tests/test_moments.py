@@ -1,6 +1,7 @@
 """Fractional-moment MC, explicit decay constants, screening sums, bounds."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from alloylab.model import (
     SingleSitePotential,
     build_box,
     explicit_geometry,
+    load_model_config,
 )
 from alloylab.moments import (
     DisorderSampler,
@@ -32,6 +34,7 @@ from alloylab.moments import (
 )
 from alloylab.rng import trial_stream
 from alloylab.spectra import pair_regularity_probability, wegner_mc
+from oracles import gap_constants_reference
 
 
 def uniform01():
@@ -172,6 +175,19 @@ def test_one_d_constants_reference_model():
     assert c.C_plus == pytest.approx(2.0 ** 0.25 * 4.0 * 50.0 ** -0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("density", [DisorderDensity("uniform", (0, 0.5)), DisorderDensity("raised_cosine", (0, 1))],
+                         ids=["uniform(0,0.5)", "raised_cosine(0,1)"])
+def test_one_d_constants_plus_prefactors_reference(density):
+    # ||rho||_inf = 2 > 1, so the maxima over the exponents s and s/n pick s
+    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
+    lam, s, n = 50.0, 0.5, 2
+    c = one_d_constants(u, density, lam, s)
+    C_s = 2 ** s * s ** -s / (1 - s)
+    assert c.C_rho_plus == pytest.approx(2.0 ** s * C_s, rel=1e-12)
+    # C_u_plus = max(1, 0.5^{-s/n}) and lambda^{-s/n} > lambda^{-s}
+    assert c.C_plus == pytest.approx(0.5 ** (-s / n) * 2.0 ** s * C_s * lam ** (-s / n), rel=1e-12)
+
+
 def test_one_d_constants_strong_coupling_limit():
     u = SingleSitePotential.delta(1)
     c1 = one_d_constants(u, uniform01(), 1e4, 0.5)
@@ -220,6 +236,23 @@ def test_gap_constants_contraction_at_strong_coupling():
     assert g.D < 1.0 and g.mu > 0.0
 
 
+_GAP_D1, _ = load_model_config(Path(__file__).resolve().parent.parent / "tools" / "gap_d1.json")
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("model, decays", [
+    (ModelConfig(1, 1000.0, SingleSitePotential.from_values({(0,): 1.0, (2,): -0.3}), uniform01()), True),
+    (_GAP_D1, False),
+], ids=["delta0-0.3delta2@1000", "gap_d1.json"])
+def test_gap_constants_match_the_reference(model, decays, s):
+    g = gap_constants(model.potential, model.density, model.coupling, s)
+    want = gap_constants_reference(model.potential, model.density, model.coupling, s, g.alpha)
+    for name, value in want.items():
+        assert getattr(g, name) == pytest.approx(value, rel=1e-12), name
+    assert g.mu == (-math.log(g.D) if g.D < 1 else 0.0)
+    assert (g.mu > 0.0) == decays  # mu > 0: D sets the rate of the decay rows' bound
+
+
 # ---------------------------------------------------------------------------
 # decay profiles
 
@@ -249,7 +282,7 @@ def test_decay_profile_bound_and_fit():
             assert row["pass"], row
         else:
             assert row["pass"] is None, row  # compared to no bound
-    assert prof["fit"].slope < 0.0
+    assert prof["fit"] < 0.0
     assert prof["constants"].mu > 0.0
 
 
@@ -377,6 +410,18 @@ def test_finite_volume_xi_at_unit_coupling():
     res = finite_volume_sum(m, region, (0,), 0.5j, 0.3, L=2, trials=10, seed=1)
     assert res["xi"] == 1.0
     assert res["scaled"] == pytest.approx(res["raw_sum"], rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [4.0, 0.25])
+def test_finite_volume_xi_reference(lam):
+    # |Theta| = 1, so the exponent is s/2; xi = max(lambda^{-s/2}, lambda^{-2s}) takes the first
+    # branch above lambda = 1 and the second below it
+    s = 0.3
+    m = ModelConfig(1, lam, SingleSitePotential.delta(1), uniform01())
+    res = finite_volume_sum(m, chain(17), (8,), 0.5j, s, L=2, trials=10, seed=1)
+    xi = lam ** (-s / 2) if lam > 1 else lam ** (-2 * s)
+    assert res["xi"] == pytest.approx(xi, rel=1e-12)
+    assert res["scaled"] == pytest.approx(res["raw_sum"] * xi / lam ** s, rel=1e-12)
 
 
 def test_finite_volume_coupling_monotonicity():

@@ -198,7 +198,8 @@ def test_compute_R_l_zero_l():
 
 def test_prop2_delta():
     u = SingleSitePotential.delta(1)
-    assert prop2_min(u, 2) == pytest.approx(2.0, abs=1e-12)
+    lead = find_I0(u)
+    assert prop2_min(u, 2, wegner_coefficients(u, 2, lead)["R_int"], lead) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_prop2_exponential_profile():

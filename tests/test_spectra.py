@@ -143,6 +143,16 @@ def test_wegner_bound_linear_in_interval():
     assert r2.abstract_bound == pytest.approx(2 * r1.abstract_bound, rel=1e-12)
 
 
+def test_wegner_bound_reference_for_a_single_site():
+    # u = delta_0: I0 = (0,), c_u = 1 and t(k) = 2 on the R-box, with the envelope C = 1,
+    # alpha = 1, so R_l = max(2l + 2 ln(2 * 3 / (1 - e^{-1/2})), 8); uniform(0, 1) has variation 2
+    lam, l, (a, b) = 2.0, 4, (-0.1, 0.1)
+    rep = wegner_mc(ModelConfig(1, lam, SingleSitePotential.delta(1), uniform01()), l, (a, b), trials=5, seed=1)
+    R_int = math.ceil(max(2 * l + 2 * math.log(6.0 / (1.0 - math.exp(-0.5))), 8.0))
+    t_l1_total = (2 * l + 1) * 2.0 * (2 * R_int + 1)
+    assert rep.abstract_bound == pytest.approx((b - a) / (2 * lam) * 2.0 * t_l1_total, rel=1e-12)
+
+
 def test_wegner_mc_bound_holds():
     u = SingleSitePotential.exponential(rate=1.0, truncation_radius=12)
     m = ModelConfig(1, 1.0, u, uniform01())
