@@ -43,7 +43,6 @@ class NegexampleConstants:
     theta_pos: tuple[int, ...]
     theta_neg: tuple[int, ...]
     theta_1: tuple[int, ...]
-    theta_0: tuple[int, ...]
     s_plus: float
     m: float
     c: float
@@ -71,11 +70,9 @@ def negexample_constants(u: SingleSitePotential) -> NegexampleConstants:
         theta_1 = tuple(k + 1 for k in theta_pos)
     else:
         theta_1 = tuple(sorted(set(k + 1 for k in theta_pos if k + 1 < n) | {0}))
-    theta_0 = tuple(k for k in range(n) if k not in theta_1)
     m = sum(vals[k] for k in theta_1)
     c = n * u_max / u_min
-    return NegexampleConstants(theta_pos, theta_neg, theta_1, theta_0,
-                               s_plus, m, c, degenerate=(n == 1))
+    return NegexampleConstants(theta_pos, theta_neg, theta_1, s_plus, m, c, degenerate=(n == 1))
 
 
 def negexample_check(u: SingleSitePotential, delta: float, delta_prime: float,

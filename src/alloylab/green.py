@@ -41,15 +41,10 @@ __all__ = [
 ]
 
 
-def _resolvent(M: np.ndarray, z: complex) -> np.ndarray:
-    """(M - z)^{-1} for a square block M."""
-    return np.linalg.inv(M - z * np.eye(len(M), dtype=complex))
-
-
 def green(H: np.ndarray, z: complex) -> np.ndarray:
-    """G = (H - z)^{-1}.  Caller asserts z is off the spectrum when real."""
+    """G = (H - z)^{-1} for H or any square block of it.  Caller asserts z is off the spectrum when real."""
     try:
-        return _resolvent(H, z)
+        return np.linalg.inv(H - z * np.eye(len(H), dtype=complex))
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(f"singular resolvent at z={z}: {err}") from err
 
@@ -67,7 +62,7 @@ def _schur_B(H: np.ndarray, rows: np.ndarray, z: complex) -> np.ndarray:
     """C (H_ext - z)^{-1} C^T, with C = -H[L, ext] the hopping from L = ``rows`` to the rest."""
     ext = np.setdiff1d(np.arange(len(H)), rows)
     C = -H[np.ix_(rows, ext)]
-    return C @ _resolvent(H[np.ix_(ext, ext)], z) @ C.T
+    return C @ green(H[np.ix_(ext, ext)], z) @ C.T
 
 
 def schur_B(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry, inner_sites, z: complex) -> np.ndarray:
@@ -89,7 +84,7 @@ def verify_schur_identity(model: ModelConfig, omega: dict[Site, float], geometry
     lhs = green(assemble_hamiltonian(model, omega, geometry), z)[np.ix_(rows, rows)]
     # H_L is assembled, not sliced: bench/test_layertrace.py pins three assemblies per check
     H_in = assemble_hamiltonian(model, omega, inner_geo)
-    rhs = _resolvent(H_in - schur_B(model, omega, geometry, inner_geo.sites, z), z)
+    rhs = green(H_in - schur_B(model, omega, geometry, inner_geo.sites, z), z)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -104,7 +99,7 @@ def verify_two_step_schur(model: ModelConfig, omega: dict[Site, float], geometry
         raise ValueError("interior boundary of the outer region must avoid the inner region")
 
     H = assemble_hamiltonian(model, omega, geometry)
-    lhs = _resolvent(H, z)[np.ix_(r1, r1)]
+    lhs = green(H, z)[np.ix_(r1, r1)]
     at = np.searchsorted(r2, ring)  # the ring's places among the rows of L2
     B_ring = _schur_B(H, r2, z)[np.ix_(at, at)]
     K = H[np.ix_(ring, ring)] - B_ring - z * np.eye(len(ring), dtype=complex)
@@ -118,7 +113,7 @@ def verify_resolvent_identities(model: ModelConfig, omega: dict[Site, float], ge
     """Residuals of the first- and second-order geometric resolvent identities."""
     H = assemble_hamiltonian(model, omega, geometry)
     Hd, T = _deplete(H, geometry.rows(inner_sites))
-    G, Gd = _resolvent(H, z), _resolvent(Hd, z)
+    G, Gd = green(H, z), green(Hd, z)
     first = float(np.max(np.abs(G - Gd - G @ T @ Gd)))
     second = float(np.max(np.abs(G - Gd - Gd @ T @ Gd - Gd @ T @ G @ T @ Gd)))
     return first, second
@@ -132,8 +127,6 @@ def verify_resolvent_identities(model: ModelConfig, omega: dict[Site, float], ge
 class AnnulusGeometry:
     """The screening sets built from translates of supp u along a box shell."""
 
-    x: Site
-    L: int
     B_x: frozenset[Site]
     hat_W_x: frozenset[Site]
     W_x: frozenset[Site]
@@ -157,4 +150,4 @@ def annulus(geometry: BoxGeometry, x, L: int, u: SingleSitePotential) -> Annulus
     B_x = interior_boundary(build_box(L, x).sites)
     hat_W = {site_add(t, b) for b in B_x for t in supp} & gamma
     W = (hat_W | exterior_boundary(hat_W)) & gamma if hat_W else set()
-    return AnnulusGeometry(x, L, frozenset(B_x), frozenset(hat_W), frozenset(W))
+    return AnnulusGeometry(frozenset(B_x), frozenset(hat_W), frozenset(W))

@@ -86,8 +86,6 @@ def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
 class MomentEstimate:
     mean: float
     stderr: float
-    trials: int
-    exponent: float
     x: Site
     y: Site
 
@@ -236,7 +234,7 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
         return np.array([sampler.green_column(diagonals[t], z, source_rows)[rows, js] for t in block])
 
     means, stderrs = _mean_stderr(np.abs(run_trials(values, trials, threads)) ** s_exp)
-    return [MomentEstimate(float(mean), float(stderr), trials, s_exp, x, y)
+    return [MomentEstimate(float(mean), float(stderr), x, y)
             for (x, y), mean, stderr in zip(pairs, means, stderrs)]
 
 
@@ -253,8 +251,6 @@ def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp
 @dataclass(frozen=True)
 class OneDConstants:
     n: int
-    s: float
-    coupling: float
     C_u: float
     C_rho: float
     C: float            # C_u C_rho / lambda^s, the per-step contraction
@@ -288,7 +284,7 @@ def one_d_constants(u: SingleSitePotential, density: DisorderDensity,
     C_plus = C_u_plus * C_rho_plus * max(coupling ** (-s), coupling ** (-s / n))
     mu = -math.log(C)
     threshold = (C_u * C_rho) ** (1.0 / s)  # lambda above this gives C < 1
-    return OneDConstants(n, s, coupling, C_u, C_rho, C, C_u_plus, C_rho_plus, C_plus, mu, threshold)
+    return OneDConstants(n, C_u, C_rho, C, C_u_plus, C_rho_plus, C_plus, mu, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +295,6 @@ def one_d_constants(u: SingleSitePotential, density: DisorderDensity,
 class GapConstants:
     n: int
     r: int
-    s: float
-    coupling: float
     alpha: tuple[float, ...]     # the searched direction in [0,1]^{r+1}
     min_distance: float          # achieved min distance to the u-hyperplanes
     d0: float                    # volume-argument radius 1/((n+r)(r+1)^{r/2})
@@ -372,7 +366,7 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
     direct = [d_plus_direct(l) for l in range(n + r)]
     volume = [d_plus_volume(l) for l in range(n + r)]
     mu = -math.log(direct[-1]) if direct[-1] < 1 else 0.0
-    return GapConstants(n, r, s, coupling, tuple(float(a) for a in alpha), best_dist, d0,
+    return GapConstants(n, r, tuple(float(a) for a in alpha), best_dist, d0,
                         direct[-1], volume[-1], max(direct), max(volume), mu)
 
 
@@ -462,9 +456,8 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     (x,) = _check_average_args(region, z, s, x)
     _check_coupling(model.coupling)
     ann = annulus(region, x, L, model.potential)
+    # x is never in W_x: 0 in supp u puts hat-W_x at sup distance >= L - diam >= 2 from x
     depleted_sites = region.site_set() - ann.W_x
-    if x not in depleted_sites:
-        raise ValueError("x fell into the annulus; enlarge the region or L")
     sub = region.subset(depleted_sites)
     boundary = sorted(exterior_boundary(ann.W_x) & depleted_sites)
     theta_count = len(model.potential.support())
@@ -537,8 +530,8 @@ def w_xy(u: SingleSitePotential, x, y, window) -> dict:
     """Exponential-coefficient combination W(k) = sum_j alpha(j) u(k - j).
 
     alpha(j) = (e^{-c|j-x|_1} + e^{-c|j-y|_1}) / 2 with the rate c of the
-    exponential weights; reports the margins W(k) - alpha(k) ubar / 2 over
-    the window (all should be >= 0) and W at x, y against ubar / 4.
+    exponential weights; reports the least margin W(k) - alpha(k) ubar / 2
+    over the window (should be >= 0) and W at x, y against ubar / 4.
     """
     info = exponential_weights(u)
     sign = -1.0 if info["sign_flipped"] else 1.0
@@ -550,19 +543,12 @@ def w_xy(u: SingleSitePotential, x, y, window) -> dict:
                       + math.exp(-c * l1_norm(site_sub(k, y))))
 
     supp = u.support()
-    values: dict[Site, float] = {}
-    margins: dict[Site, float] = {}
-    for k in _site_list(window):
-        w = sum(alpha(site_sub(k, t)) * sign * u.value(t) for t in supp)
-        values[k] = w
-        margins[k] = w - alpha(k) * info["ubar"] / 2.0
-    report = {
+    values = {k: sum(alpha(site_sub(k, t)) * sign * u.value(t) for t in supp) for k in _site_list(window)}
+    return {
         "values": values,
-        "margins": margins,
-        "min_margin": min(margins.values()),
+        "min_margin": min(w - alpha(k) * info["ubar"] / 2.0 for k, w in values.items()),
         "at_x": values.get(x),
         "at_y": values.get(y),
         "quarter_ubar": info["ubar"] / 4.0,
         **info,
     }
-    return report

@@ -138,6 +138,8 @@ def compute_R_l(C: float, alpha: float, c_u: float, I0, l: int, d: int) -> tuple
     R_l = max(2l + (2/alpha) ln(2 3^d C / (|c_u| (1 - e^{-alpha/2}))),
               8 (d + |I0|)^2 / alpha^2); the integer box radius is its ceiling.
     """
+    if l < 0:
+        raise ValueError(f"the box radius l must be >= 0, got {l}")
     if c_u == 0:
         raise ValueError("c_u must be nonzero")
     if alpha <= 0 or C <= 0:
@@ -193,7 +195,6 @@ def wegner_coefficients(u: SingleSitePotential, l: int,
     per_j = 2.0 / abs(lead.c_u) * abs_powers
     total = (2 * l + 1) ** d * per_j
     return {
-        "I0": lead.I0,
         "c_u": lead.c_u,
         "R": R,
         "R_int": R_int,

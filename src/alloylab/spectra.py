@@ -17,7 +17,6 @@ import numpy as np
 from .averaging import _mean_stderr
 from .model import (
     ModelConfig,
-    Site,
     _as_site,
     assemble_hamiltonian,  # this and sample_configuration are unused: bench/test_layertrace.py pins both bindings
     build_box,
@@ -54,10 +53,8 @@ def _check_interval(a: float, b: float) -> None:
 
 @dataclass(frozen=True)
 class WegnerReport:
-    interval: tuple[float, float]
     mean_count: float
     stderr: float
-    trials: int
     abstract_bound: float
     bound_satisfied: bool
 
@@ -119,8 +116,7 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     mean, stderr = map(float, _mean_stderr(run_trials(counts, trials, threads)))
     bound = (1.0 / (2.0 * model.coupling) * model.density.total_variation
              * (b - a) * coeff["t_l1_total"])
-    return WegnerReport((a, b), mean, stderr, trials, bound,
-                        bool(mean + 3 * stderr <= bound))
+    return WegnerReport(mean, stderr, bound, bool(mean + 3 * stderr <= bound))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +138,9 @@ def _regular(vals: np.ndarray, vecs: np.ndarray, energies: np.ndarray, ix: int, 
 
 @dataclass(frozen=True)
 class RegularityReport:
-    L: int
-    x: Site
-    y: Site
-    m: float
     energies: tuple[float, ...]
     per_energy_frequency: tuple[float, ...]
     pair_frequency: float
-    trials: int
 
 
 def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
@@ -208,4 +199,4 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
         return np.concatenate(parts).astype(float)
 
     freq, _ = _mean_stderr(run_trials(flags, trials, threads))
-    return RegularityReport(L, x, y, m, energies, tuple(freq[:-1]), float(freq[-1]), trials)
+    return RegularityReport(energies, tuple(freq[:-1]), float(freq[-1]))

@@ -82,6 +82,35 @@ def test_graf_near_real_complex_pole(beta, exact):
     assert abs(chk.integral_value - exact) <= max(chk.error, 1e-12 * exact)
 
 
+def _real_pencil_root_cases():
+    """(A, closed form) for V = [[1]] on uniform(1, 2) at s = 0.8, with the root r = -A just outside [1, 2].
+
+    The average is int_d^{1+d} u^{-s} du = ((1 + d)^{1-s} - d^{1-s}) / (1 - s), d the root's float distance
+    from the nearer end of the support.
+    """
+    for root in (1.0 - 1e-9, 2.0 + 1e-9):
+        d = 1.0 - root if root < 1.0 else root - 2.0
+        yield np.array([[-root]]), ((1.0 + d) ** 0.2 - d ** 0.2) / 0.2
+
+
+_REAL_PENCIL_ROOTS = list(_real_pencil_root_cases())
+
+
+@pytest.mark.parametrize("A, exact", _REAL_PENCIL_ROOTS, ids=["below", "above"])
+def test_graf_check_reads_the_real_pole_just_outside_the_support(A, exact):
+    chk = graf_check(DisorderDensity("uniform", (1, 2)), 0.8, -A[0, 0])
+    assert abs(chk.integral_value - exact) <= max(chk.error, 1e-12 * exact)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a real pencil root 1e-9 outside the support reads "
+                                      "5.0000000006 for 4.9207553, with a reported error of 2.3e-9")
+@pytest.mark.parametrize("check", [det_average_check, resolvent_average_check])
+@pytest.mark.parametrize("A, exact", _REAL_PENCIL_ROOTS, ids=["below", "above"])
+def test_pencil_average_at_a_real_root_just_outside_the_support(check, A, exact):
+    chk = check(A, np.eye(1), DisorderDensity("uniform", (1, 2)), 0.8)
+    assert abs(chk.integral_value - exact) <= max(chk.error, 1e-12 * exact)
+
+
 def test_graf_tightness_inside_support():
     for beta in (0.1, 0.5, 0.9):
         chk = graf_check(uniform01(), 0.5, beta)
@@ -235,6 +264,24 @@ def test_detgen_rejects_zero_alpha0():
         detgen_check(np.zeros((1, 1)), [np.eye(1)], [0.0], uniform01(), 0.5, trials=10)
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ([1.0], "alpha must have one entry per matrix"),
+    ([1.0, -1.0], "sum_k alpha_k V_k must be invertible"),  # V_0 - V_1 = 0
+])
+def test_detgen_contract(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        detgen_check(np.zeros((1, 1)), [np.eye(1), np.eye(1)], alpha, uniform01(), 0.5, trials=10)
+
+
+def test_detgen_bound_reference_with_two_extra_variables():
+    # N = 2, n = 1, t = 1/2, alpha = (1, 1/2, 1/4): sum_k alpha_k V_k = 7/4 and ratio = 1/2, so with R = 1,
+    # ||rho||_inf = 1 and C_{1/2} = 4 the bound is (7/4)^{-1/2} |alpha_0|^t (1 + 1/2)^{Nt} C_t (2R)^{Nt} = 12 / sqrt(7/4)
+    rho = uniform01()
+    assert (rho.support_radius, rho.linf) == (1.0, 1.0)
+    chk = detgen_check(np.zeros((1, 1)), [np.eye(1)] * 3, [1.0, 0.5, 0.25], rho, 0.5, trials=10)
+    assert chk.bound_value == pytest.approx(12.0 / math.sqrt(1.75), rel=1e-12)
+
+
 def test_resolvent_average_scalar():
     # n=1, A=0, V=1: integrand r^{-1/2}; bound (0+R)^0 / ... = 4
     chk = resolvent_average_check(np.zeros((1, 1)), np.eye(1), uniform01(), 0.5)
@@ -261,6 +308,13 @@ def test_resolvent_average_random_instances():
         s = float(rng.uniform(0.2, 0.8))
         chk = resolvent_average_check(A, V, uniform01(), s)
         assert chk.holds()
+
+
+def test_resolvent_bound_reference_at_n_2():
+    # ||rho||_inf^s (||A|| + R ||V||)^{s(n-1)/n} C_s |det V|^{-s/n} with ||A|| = 2, R = ||V|| = 1, det V = 1,
+    # s = 1/2 and C_{1/2} = 4: 4 * 3^{1/4}
+    chk = resolvent_average_check(np.diag([2.0, 1.0]), np.eye(2), uniform01(), 0.5)
+    assert chk.bound_value == pytest.approx(4.0 * 3.0 ** 0.25, rel=1e-12)
 
 
 def rc01():
@@ -291,6 +345,17 @@ def test_nonmonotone_small_exponent_limit():
 def test_nonmonotone_requires_w11_density():
     with pytest.raises(ValueError):
         nonmonotone_average_check(1j * np.eye(1), np.eye(1), uniform01(), 0.5, 0, 0, -0.5j)
+
+
+@pytest.mark.parametrize("A, W, z, message", [
+    (1j * np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]), -0.5j, "nonnegative diagonal multiplication operator"),
+    (1j * np.eye(2), np.diag([0.0, 1.0]), -0.5j, "positive at the probed sites"),
+    (1j * np.eye(2), np.eye(2), 0.5j, "lower half-plane"),
+    (-1j * np.eye(2), np.eye(2), -0.5j, "must be dissipative"),
+], ids=["off-diagonal", "zero-at-x", "upper-z", "not-dissipative"])
+def test_nonmonotone_contract(A, W, z, message):
+    with pytest.raises(ValueError, match=message):
+        nonmonotone_average_check(A, W, rc01(), 0.5, 0, 1, z)
 
 
 _CHECK_AT_S = {

@@ -264,3 +264,12 @@ def test_holder_probe_single_l():
     _, gamma = gaussian_conditional(0.5, 1.0, 1, 1)
     # the interior site of the L=1 box sees one value on each side
     assert min_conditional_std(0.5, 1.0, 1) == pytest.approx(math.sqrt(gamma), rel=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: s_l(0.5, -1), "l must be >= 0"),
+    (lambda: a_l_determinants(0.5, 0), "l must be >= 1"),
+], ids=["s_l", "a_l_determinants"])
+def test_geometric_sums_refuse_a_short_box(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

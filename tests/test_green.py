@@ -231,6 +231,14 @@ def test_two_step_schur_rejects_touching_boundary():
         verify_two_step_schur(m, omega, g, [(3,)], [(k,) for k in range(3, 7)], 0.5j)
 
 
+def test_two_step_schur_rejects_an_inner_region_outside_the_outer_one():
+    m = make_model()
+    g = chain(9)
+    omega = sample_configuration(m, lambda_plus(g, m.potential), seed=12)
+    with pytest.raises(ValueError, match="need inner1 within inner2"):
+        verify_two_step_schur(m, omega, g, [(1,), (4,)], [(k,) for k in range(3, 7)], 0.5j)
+
+
 @pytest.mark.parametrize("as_given", [lambda k: k, lambda k: [k], lambda k: (k,)],
                          ids=["int", "list", "tuple"])
 def test_inner_sites_given_as_ints_lists_or_tuples(as_given):

@@ -19,6 +19,7 @@ from alloylab.model import (
     ModelConfig,
     SingleSitePotential,
     assemble_hamiltonian,
+    _chain_values,
     build_box,
     explicit_geometry,
     exterior_boundary,
@@ -316,6 +317,15 @@ def test_piecewise_linear_norms():
 def test_tail_potential_envelope_enforced():
     with pytest.raises(ValueError):
         SingleSitePotential({(0,): 5.0}, tail_amplitude=1.0, tail_rate=1.0, truncation_radius=3)
+
+
+@pytest.mark.parametrize("u, message", [
+    (SingleSitePotential.delta(2), "one-dimensional potentials only"),
+    (SingleSitePotential.from_values({(-1,): 1.0, (0,): 1.0}), "min supp = 0"),
+], ids=["d=2", "min-supp=-1"])
+def test_chain_values_contract(u, message):
+    with pytest.raises(ValueError, match=message):
+        _chain_values(u)
 
 
 @pytest.mark.parametrize("sign", [2, 0, -3])

@@ -310,6 +310,12 @@ def test_decay_profile_needs_a_distance():
         decay_profile(m, 1, 0.5j, 0.5, trials=5, seed=0)
 
 
+def test_decay_profile_refuses_a_two_dimensional_model():
+    m = ModelConfig(2, 1.0, SingleSitePotential.delta(2), uniform01())
+    with pytest.raises(ValueError, match="decay profiles are one-dimensional"):
+        decay_profile(m, 6, 0.5j, 0.5, trials=5, seed=0)
+
+
 def test_singular_solve_raises():
     m = ModelConfig(1, 0.0, SingleSitePotential.delta(1), uniform01())
     # lambda = 0: H - z is 0 on one site, and -Delta on two sites has eigenvalue 1
@@ -422,6 +428,17 @@ def test_finite_volume_xi_reference(lam):
     xi = lam ** (-s / 2) if lam > 1 else lam ** (-2 * s)
     assert res["xi"] == pytest.approx(xi, rel=1e-12)
     assert res["scaled"] == pytest.approx(res["raw_sum"] * xi / lam ** s, rel=1e-12)
+
+
+def test_finite_volume_scaled_reference_in_two_dimensions():
+    # d = 2 and |Theta| = 2: scaled = raw L^{3(d-1)} xi / lambda^{2s/(2|Theta|)} = raw L^3 xi / lambda^{s/2},
+    # with xi = max(lambda^{-s/4}, lambda^{-2s}) = lambda^{-s/4} at lambda = 4
+    s, lam, L = 0.3, 4.0, 3
+    u = SingleSitePotential.from_values({(0, 0): 1.0, (1, 0): 0.5})
+    m = ModelConfig(2, lam, u, uniform01())
+    res = finite_volume_sum(m, build_box(6, (0, 0)), (0, 0), 0.5j, s, L=L, trials=5, seed=1)
+    assert res["raw_sum"] > 0.0
+    assert res["scaled"] == pytest.approx(res["raw_sum"] * 27.0 * lam ** (-s / 4) / lam ** (s / 2), rel=1e-12)
 
 
 def test_finite_volume_coupling_monotonicity():

@@ -196,6 +196,26 @@ def test_compute_R_l_zero_l():
     assert R == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("l", [-1, -3])
+def test_a_negative_box_radius_is_refused(l):
+    # the radius 2l + ... and the (2l + 1)^d box count gave t_l1_total = -68.0 at l = -1
+    u = SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5})
+    with pytest.raises(ValueError, match="l must be >= 0"):
+        compute_R_l(1.0, 1.0, 1.0, (0,), l, 1)
+    with pytest.raises(ValueError, match="l must be >= 0"):
+        wegner_coefficients(u, l)
+
+
+@pytest.mark.parametrize("C, alpha, c_u, message", [
+    (1.0, 1.0, 0.0, "c_u must be nonzero"),
+    (1.0, 0.0, 1.0, "positive tail parameters"),
+    (0.0, 1.0, 1.0, "positive tail parameters"),
+])
+def test_compute_R_l_contract(C, alpha, c_u, message):
+    with pytest.raises(ValueError, match=message):
+        compute_R_l(C, alpha, c_u, (0,), 1, 1)
+
+
 def test_prop2_delta():
     u = SingleSitePotential.delta(1)
     lead = find_I0(u)

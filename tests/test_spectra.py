@@ -423,3 +423,9 @@ def test_pair_regularity_separation_enforced():
     m = ModelConfig(1, 10.0, u, uniform01())
     with pytest.raises(ValueError):
         pair_regularity_probability(m, 5, (0,), (8,), (-1, 1), 3, 0.1, 5, 1)
+
+
+def test_pair_regularity_needs_a_grid_energy():
+    m = ModelConfig(1, 10.0, SingleSitePotential.delta(1), uniform01())
+    with pytest.raises(ValueError, match="need at least one grid energy, got 0"):
+        pair_regularity_probability(m, 2, (0,), (6,), (-1, 1), 0, 0.1, 5, 1)

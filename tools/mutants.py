@@ -58,6 +58,12 @@ MUTANTS = [
     Mutant("finite-volume xi: min", "src/alloylab/moments.py",
            "xi = max(lam ** (-exponent), lam ** (-2 * s))", "xi = min(lam ** (-exponent), lam ** (-2 * s))",
            "Xi_s(lambda) = max(lambda^{-s/(2|Theta|)}, lambda^{-2s})"),
+    Mutant("finite-volume L^2(d-1)", "src/alloylab/moments.py",
+           "L ** (3 * (d - 1))", "L ** (2 * (d - 1))",
+           "scaled = raw L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}"),
+    Mutant("finite-volume lambda^s", "src/alloylab/moments.py",
+           "lam ** (2 * s / (2 * theta_count))", "lam ** s",
+           "scaled = raw L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}"),
     Mutant("R_l: 4 (d+|I0|)^2", "src/alloylab/poscomb.py",
            "second = 8.0 * (d + deg) ** 2 / alpha ** 2", "second = 4.0 * (d + deg) ** 2 / alpha ** 2",
            "R_l >= 8 (d + |I0|)^2 / alpha^2"),
@@ -67,6 +73,12 @@ MUTANTS = [
     Mutant("wegner bound: 1/lambda", "src/alloylab/spectra.py",
            "bound = (1.0 / (2.0 * model.coupling)", "bound = (1.0 / model.coupling",
            "E #{ev in I} <= |I| / (2 lambda) ||rho||_Var sum_j ||t_j||_1"),
+    Mutant("detgen: (1+ratio)^t", "src/alloylab/averaging.py",
+           "(1.0 + ratio) ** (N * t)", "(1.0 + ratio) ** t",
+           "|det comb|^{-t/n} |alpha_0|^t (1 + max_i |alpha_i / alpha_0|)^{Nt} C_t (2R)^{Nt} ||rho||_inf^{(N+1)t}"),
+    Mutant("resolvent: s(n-1)", "src/alloylab/averaging.py",
+           "** (s * (n - 1) / n)", "** (s * (n - 1))",
+           "||rho||_inf^s (||A|| + R ||V||)^{s(n-1)/n} C_s |det V|^{-s/n}"),
     Mutant("C_s: (1-s)^(1/2)", "src/alloylab/averaging.py",
            "return 2.0 ** s * s ** (-s) / (1.0 - s)", "return 2.0 ** s * s ** (-s) / (1.0 - s) ** 0.5",
            "C_s = 2^s s^{-s} / (1 - s)"),
