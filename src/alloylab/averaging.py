@@ -10,6 +10,7 @@ margin bound - integral should be nonnegative up to the integration error.
 
 from __future__ import annotations
 
+import cmath
 import importlib.machinery
 import importlib.util
 import math
@@ -209,6 +210,8 @@ def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageChec
     pref = _fractional_prefactor(s)  # checks s before any quadrature
     bound = density.linf ** s * pref
     beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValueError(f"the pole beta must be finite, got {beta}")
     if abs(beta.imag) < 1e-14:
         val, err = _real_pole_average(density, s, beta.real)
     else:
@@ -355,6 +358,8 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
     W = np.asarray(W, dtype=float)
     n = A.shape[0]
     wdiag = np.diag(W)
+    if x not in range(n) or y not in range(n):
+        raise ValueError(f"the probed sites x = {x}, y = {y} must be indices in range({n})")
     if not np.allclose(W, np.diag(wdiag)) or np.min(wdiag) < 0:
         raise ValueError("W must be a nonnegative diagonal multiplication operator")
     if wdiag[x] <= 0 or wdiag[y] <= 0:
@@ -368,13 +373,10 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
     pref = _fractional_prefactor(s)  # checks s before any quadrature
     bound = 8.0 * 4.0 ** (-s) / (wdiag[x] * wdiag[y]) ** (s / 2.0) * density.linf ** s * pref
 
-    ey = np.zeros(n)
-    ey[y] = 1.0
+    ey = np.eye(n, dtype=complex)[y]
 
     def f(t):
-        M = A + t * W - complex(z) * np.eye(n)
-        col = np.linalg.solve(M, ey.astype(complex))
-        return abs(col[x]) ** s
+        return abs(np.linalg.solve(A + t * W - complex(z) * np.eye(n), ey)[x]) ** s
 
     val, err = _integrate(f, density, [])
     return AverageCheck(val, bound, err)

@@ -1,10 +1,10 @@
 """Monte Carlo fractional moments of Green functions and the explicit bounds.
 
-The centerpiece is E|G(z; x, y)|^s over the disorder, estimated trial by trial
-with per-trial random streams (drawn, and made into lambda V, as one block that
-all pairs of an estimator share), and compared against the explicit 1-D decay
-constants, the gap-construction bounds, the finite-volume screening sum, and
-the non-local a-priori bound from the exponential-weight transform.
+The centerpiece is E|G(z; x, y)|^s over the disorder, estimated trial by trial with per-trial
+random streams (drawn, and made into lambda V, as one block that all pairs of an estimator
+share) on the calling thread, since scipy's ``zgbsv`` wrapper holds the GIL.  It is compared
+against the explicit 1-D decay constants, the gap-construction bounds, the finite-volume
+screening sum, and the non-local a-priori bound from the exponential-weight transform.
 """
 
 from __future__ import annotations
@@ -61,15 +61,14 @@ __all__ = [
 def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
     """fn(block) on contiguous ranges of trial indices, concatenated in trial order.
 
-    ``fn`` takes a ``range`` of trial indices and returns one entry per trial
-    in it: shape (len(block),) for scalars, (len(block), k) for rows.  The
-    trials go to w = min(threads, trials) workers, one contiguous block each
-    (block w is ``range(trials * w // workers, trials * (w + 1) // workers)``);
-    one worker calls ``fn(range(trials))`` with no pool.  A trial depends
-    only on its index (its disorder is row ``trial`` of the estimator's
-    ``DisorderSampler.omega`` block), so as long as ``fn`` computes each trial
-    independently of the others in its block, the result is bitwise identical
-    no matter how many workers run.
+    ``fn`` takes a ``range`` of trial indices and returns one entry per trial in it: shape
+    (len(block),) for scalars, (len(block), k) for rows.  w = min(threads, trials) workers take
+    one contiguous block each (block w is ``range(trials * w // workers, trials * (w + 1) //
+    workers)``); one worker calls ``fn(range(trials))`` with no pool.  A trial depends only on
+    its index (row ``trial`` of the ``DisorderSampler.omega`` block), so if ``fn`` computes each
+    trial on its own, the result is bitwise the same for any number of workers.  Workers pay
+    only where ``fn`` releases the GIL, as the numpy eigensolves of ``spectra`` do; the ``zgbsv``
+    solves of ``estimate_moments`` do not, so it calls with one worker.
     """
     _check_trials(trials)
     if threads < 1:
@@ -219,7 +218,10 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
     """Unbiased MC means of |G(z; x, y)|^s over i.i.d. disorder, one per (x, y) pair.
 
     The pairs share one disorder block and one banded LU per trial; |G|^s is taken once, as
-    np.abs(block) ** s over the stacked (trials, pairs) block of G values."""
+    np.abs(block) ** s over the stacked (trials, pairs) block of G values.  ``threads`` must be
+    >= 1, but the solves run on the calling thread: scipy's ``zgbsv`` holds the GIL."""
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads}")
     pairs = [_check_average_args(geometry, z, s_exp, x, y) for x, y in pairs]
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
@@ -233,14 +235,14 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
     def values(block: range) -> np.ndarray:  # one banded LU per trial
         return np.array([sampler.green_column(diagonals[t], z, source_rows)[rows, js] for t in block])
 
-    means, stderrs = _mean_stderr(np.abs(run_trials(values, trials, threads)) ** s_exp)
+    means, stderrs = _mean_stderr(np.abs(run_trials(values, trials)) ** s_exp)
     return [MomentEstimate(float(mean), float(stderr), x, y)
             for (x, y), mean, stderr in zip(pairs, means, stderrs)]
 
 
 def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
                     x, y, trials: int, seed: int, threads: int = 1) -> MomentEstimate:
-    """Unbiased MC mean of |G(z; x, y)|^s over i.i.d. disorder."""
+    """Unbiased MC mean of |G(z; x, y)|^s over i.i.d. disorder; ``threads`` as in ``estimate_moments``."""
     return estimate_moments(model, geometry, z, s_exp, [(x, y)], trials, seed, threads)[0]
 
 
@@ -382,7 +384,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     is s/n and the bound uses the explicit contraction constants, otherwise
     s/(n+r) with the gap constants.  ``fit`` is the slope of a weighted
     least-squares line through log(mean) against distance, or None when fewer
-    than two distances have a fittable mean.
+    than two distances have a fittable mean.  ``threads`` is checked, not used (``estimate_moments``).
     """
     if model.dimension != 1:
         raise ValueError("decay profiles are one-dimensional")
@@ -405,14 +407,10 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     estimates = estimate_moments(model, geometry, z, exponent, [(x, y) for y in geometry.sites[1:]],
                                  trials, seed, threads)
 
-    dists, logs, weights = [], [], []
-    for est in estimates:
-        dist = est.y[0]
-        if est.mean > 0 and est.stderr < est.mean:
-            dists.append(dist)
-            logs.append(math.log(est.mean))
-            rel = est.stderr / est.mean if est.stderr > 0 else 1e-6
-            weights.append(1.0 / rel ** 2)
+    fittable = [est for est in estimates if est.mean > 0 and est.stderr < est.mean]
+    dists = [est.y[0] for est in fittable]
+    logs = [math.log(est.mean) for est in fittable]
+    weights = [1.0 / (est.stderr / est.mean if est.stderr > 0 else 1e-6) ** 2 for est in fittable]
     fit = None  # fewer than two fittable distances: no rate, not a rate of 0
     if len(dists) >= 2:
         fit = float(np.polyfit(dists, logs, 1, w=np.sqrt(weights))[0])
@@ -451,7 +449,7 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     |G_{region minus W_x}(z; x, w)|^{s/(2|Theta|)}; the scaled value
     multiplies by L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}, leaving
     out only the non-explicit prefactor of the criterion, so ``scaled`` is
-    not the criterion itself.
+    not the criterion itself.  ``threads`` is checked, not used (``estimate_moments``).
     """
     (x,) = _check_average_args(region, z, s, x)
     _check_coupling(model.coupling)

@@ -117,6 +117,18 @@ def test_graf_tightness_inside_support():
         assert 0.1 < chk.integral_value / chk.bound_value <= 1.0
 
 
+@pytest.mark.parametrize("beta", [complex(math.inf, 1.0), complex(0.5, math.inf), math.nan],
+                         ids=["infinite-real-part", "infinite-imaginary-part", "nan"])
+def test_graf_rejects_a_non_finite_pole_before_any_quadrature(monkeypatch, beta):
+    # unchecked, an infinite pole would integrate to 0.0 and hold, and a NaN one end in an IntegrationWarning
+    def refuse(*args, **kwargs):
+        raise AssertionError("graf_check integrated a non-finite pole")
+
+    monkeypatch.setattr(averaging, "_quad", refuse)
+    with pytest.raises(ValueError, match="must be finite"):
+        graf_check(uniform01(), 0.5, beta)
+
+
 def test_det_average_scalar_exact():
     chk = det_average_check(np.zeros((1, 1)), np.eye(1), uniform01(), 0.5)
     assert chk.integral_value == pytest.approx(2.0, abs=1e-8)  # int_0^1 r^{-1/2}
@@ -347,15 +359,21 @@ def test_nonmonotone_requires_w11_density():
         nonmonotone_average_check(1j * np.eye(1), np.eye(1), uniform01(), 0.5, 0, 0, -0.5j)
 
 
-@pytest.mark.parametrize("A, W, z, message", [
-    (1j * np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]), -0.5j, "nonnegative diagonal multiplication operator"),
-    (1j * np.eye(2), np.diag([0.0, 1.0]), -0.5j, "positive at the probed sites"),
-    (1j * np.eye(2), np.eye(2), 0.5j, "lower half-plane"),
-    (-1j * np.eye(2), np.eye(2), -0.5j, "must be dissipative"),
-], ids=["off-diagonal", "zero-at-x", "upper-z", "not-dissipative"])
-def test_nonmonotone_contract(A, W, z, message):
+# unchecked, x = -1 would pass numpy's negative indexing (a bound from W[-1]) and x = 5 raise IndexError
+@pytest.mark.parametrize("A, W, x, y, z, message", [
+    (1j * np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]), 0, 1, -0.5j, "nonnegative diagonal multiplication operator"),
+    (1j * np.eye(2), np.diag([0.0, 1.0]), 0, 1, -0.5j, "positive at the probed sites"),
+    (1j * np.eye(2), np.eye(2), 0, 1, 0.5j, "lower half-plane"),
+    (1j * np.eye(2), np.eye(2), 0, 1, 0.5, "lower half-plane"),
+    (-1j * np.eye(2), np.eye(2), 0, 1, -0.5j, "must be dissipative"),
+    (1j * np.eye(2), np.diag([1.0, 2.0]), -1, 1, -0.5j, r"must be indices in range\(2\)"),
+    (1j * np.eye(2), np.diag([1.0, 2.0]), 5, 1, -0.5j, r"must be indices in range\(2\)"),
+    (1j * np.eye(2), np.diag([1.0, 2.0]), 0, 2, -0.5j, r"must be indices in range\(2\)"),
+], ids=["off-diagonal", "zero-at-x", "upper-z", "real-z", "not-dissipative", "negative-x", "x-past-the-end",
+        "y-past-the-end"])
+def test_nonmonotone_contract(A, W, x, y, z, message):
     with pytest.raises(ValueError, match=message):
-        nonmonotone_average_check(A, W, rc01(), 0.5, 0, 1, z)
+        nonmonotone_average_check(A, W, rc01(), 0.5, x, y, z)
 
 
 _CHECK_AT_S = {

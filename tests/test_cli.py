@@ -539,6 +539,43 @@ def test_scipy_loads_on_first_use(scipy_loads):
                for m in added), added
 
 
+_SCIPY_RACE_CHILD = """
+import importlib.machinery, sys, threading, time
+from alloylab.averaging import _scipy_module
+
+name = "scipy.linalg._flapack"
+start, got, loads = threading.Barrier(2), [], []
+create = importlib.machinery.ExtensionFileLoader.create_module
+
+def slow_create(self, spec):  # holds the first load open, so an unguarded second thread would start its own
+    loads.append(spec.name)
+    time.sleep(0.05)
+    return create(self, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = slow_create
+
+def load():
+    start.wait()
+    got.append(_scipy_module(name))
+
+workers = [threading.Thread(target=load) for _ in range(2)]
+for worker in workers:
+    worker.start()
+for worker in workers:
+    worker.join()
+print(len(got), got[0] is got[1] is sys.modules[name], loads.count(name), "scipy.linalg" in sys.modules)
+"""
+
+
+def test_two_threads_loading_a_scipy_module_at_once_get_one_module():
+    # no subcommand loads scipy from two threads, so the race is run on purpose, in a fresh interpreter:
+    # here pytest has loaded scipy.linalg, and _scipy_module would return its module as it is
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_RACE_CHILD], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["2", "True", "1", "False"]  # one module object, from one load
+
+
 def test_standalone_scipy_modules_write_the_bytes_of_the_packages(scipy_loads, tmp_path):
     import scipy.integrate  # noqa: F401  (both packages loaded here, as a caller that imports them would)
     import scipy.linalg  # noqa: F401

@@ -142,6 +142,53 @@ def test_moment_threads_bitwise_stable():
     assert e1.mean == e2.mean and e1.stderr == e2.stderr
 
 
+def _bits(result):
+    """A form of an estimator's result that compares equal only when every float agrees bit for bit."""
+    if isinstance(result, dict):
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v) for k, v in result.items()}
+    return repr(result)
+
+
+_GAPPED = ModelConfig(1, 30.0, SingleSitePotential.from_values({(0,): 1.0, (2,): -0.3}),
+                      DisorderDensity("raised_cosine", (0, 1)))
+_PAIR = ModelConfig(1, 2.0, SingleSitePotential.from_values({(0,): 1.0, (1,): -0.5}), uniform01())
+
+
+@pytest.mark.parametrize("call", [
+    lambda threads: estimate_moments(_GAPPED, chain(9), 0.3 + 0.4j, 0.5, [((0,), (4,)), ((2,), (8,))],
+                                     40, 2, threads),
+    lambda threads: decay_profile(_GAPPED, 12, 0.3 + 0.4j, 0.5, 40, 2, threads),
+    lambda threads: finite_volume_sum(_PAIR, explicit_geometry([(k,) for k in range(-10, 11)]), (0,),
+                                      0.5j, 0.3, L=3, trials=40, seed=1, threads=threads),
+], ids=["estimate_moments", "decay_profile", "finite_volume_sum"])
+def test_moment_estimators_solve_on_the_calling_thread(monkeypatch, call):
+    # zgbsv holds the GIL, so a pool would only add contention: threads = 3 starts none, and changes no bit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a moment estimator started a worker pool")
+
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", refuse)
+    assert _bits(call(3)) == _bits(call(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda threads: estimate_moment(_PAIR, chain(6), 0.5j, 0.3, (0,), (3,), 10, seed=1, threads=threads),
+    lambda threads: decay_profile(_PAIR, 6, 0.5j, 0.5, 10, seed=1, threads=threads),
+    lambda threads: finite_volume_sum(_PAIR, chain(21), (10,), 0.5j, 0.3, L=3, trials=10, seed=1,
+                                      threads=threads),
+], ids=["estimate_moment", "decay_profile", "finite_volume_sum"])
+def test_moment_estimators_check_threads_before_any_stream(monkeypatch, call):
+    calls = []
+
+    def counting(seed, trial):
+        calls.append(trial)
+        return trial_stream(seed, trial)
+
+    monkeypatch.setattr(moments, "trial_stream", counting)
+    with pytest.raises(ValueError, match="at least one thread"):
+        call(0)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # explicit constants
 
@@ -580,6 +627,24 @@ def test_nonlocal_constants_sign_changing_pair():
     assert info["c"] == pytest.approx(math.log(1.3), abs=1e-12)
     assert info["C"] == pytest.approx(23.0 / 3.0, abs=1e-10)
     assert info["bound"] == pytest.approx(27.675157471997572, rel=1e-9)
+
+
+def test_exponential_weights_in_two_dimensions():
+    # the l1 diameter is 1 in both; C = ((e^c + 1)/(e^c - 1))^d squares the d = 1 value
+    pair = SingleSitePotential.from_values({(0, 0): 1.0, (1, 0): 1.0})
+    assert exponential_weights(pair)["C"] == pytest.approx(25.0, rel=1e-12)  # c = ln 1.5
+    signed = SingleSitePotential.from_values({(0, 0): 1.0, (0, 1): -0.25})
+    info = exponential_weights(signed)
+    assert info["c"] == pytest.approx(math.log(1.3), abs=1e-12)
+    assert info["C"] == pytest.approx(529.0 / 9.0, rel=1e-12)  # (2.3 / 0.3)^2
+
+
+def test_nonlocal_bound_reference_in_two_dimensions():
+    # 8 ubar^-s s^-s / (1-s) ||rho'||^s C^s lambda^-s at ubar = 3/4, s = 1/3, ||rho'|| = 4, C = 529/9,
+    # lambda = 10: 12 (4/3 * 3 * 4 * 529/9 / 10)^(1/3) = 12 (4232/45)^(1/3)
+    u = SingleSitePotential.from_values({(0, 0): 1.0, (0, 1): -0.25})
+    info = nonlocal_apriori_bound(u, DisorderDensity("raised_cosine", (0, 1)), 10.0, 1.0 / 3.0)
+    assert info["bound"] == pytest.approx(12.0 * (4232.0 / 45.0) ** (1.0 / 3.0), rel=1e-12)
 
 
 def test_nonlocal_bound_vanishes_at_strong_coupling():

@@ -64,6 +64,10 @@ MUTANTS = [
     Mutant("finite-volume lambda^s", "src/alloylab/moments.py",
            "lam ** (2 * s / (2 * theta_count))", "lam ** s",
            "scaled = raw L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}"),
+    Mutant("exp weights C: x d", "src/alloylab/moments.py",
+           "C = ((math.exp(c) + 1.0) / (math.exp(c) - 1.0)) ** d",
+           "C = ((math.exp(c) + 1.0) / (math.exp(c) - 1.0)) * d",
+           "C = ((e^c + 1) / (e^c - 1))^d"),
     Mutant("R_l: 4 (d+|I0|)^2", "src/alloylab/poscomb.py",
            "second = 8.0 * (d + deg) ** 2 / alpha ** 2", "second = 4.0 * (d + deg) ** 2 / alpha ** 2",
            "R_l >= 8 (d + |I0|)^2 / alpha^2"),
