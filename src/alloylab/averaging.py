@@ -10,7 +10,6 @@ margin bound - integral should be nonnegative up to the integration error.
 
 from __future__ import annotations
 
-import cmath
 import importlib.machinery
 import importlib.util
 import math
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DisorderDensity
+from .model import DisorderDensity, _require
 from .rng import trial_stream
 
 __all__ = [
@@ -49,16 +48,8 @@ class AverageCheck:
 
 
 def _fractional_prefactor(s: float) -> float:
-    """2^s s^{-s} / (1 - s), the constant of the one-pole average."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("exponent s must lie in (0, 1)")
+    """2^s s^{-s} / (1 - s), the constant of the one-pole average, for s in (0, 1)."""
     return 2.0 ** s * s ** (-s) / (1.0 - s)
-
-
-def _check_trials(trials: int) -> None:
-    """The contract of every MC estimator: at least one trial, checked before any stream is derived."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
 
 
 def _mean_stderr(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -155,6 +146,8 @@ def _integrate(f, density: DisorderDensity, singular_points) -> tuple[float, flo
 
 def _pencil(A, V, s: float) -> tuple:
     """(A, V, log|det V|, roots of det(A + rV) = eigenvalues of -V^{-1} A, s/n); V must be invertible."""
+    _require("exponent", s=s)
+    _require("complex", A=A, V=V)
     A = np.asarray(A, dtype=complex)
     V = np.asarray(V, dtype=complex)
     sign, logdetV = np.linalg.slogdet(V)
@@ -207,11 +200,11 @@ def _real_pole_average(density: DisorderDensity, s: float, beta: float) -> tuple
 
 def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageCheck:
     """integral of |xi - beta|^{-s} rho(xi) dxi against the one-pole bound."""
-    pref = _fractional_prefactor(s)  # checks s before any quadrature
+    _require("exponent", s=s)
+    _require("complex", beta=beta)
+    pref = _fractional_prefactor(s)
     bound = density.linf ** s * pref
     beta = complex(beta)
-    if not cmath.isfinite(beta):
-        raise ValueError(f"the pole beta must be finite, got {beta}")
     if abs(beta.imag) < 1e-14:
         val, err = _real_pole_average(density, s, beta.real)
     else:
@@ -226,7 +219,7 @@ def graf_check(density: DisorderDensity, s: float, beta: complex) -> AverageChec
 def det_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of |det(A + rV)|^{-s/n} rho(r) dr against |det V|^{-s/n} times the pole bound."""
     A, V, logdetV, roots, p = _pencil(A, V, s)
-    pref = _fractional_prefactor(s)  # checks s before any quadrature
+    pref = _fractional_prefactor(s)
     bound = math.exp(-p * logdetV) * density.linf ** s * pref
     roots_list = roots.tolist()  # one log per root at each node, not one determinant
     val, err = _integrate(lambda r: _det_power(r, logdetV, roots_list, p), density, roots.real)
@@ -241,6 +234,9 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     product density is estimated by direct sampling; the bound involves the
     combination sum_k alpha_k V_k, which must be invertible with alpha_0 != 0.
     """
+    _require("exponent", t=t)
+    _require("count", trials=trials)
+    _require("complex", A=A, Vs=Vs)
     A = np.asarray(A, dtype=complex)
     Vs = [np.asarray(V, dtype=complex) for V in Vs]
     alpha = np.asarray(alpha, dtype=float)
@@ -255,7 +251,6 @@ def detgen_check(A: np.ndarray, Vs, alpha, density: DisorderDensity, t: float,
     if sign == 0 or not np.isfinite(logdet_comb):
         raise ValueError("sum_k alpha_k V_k must be invertible")
     pref = _fractional_prefactor(t)
-    _check_trials(trials)
 
     draws = density.sample(trial_stream(seed, 0).random((trials, N + 1)))
     # one stack of A + sum_k r_k V_k, summed in the order of k, and one slogdet;
@@ -324,7 +319,7 @@ def _smallest_singular_value(m: list) -> float:
 def resolvent_average_check(A: np.ndarray, V: np.ndarray, density: DisorderDensity, s: float) -> AverageCheck:
     """integral of ||(A + rV)^{-1}||^{s/n} rho(r) dr against the norm-determinant bound."""
     A, V, logdetV, roots, p = _pencil(A, V, s)
-    pref = _fractional_prefactor(s)  # checks s before any quadrature
+    pref = _fractional_prefactor(s)
     n = A.shape[0]
     R = density.support_radius
     normA = float(np.linalg.norm(A, 2))
@@ -354,6 +349,8 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
     8 * 4^{-s} [W(x)W(y)]^{-s/2} ||rho||_inf^s 2^s s^{-s} / (1-s); needs a
     density with an integrable derivative, Im(A) >= 0 and Im(z) < 0.
     """
+    _require("exponent", s=s)
+    _require("complex", A=A, W=W, z=z)
     A = np.asarray(A, dtype=complex)
     W = np.asarray(W, dtype=float)
     n = A.shape[0]
@@ -370,7 +367,7 @@ def nonmonotone_average_check(A: np.ndarray, W: np.ndarray, density: DisorderDen
         raise ValueError("A must be dissipative (nonnegative imaginary part)")
     if density.deriv_l1 is None:
         raise ValueError("density must have an integrable derivative (raised_cosine or end-matched piecewise_linear)")
-    pref = _fractional_prefactor(s)  # checks s before any quadrature
+    pref = _fractional_prefactor(s)
     bound = 8.0 * 4.0 ** (-s) / (wdiag[x] * wdiag[y]) ** (s / 2.0) * density.linf ** s * pref
 
     ey = np.eye(n, dtype=complex)[y]

@@ -21,6 +21,7 @@ from . import averaging, gaussian, moments, poscomb, spectra
 from .green import verify_resolvent_identities, verify_schur_identity, verify_two_step_schur
 from .model import (
     Site,
+    _require,
     build_box,
     explicit_geometry,
     load_model_config,
@@ -96,10 +97,9 @@ def _positive_int(text: str) -> int:
     """argparse type of the count flags: --trials, --threads, --instances, --grid and --attempts."""
     try:
         value = int(text)
+        _require("count", value=value)
     except ValueError:
-        value = 0  # reported below, like any other value under 1
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
     return value
 
 

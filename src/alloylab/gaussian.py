@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SingleSitePotential, _chain_values
+from .model import SingleSitePotential, _chain_values, _require
 from .rng import trial_stream
 
 __all__ = [
@@ -86,6 +86,7 @@ def negexample_check(u: SingleSitePotential, delta: float, delta_prime: float,
     which is an exact draw from the conditional law with far fewer wasted
     proposals than conditioning jointly.
     """
+    _require("real", delta=delta, delta_prime=delta_prime)
     if not (delta >= delta_prime > 0):
         raise ValueError("need delta >= delta' > 0")
     if attempts < 2:
@@ -133,8 +134,7 @@ def negexample_check(u: SingleSitePotential, delta: float, delta_prime: float,
 
 def s_l(a, l: int):
     """Geometric sum sum_{i=0..l} a^{2i} (s_0 = 1), elementwise for an array a."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    _require("radius", l=l)
     return sum(a ** (2 * i) for i in range(l + 1))
 
 
@@ -154,8 +154,7 @@ def a_l_determinants(a: float, l: int) -> dict:
     started at i = 1 to document that this variant does not reproduce the
     determinant for any l.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    _require("count", l=l)
     A = build_A_l(a, l)
     M = A @ A.T
     det = float(np.linalg.det(M))
@@ -171,8 +170,9 @@ def a_l_determinants(a: float, l: int) -> dict:
 
 def _stack(a, sigma, l: int, m: int):
     """(a, sigma) as equal-length 1-D float arrays, plus whether both came as scalars."""
-    if l < 1 or m < 0:
-        raise ValueError("need l >= 1 and m >= 0")
+    _require("count", l=l)
+    _require("radius", m=m)
+    _require("real", a=a, sigma=sigma)
     if np.ndim(a) > 1 or np.ndim(sigma) > 1:
         raise ValueError("a and sigma must be scalars or 1-D arrays")
     scalar = np.ndim(a) == 0 and np.ndim(sigma) == 0

@@ -22,6 +22,7 @@ from .model import (
     SingleSitePotential,
     Site,
     _as_site,
+    _require,
     _site_set,
     assemble_hamiltonian,
     build_box,
@@ -43,6 +44,7 @@ __all__ = [
 
 def green(H: np.ndarray, z: complex) -> np.ndarray:
     """G = (H - z)^{-1} for H or any square block of it.  Caller asserts z is off the spectrum when real."""
+    _require("complex", z=z)
     try:
         return np.linalg.inv(H - z * np.eye(len(H), dtype=complex))
     except np.linalg.LinAlgError as err:

@@ -14,11 +14,12 @@ lattice facts once: ``rows`` maps a site set to its indices, and the cached
 from __future__ import annotations
 
 import bisect
+import cmath
 import contextlib
 import itertools
 import json
 import math
-import sys
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +45,31 @@ __all__ = [
 ]
 
 Site = tuple[int, ...]
+
+
+# the argument contract: domain -> (predicate, message naming the argument), checked by _require; a predicate that
+# raises on a wrong type or shape is false.  "real" and "complex" hold elementwise, and test a scalar without numpy.
+_DOMAINS = {
+    "exponent": (lambda v: 0.0 < v < 1.0, "exponent {} must lie in (0, 1)"),
+    "count": (lambda v: operator.index(v) >= 1, "{} must be >= 1 and an integer"),
+    "radius": (lambda v: operator.index(v) >= 0, "{} must be >= 0 and an integer"),
+    "real": (lambda v: math.isfinite(v) if isinstance(v, float) else np.isrealobj(v) and np.isfinite(v).all(),
+             "{} must be finite and real"),
+    "positive": (lambda v: 0.0 < v < math.inf, "{} must be positive and finite"),
+    "complex": (lambda v: cmath.isfinite(v) if np.isscalar(v) else np.isfinite(v).all(), "{} must be finite"),
+    "off_axis": (lambda v: cmath.isfinite(v) and complex(v).imag != 0, "{} must be finite with nonzero imaginary part"),
+    "interval": (lambda v: len(v) == 2 and 0 <= v[1] - v[0] < math.inf, "{} must be a finite interval a <= b"),
+}
+
+
+def _require(domain: str, **values) -> None:
+    """Raise ValueError unless every value lies in ``_DOMAINS[domain]``; each keyword names its argument."""
+    holds, message = _DOMAINS[domain]
+    for name, value in values.items():
+        with contextlib.suppress(TypeError, ValueError, ArithmeticError):  # a value of the wrong type or shape
+            if holds(value):
+                continue
+        raise ValueError(f"{message.format(name)}, got {value!r}")
 
 
 def _as_site(x) -> Site:
@@ -146,8 +172,7 @@ class BoxGeometry:
 
 def build_box(L: int, center=0) -> BoxGeometry:
     """All sites with |k - center|_inf <= L, in lexicographic order."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    _require("radius", L=L)
     center = _as_site(center)
     ranges = [range(c - L, c + L + 1) for c in center]
     sites = tuple(itertools.product(*ranges))
@@ -210,6 +235,7 @@ class SingleSitePotential:
 
     def __post_init__(self):
         stored = {_as_site(k): float(v) for k, v in self.support_values.items()}
+        _require("real", support_values=list(stored.values()))
         vals = {k: v for k, v in stored.items() if v != 0.0}
         if self.tail_amplitude is None and not vals:
             raise ValueError("potential must not be identically zero")
@@ -222,10 +248,8 @@ class SingleSitePotential:
             raise ValueError(f"tail sign must be 1 or -1, got {self.tail_sign!r}")
         table = dict(vals)
         if self.tail_amplitude is not None:
-            if self.tail_amplitude <= 0 or self.tail_rate is None or self.tail_rate <= 0:
-                raise ValueError("tail requires amplitude > 0 and rate > 0")
-            if self.truncation_radius < 1:
-                raise ValueError("tail requires a truncation radius >= 1")
+            _require("positive", tail_amplitude=self.tail_amplitude, tail_rate=self.tail_rate)
+            _require("count", truncation_radius=self.truncation_radius)
             for k, v in vals.items():
                 if abs(v) > self.tail_amplitude * math.exp(-self.tail_rate * l1_norm(k)) + 1e-12:
                     raise ValueError(f"stored value at {k} exceeds the exponential envelope")
@@ -336,24 +360,23 @@ class DisorderDensity:
 
     def __init__(self, kind: str, params):
         self.kind = kind
-        if kind == "uniform":
+        if kind in ("uniform", "raised_cosine"):
             a, b = map(float, params)
+            _require("interval", params=(a, b))
             if not b > a:
-                raise ValueError("uniform(a,b) needs b > a")
+                raise ValueError(f"{kind}(a,b) needs b > a")
             self.a, self.b = a, b
-            self.linf = 1.0 / (b - a)
-            self.total_variation = 2.0 / (b - a)
-            self.deriv_l1 = None  # not W^{1,1}
-        elif kind == "raised_cosine":
-            a, b = map(float, params)
-            if not b > a:
-                raise ValueError("raised_cosine(a,b) needs b > a")
-            self.a, self.b = a, b
-            self.linf = 2.0 / (b - a)
-            self.deriv_l1 = 4.0 / (b - a)
-            self.total_variation = self.deriv_l1
+            if kind == "uniform":
+                self.linf = 1.0 / (b - a)
+                self.total_variation = 2.0 / (b - a)
+                self.deriv_l1 = None  # not W^{1,1}
+            else:
+                self.linf = 2.0 / (b - a)
+                self.deriv_l1 = 4.0 / (b - a)
+                self.total_variation = self.deriv_l1
         elif kind == "piecewise_linear":
             knots = [(float(t), float(y)) for t, y in params]
+            _require("real", knots=knots)
             if len(knots) < 2:
                 raise ValueError("piecewise_linear needs at least two knots")
             ts = [t for t, _ in knots]
@@ -493,9 +516,9 @@ class ModelConfig:
     density: DisorderDensity
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if not self.coupling >= 0:  # NaN fails too
+        _require("count", dimension=self.dimension)
+        _require("real", coupling=self.coupling)
+        if self.coupling < 0:
             raise ValueError("coupling lambda must be >= 0")
         if self.potential.dimension != self.dimension:
             raise ValueError("potential dimension does not match the model")
@@ -608,8 +631,8 @@ def _typed(value, kind, path: str = "", n: int | None = None):
         raise ValueError(f"{path or 'config'} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     if n is not None and len(value) != n:
         raise ValueError(f"{path} must have {n} entries, got {len(value)}")
-    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, +-Infinity or an integer past every float
-        raise ValueError(f"{path} must be finite")
+    if kind is float:  # not NaN, +-Infinity or an integer past every float
+        _require("real", **{path: value})
     if table is None:
         return float(value) if kind is float else value
     if not table.keys() >= value.keys():

@@ -9,7 +9,6 @@ screening sum, and the non-local a-priori bound from the exponential-weight tran
 
 from __future__ import annotations
 
-import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .averaging import _check_trials, _fractional_prefactor, _mean_stderr, _scipy_module
+from .averaging import _fractional_prefactor, _mean_stderr, _scipy_module
 from .green import annulus
 from .model import (
     BoxGeometry,
@@ -28,6 +27,7 @@ from .model import (
     SitePotential,
     _as_site,
     _chain_values,
+    _require,
     _site_list,
     adjacency_matrix,
     explicit_geometry,
@@ -70,9 +70,7 @@ def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
     only where ``fn`` releases the GIL, as the numpy eigensolves of ``spectra`` do; the ``zgbsv``
     solves of ``estimate_moments`` do not, so it calls with one worker.
     """
-    _check_trials(trials)
-    if threads < 1:
-        raise ValueError(f"need at least one thread, got {threads}")
+    _require("count", trials=trials, threads=threads)
     workers = min(threads, trials)
     if workers == 1:
         return np.asarray(fn(range(trials)))
@@ -153,7 +151,7 @@ class DisorderSampler:
         |coupling_sites| doubles: 5000 x 61, about 2.4 MB, at the ``decay``
         defaults.
         """
-        _check_trials(trials)
+        _require("count", trials=trials)
         m = len(self.potential.coupling_sites)
         return self.model.density.sample(np.array([trial_stream(seed, t).random(m) for t in range(trials)]))
 
@@ -193,26 +191,6 @@ class DisorderSampler:
         return cols
 
 
-def _check_average_args(geometry: BoxGeometry, z: complex, s: float, *sites) -> tuple[Site, ...]:
-    """Contract of every disorder average: z finite with Im z != 0 (H - z invertible for every
-    draw), exponent in (0, 1), sites in the geometry; returns the sites normalized."""
-    if not cmath.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    if complex(z).imag == 0:
-        raise ValueError("z must have nonzero imaginary part for the disorder average")
-    _fractional_prefactor(s)  # raises unless the exponent lies in (0, 1)
-    sites = tuple(_as_site(x) for x in sites)
-    if any(x not in geometry for x in sites):
-        raise ValueError("the probed sites must lie in the geometry")
-    return sites
-
-
-def _check_coupling(coupling: float) -> None:
-    """The closed-form bounds divide by a power of lambda, so they need lambda > 0."""
-    if coupling <= 0.0:
-        raise ValueError(f"the bound needs a positive coupling lambda, got {coupling}")
-
-
 def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
                      pairs, trials: int, seed: int, threads: int = 1) -> list[MomentEstimate]:
     """Unbiased MC means of |G(z; x, y)|^s over i.i.d. disorder, one per (x, y) pair.
@@ -220,11 +198,13 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
     The pairs share one disorder block and one banded LU per trial; |G|^s is taken once, as
     np.abs(block) ** s over the stacked (trials, pairs) block of G values.  ``threads`` must be
     >= 1, but the solves run on the calling thread: scipy's ``zgbsv`` holds the GIL."""
-    if threads < 1:
-        raise ValueError(f"need at least one thread, got {threads}")
-    pairs = [_check_average_args(geometry, z, s_exp, x, y) for x, y in pairs]
+    _require("off_axis", z=z)
+    _require("exponent", s_exp=s_exp)
+    _require("count", trials=trials, threads=threads)
+    pairs = [(_as_site(x), _as_site(y)) for x, y in pairs]
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
+    geometry.rows([site for pair in pairs for site in pair])  # raises on a site outside the geometry
     sources = list(dict.fromkeys(x for x, _ in pairs))
     source_rows = [geometry.index_of(x) for x in sources]
     rows = np.array([geometry.index_of(y) for _, y in pairs])
@@ -269,9 +249,10 @@ class OneDConstants:
 
 def one_d_constants(u: SingleSitePotential, density: DisorderDensity,
                     coupling: float, s: float) -> OneDConstants:
-    """Explicit decay constants for connected supp u = {0..n-1} in d = 1."""
+    """Explicit decay constants for connected supp u = {0..n-1} in d = 1; the bounds divide by a power of lambda > 0."""
+    _require("exponent", s=s)
+    _require("positive", coupling=coupling)
     pref = _fractional_prefactor(s)
-    _check_coupling(coupling)
     vals = _chain_values(u)
     n = len(vals)
     if 0.0 in vals:
@@ -325,8 +306,10 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
     least half the volume-argument radius d0; existence is guaranteed because
     those neighborhoods cover at most half the cube.
     """
+    _require("exponent", s=s)
+    _require("positive", coupling=coupling)
+    _require("count", search_samples=search_samples)
     pref = _fractional_prefactor(s)
-    _check_coupling(coupling)
     r = largest_gap(u)  # also checks d = 1 and min supp u = 0
     n = len(_chain_values(u))
     R = density.support_radius
@@ -386,12 +369,14 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
     least-squares line through log(mean) against distance, or None when fewer
     than two distances have a fittable mean.  ``threads`` is checked, not used (``estimate_moments``).
     """
+    _require("off_axis", z=z)
+    _require("exponent", s=s)
+    _require("count", box_sites=box_sites, trials=trials, threads=threads)
     if model.dimension != 1:
         raise ValueError("decay profiles are one-dimensional")
     if box_sites < 2:
         raise ValueError(f"a decay profile needs at least two chain sites, got {box_sites}")
     geometry = explicit_geometry([(k,) for k in range(box_sites)])
-    (x,) = _check_average_args(geometry, z, s, (0,))
     r = largest_gap(model.potential)
     step = len(_chain_values(model.potential)) + r  # n + r, and r = 0 when connected
     exponent = s / step
@@ -404,7 +389,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
                                                                 model.coupling, s)
         min_dist = 2 * step
 
-    estimates = estimate_moments(model, geometry, z, exponent, [(x, y) for y in geometry.sites[1:]],
+    estimates = estimate_moments(model, geometry, z, exponent, [((0,), y) for y in geometry.sites[1:]],
                                  trials, seed, threads)
 
     fittable = [est for est in estimates if est.mean > 0 and est.stderr < est.mean]
@@ -449,10 +434,11 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     |G_{region minus W_x}(z; x, w)|^{s/(2|Theta|)}; the scaled value
     multiplies by L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}, leaving
     out only the non-explicit prefactor of the criterion, so ``scaled`` is
-    not the criterion itself.  ``threads`` is checked, not used (``estimate_moments``).
+    not the criterion itself.  z, ``trials`` and ``threads`` go to ``estimate_moments``, which checks them.
     """
-    (x,) = _check_average_args(region, z, s, x)
-    _check_coupling(model.coupling)
+    _require("exponent", s=s)  # the moments take s / (2 |Theta|), which lies in (0, 1) for more s
+    _require("positive", coupling=model.coupling)
+    region.rows([x])  # raises on an x outside the region
     ann = annulus(region, x, L, model.potential)
     # x is never in W_x: 0 in supp u puts hat-W_x at sup distance >= L - diam >= 2 from x
     depleted_sites = region.site_set() - ann.W_x
@@ -514,8 +500,8 @@ def nonlocal_apriori_bound(u: SingleSitePotential, density: DisorderDensity,
     with integrable derivative, and diameter n >= 1.  The bound is
     8 ubar^{-s} s^{-s}/(1-s) ||rho'||^s C^s lambda^{-s}.
     """
-    _fractional_prefactor(s)  # raises unless the exponent lies in (0, 1)
-    _check_coupling(coupling)
+    _require("exponent", s=s)
+    _require("positive", coupling=coupling)
     if density.deriv_l1 is None:
         raise ValueError("density must have an integrable derivative")
     info = exponential_weights(u)

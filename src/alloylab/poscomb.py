@@ -15,6 +15,7 @@ from .model import (
     SingleSitePotential,
     Site,
     _as_site,
+    _require,
     _tail_sum,
     build_box,
     l1_norm,
@@ -138,12 +139,10 @@ def compute_R_l(C: float, alpha: float, c_u: float, I0, l: int, d: int) -> tuple
     R_l = max(2l + (2/alpha) ln(2 3^d C / (|c_u| (1 - e^{-alpha/2}))),
               8 (d + |I0|)^2 / alpha^2); the integer box radius is its ceiling.
     """
-    if l < 0:
-        raise ValueError(f"the box radius l must be >= 0, got {l}")
+    _require("radius", l=l)
+    _require("positive", C=C, alpha=alpha)
     if c_u == 0:
         raise ValueError("c_u must be nonzero")
-    if alpha <= 0 or C <= 0:
-        raise ValueError("need positive tail parameters")
     deg = sum(int(i) for i in I0)
     first = 2 * l + (2.0 / alpha) * math.log(2.0 * 3 ** d * C / (abs(c_u) * (1.0 - math.exp(-alpha / 2.0))))
     second = 8.0 * (d + deg) ** 2 / alpha ** 2

@@ -18,13 +18,14 @@ from .averaging import _mean_stderr
 from .model import (
     ModelConfig,
     _as_site,
+    _require,
     assemble_hamiltonian,  # this and sample_configuration are unused: bench/test_layertrace.py pins both bindings
     build_box,
     explicit_geometry,
     interior_boundary,
     sample_configuration,
 )
-from .moments import DisorderSampler, _check_coupling, run_trials
+from .moments import DisorderSampler, run_trials
 from .poscomb import wegner_coefficients
 
 __all__ = [
@@ -42,13 +43,6 @@ def eigenvalues(H: np.ndarray) -> np.ndarray:
     if not (np.array_equal(H, H.T) or np.allclose(H, H.T)):
         raise ValueError("Hamiltonian must be symmetric")
     return np.linalg.eigvalsh(H)
-
-
-def _check_interval(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
-    if not a <= b:
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,10 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     count depends only on its own row, so the counts do not depend on the stacking, nor on
     the number of threads.
     """
-    _check_coupling(model.coupling)
+    _require("positive", coupling=model.coupling)
+    _require("interval", interval=interval)
+    _require("count", trials=trials, threads=threads)
     a, b = float(interval[0]), float(interval[1])
-    _check_interval(a, b)
     geometry = build_box(l, (0,) * model.dimension)
     sampler = DisorderSampler(model, geometry)
     coeff = wegner_coefficients(model.potential, l)
@@ -158,8 +153,9 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     block, one ``np.linalg.eigh`` call each, as ``wegner_mc`` does; the y box
     only for the trials that some energy leaves x-irregular.
     """
-    if grid_points < 1:
-        raise ValueError(f"need at least one grid energy, got {grid_points}")
+    _require("interval", interval=interval)
+    _require("count", grid_points=grid_points, trials=trials, threads=threads)
+    _require("real", m=m)
     x, y = _as_site(x), _as_site(y)
     if len(x) != model.dimension or len(y) != model.dimension:
         raise ValueError(f"x = {x} and y = {y} must both have the model's dimension {model.dimension}")
@@ -167,10 +163,7 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     sep = max(abs(a - b) for a, b in zip(x, y))
     if sep < 2 * L + diam + 1:
         raise ValueError(f"need |x-y|_inf >= 2L + diam + 1 = {2 * L + diam + 1}, got {sep}")
-    if not math.isfinite(m):
-        raise ValueError(f"the regularity rate m must be finite, got {m}")
     a, b = float(interval[0]), float(interval[1])
-    _check_interval(a, b)
     energies = tuple(np.linspace(a, b, grid_points)) if grid_points > 1 else (0.5 * (a + b),)
     box_x, box_y = build_box(L, x), build_box(L, y)
     union = explicit_geometry(box_x.sites + box_y.sites)

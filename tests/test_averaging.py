@@ -366,11 +366,12 @@ def test_nonmonotone_requires_w11_density():
     (1j * np.eye(2), np.eye(2), 0, 1, 0.5j, "lower half-plane"),
     (1j * np.eye(2), np.eye(2), 0, 1, 0.5, "lower half-plane"),
     (-1j * np.eye(2), np.eye(2), 0, 1, -0.5j, "must be dissipative"),
+    (-1.5e-10j * np.eye(2), np.eye(2), 0, 1, -0.5j, "must be dissipative"),  # Im A = -1.5e-10, past the 1e-10
     (1j * np.eye(2), np.diag([1.0, 2.0]), -1, 1, -0.5j, r"must be indices in range\(2\)"),
     (1j * np.eye(2), np.diag([1.0, 2.0]), 5, 1, -0.5j, r"must be indices in range\(2\)"),
     (1j * np.eye(2), np.diag([1.0, 2.0]), 0, 2, -0.5j, r"must be indices in range\(2\)"),
-], ids=["off-diagonal", "zero-at-x", "upper-z", "real-z", "not-dissipative", "negative-x", "x-past-the-end",
-        "y-past-the-end"])
+], ids=["off-diagonal", "zero-at-x", "upper-z", "real-z", "not-dissipative", "barely-not-dissipative",
+        "negative-x", "x-past-the-end", "y-past-the-end"])
 def test_nonmonotone_contract(A, W, x, y, z, message):
     with pytest.raises(ValueError, match=message):
         nonmonotone_average_check(A, W, rc01(), 0.5, x, y, z)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line experiment runner."""
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -333,13 +334,14 @@ def _tail(**kw):
     (_tail(sign=-2), "tail sign must be 1 or -1, got -2"),
     (lambda cfg: {**cfg, "potential": {"support": []}}, "potential must not be identically zero"),
     (lambda cfg: {**cfg, "potential": {"tail": {"C": 0, "alpha": 1.0, "radius": 4}}},
-     "tail requires amplitude > 0 and rate > 0"),
+     "tail_amplitude must be positive and finite"),
     (lambda cfg: {**cfg, "potential": {"tail": {"C": 1.0, "alpha": -1.0, "radius": 4}}},
-     "tail requires amplitude > 0 and rate > 0"),
+     "tail_rate must be positive and finite"),
     (lambda cfg: {**cfg, "potential": {"tail": {"C": 1.0, "alpha": 1.0, "radius": 0}}},
-     "tail requires a truncation radius >= 1"),
+     "truncation_radius must be >= 1 and an integer"),
     (lambda cfg: {**cfg, "potential": {"support": [[[1], 1.0]]}}, "u must satisfy 0 in supp u"),
-    (lambda cfg: {**cfg, "density": {"kind": "uniform", "params": [1, 0]}}, "uniform(a,b) needs b > a"),
+    (lambda cfg: {**cfg, "density": {"kind": "uniform", "params": [1, 0]}},
+     "params must be a finite interval a <= b"),
     (lambda cfg: {**cfg, "density": {"kind": "raised_cosine", "params": [1, 1]}}, "raised_cosine(a,b) needs b > a"),
     (lambda cfg: {**cfg, "density": {"kind": "piecewise_linear", "params": [[0, 1]]}},
      "piecewise_linear needs at least two knots"),
@@ -808,6 +810,36 @@ def test_contract_violations_exit_1(model_cfg, tmp_path, capsys, coupling, argv)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run(argv + ["--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+# one small run of every subcommand that has a float flag: an unchecked flag would finish quickly, not hang
+_FLOAT_FLAG_RUNS = {
+    "moments": ["--box", "6", "--dist", "2", "--trials", "4"],
+    "decay": ["--box", "6", "--trials", "4"],
+    "finite-volume": ["--region", "8", "--L", "3", "--trials", "4"],
+    "wegner": ["--l", "3", "--trials", "4"],
+    "regularity": ["--L", "2", "--separation", "8", "--grid", "3", "--trials", "2"],
+    "conditional": ["--attempts", "100"],
+    "apriori": ["--box", "6", "--trials", "4"],
+}
+_SUBPARSERS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+_FLOAT_FLAGS = [(name, action.option_strings[0]) for name, sp in _SUBPARSERS.items()
+                for action in sp._actions if action.type is float]
+
+
+def test_every_float_flag_has_a_small_run():
+    assert {name for name, _ in _FLOAT_FLAGS} == set(_FLOAT_FLAG_RUNS)
+
+
+# -inf goes as --flag=-inf: argparse reads a bare -inf as a flag of its own
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, flag", _FLOAT_FLAGS, ids=[f"{name}{flag}" for name, flag in _FLOAT_FLAGS])
+def test_a_non_finite_float_flag_exits_1(model_cfg, tmp_path, capsys, name, flag, value):
+    argv = [name, *_FLOAT_FLAG_RUNS[name], f"{flag}={value}", "--config", str(model_cfg), "--out", str(tmp_path / "o")]
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()

@@ -70,11 +70,11 @@ def test_geometry_rejects_duplicates():
     (lambda: build_box(-1), "L must be >= 0"),
     (lambda: exterior_boundary([]), "empty site set"),
     (lambda: SingleSitePotential({(0,): 1.0}, tail_amplitude=1.0, truncation_radius=2),
-     "tail requires amplitude > 0 and rate > 0"),
+     "tail_rate must be positive and finite"),
     (lambda: ModelConfig(2, 1.0, SingleSitePotential.delta(1), uniform01()),
      "potential dimension does not match the model"),
     (lambda: SingleSitePotential({(0,): 1.0, (0, 0): 1.0}), "all stored sites must share one dimension"),
-    (lambda: ModelConfig(1, math.nan, SingleSitePotential.delta(1), uniform01()), "coupling lambda must be >= 0"),
+    (lambda: ModelConfig(1, math.nan, SingleSitePotential.delta(1), uniform01()), "coupling must be finite and real"),
 ], ids=["geometry-empty", "geometry-mixed-dimension", "box-negative-radius", "exterior-boundary-empty",
         "tail-without-rate", "model-dimension-mismatch", "potential-mixed-dimension", "model-nan-coupling"])
 def test_constructor_contracts_no_config_reaches(build, message):
@@ -419,8 +419,9 @@ def test_config_loader_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("section, message", [
     ({"potential": {"tail": {"C": 1.0, "alpha": 1.0, "radius": 0}}},
-     "potential: tail requires a truncation radius >= 1"),
-    ({"density": {"kind": "uniform", "params": [1, 0]}}, "density: uniform(a,b) needs b > a"),
+     "potential: truncation_radius must be >= 1 and an integer, got 0"),
+    ({"density": {"kind": "uniform", "params": [1, 0]}},
+     "density: params must be a finite interval a <= b, got (1.0, 0.0)"),
 ], ids=["potential", "density"])
 def test_config_loader_names_the_section_of_a_range_error(tmp_path, section, message):
     cfg = tmp_path / "m.json"

@@ -175,7 +175,13 @@ def test_moment_estimators_solve_on_the_calling_thread(monkeypatch, call):
     lambda threads: decay_profile(_PAIR, 6, 0.5j, 0.5, 10, seed=1, threads=threads),
     lambda threads: finite_volume_sum(_PAIR, chain(21), (10,), 0.5j, 0.3, L=3, trials=10, seed=1,
                                       threads=threads),
-], ids=["estimate_moment", "decay_profile", "finite_volume_sum"])
+    # the gap search of a gapped u draws its own key before the moments
+    lambda threads: decay_profile(_GAPPED, 12, 0.3 + 0.4j, 0.5, 10, seed=1, threads=threads),
+    lambda threads: wegner_mc(_PAIR, 3, (-0.1, 0.1), 500, seed=1, threads=threads),
+    lambda threads: pair_regularity_probability(_PAIR, 2, (0,), (6,), (-1, 1), 3, 0.1, 200, seed=1,
+                                                threads=threads),
+], ids=["estimate_moment", "decay_profile", "finite_volume_sum", "decay_profile-gapped", "wegner_mc",
+        "pair_regularity_probability"])
 def test_moment_estimators_check_threads_before_any_stream(monkeypatch, call):
     calls = []
 
@@ -184,7 +190,7 @@ def test_moment_estimators_check_threads_before_any_stream(monkeypatch, call):
         return trial_stream(seed, trial)
 
     monkeypatch.setattr(moments, "trial_stream", counting)
-    with pytest.raises(ValueError, match="at least one thread"):
+    with pytest.raises(ValueError, match="threads must be >= 1 and an integer"):
         call(0)
     assert calls == []
 
@@ -511,7 +517,7 @@ def test_finite_volume_2d_runs():
 @pytest.mark.parametrize("z, s, x, message", [
     (0.5, 0.3, (0,), "imaginary part"),
     (0.5j, 1.2, (0,), "exponent"),
-    (0.5j, 0.3, (11,), "lie in the geometry"),
+    (0.5j, 0.3, (11,), "not in geometry"),
 ])
 def test_finite_volume_enforces_the_average_contract(z, s, x, message):
     m = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())
@@ -529,7 +535,7 @@ def test_finite_volume_enforces_the_average_contract(z, s, x, message):
 def test_bounds_need_a_positive_coupling(call):
     # lambda = 0 is a valid model, but every one of these bounds divides by a power of it
     u = SingleSitePotential.from_values({(0,): 1.0, (2,): -0.5})
-    with pytest.raises(ValueError, match="positive coupling"):
+    with pytest.raises(ValueError, match="coupling must be positive and finite"):
         call(ModelConfig(1, 0.0, u, uniform01()))
 
 
@@ -554,7 +560,7 @@ def test_run_trials_stacks_scalars_and_rows_in_index_order():
 
 @pytest.mark.parametrize("threads", [0, -2])
 def test_run_trials_rejects_fewer_than_one_thread(threads):
-    with pytest.raises(ValueError, match="at least one thread"):
+    with pytest.raises(ValueError, match="threads must be >= 1 and an integer"):
         run_trials(float, 4, threads)
 
 
@@ -604,7 +610,7 @@ _DELTA = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())
 ], ids=["run_trials", "estimate_moment", "decay_profile", "finite_volume_sum", "wegner_mc",
         "pair_regularity_probability", "detgen_check"])
 def test_estimators_reject_an_empty_trial_count(call):
-    with pytest.raises(ValueError, match="at least one trial"):
+    with pytest.raises(ValueError, match="trials must be >= 1 and an integer"):
         call(0)
 
 

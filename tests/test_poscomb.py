@@ -208,8 +208,8 @@ def test_a_negative_box_radius_is_refused(l):
 
 @pytest.mark.parametrize("C, alpha, c_u, message", [
     (1.0, 1.0, 0.0, "c_u must be nonzero"),
-    (1.0, 0.0, 1.0, "positive tail parameters"),
-    (0.0, 1.0, 1.0, "positive tail parameters"),
+    (1.0, 0.0, 1.0, "alpha must be positive and finite"),
+    (0.0, 1.0, 1.0, "C must be positive and finite"),
 ])
 def test_compute_R_l_contract(C, alpha, c_u, message):
     with pytest.raises(ValueError, match=message):

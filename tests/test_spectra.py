@@ -427,5 +427,5 @@ def test_pair_regularity_separation_enforced():
 
 def test_pair_regularity_needs_a_grid_energy():
     m = ModelConfig(1, 10.0, SingleSitePotential.delta(1), uniform01())
-    with pytest.raises(ValueError, match="need at least one grid energy, got 0"):
+    with pytest.raises(ValueError, match="grid_points must be >= 1 and an integer, got 0"):
         pair_regularity_probability(m, 2, (0,), (6,), (-1, 1), 0, 0.1, 5, 1)

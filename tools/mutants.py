@@ -89,6 +89,12 @@ MUTANTS = [
     Mutant("graf bound: x2", "src/alloylab/averaging.py",
            "bound = density.linf ** s * pref\n    beta", "bound = 2 * density.linf ** s * pref\n    beta",
            "int |xi - beta|^{-s} rho(xi) dxi <= ||rho||_inf^s C_s"),
+    Mutant("dissipative: 2e-10", "src/alloylab/averaging.py",
+           "< -1e-10:", "< -2e-10:",
+           "Im A >= 0, up to a rounding of 1e-10"),
+    Mutant("count domain: >= 0", "src/alloylab/model.py",
+           "operator.index(v) >= 1,", "operator.index(v) >= 0,",
+           "trials, threads and the other counts are >= 1"),
 ]
 
 
