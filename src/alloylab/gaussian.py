@@ -87,10 +87,11 @@ def negexample_check(u: SingleSitePotential, delta: float, delta_prime: float,
     proposals than conditioning jointly.
     """
     _require("real", delta=delta, delta_prime=delta_prime)
+    if isinstance(attempts, (int, np.integer)) and attempts < 2:
+        raise ValueError(f"need at least 2 attempts, one proposal per coupling group, got {attempts}")
+    _require("count", attempts=attempts)
     if not (delta >= delta_prime > 0):
         raise ValueError("need delta >= delta' > 0")
-    if attempts < 2:
-        raise ValueError(f"need at least 2 attempts, one proposal per coupling group, got {attempts}")
     const = negexample_constants(u)
     uv = np.array(_chain_values(u))
     n = len(uv)

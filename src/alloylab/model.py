@@ -383,11 +383,12 @@ class DisorderDensity:
             ys = [y for _, y in knots]
             if sorted(ts) != ts or len(set(ts)) != len(ts):
                 raise ValueError("knot abscissae must be strictly increasing")
+            _require("interval", knots=(ts[0], ts[-1]))  # a support of finite width
             if min(ys) < 0:
                 raise ValueError("density values must be nonnegative")
             mass = sum((ys[i] + ys[i + 1]) / 2 * (ts[i + 1] - ts[i]) for i in range(len(ts) - 1))
-            if mass <= 0:
-                raise ValueError("density must have positive mass")
+            if not 0 < mass < math.inf:
+                raise ValueError(f"density must have positive mass, finite in doubles; the knots give {mass}")
             ys = [y / mass for y in ys]
             self._ts, self._ys = ts, ys
             self.knots_t = np.array(ts)

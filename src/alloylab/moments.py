@@ -143,17 +143,19 @@ class DisorderSampler:
     def omega(self, seed: int, trials: int) -> np.ndarray:
         """Couplings of trials 0..trials-1 as one (trials, |coupling_sites|) block.
 
-        Row t holds the uniforms of ``trial_stream(seed, t)``, exactly as a
-        single trial would draw them, and the whole block goes through one
-        ``DisorderDensity.sample`` call, so the raised cosine's bisection
-        quantile (the uniform and piecewise-linear ones are closed forms)
-        runs once per estimator, not once per trial.  The block holds trials x
-        |coupling_sites| doubles: 5000 x 61, about 2.4 MB, at the ``decay``
-        defaults.
+        Row t holds the uniforms of ``trial_stream(seed, t)``, drawn in place
+        exactly as a single trial would draw them, and the whole block goes
+        through one ``DisorderDensity.sample`` call, so the raised cosine's
+        bisection quantile (the uniform and piecewise-linear ones are closed
+        forms) runs once per estimator, not once per trial.  The block holds
+        trials x |coupling_sites| doubles: 5000 x 61, about 2.4 MB, at the
+        ``decay`` defaults.
         """
         _require("count", trials=trials)
-        m = len(self.potential.coupling_sites)
-        return self.model.density.sample(np.array([trial_stream(seed, t).random(m) for t in range(trials)]))
+        block = np.empty((trials, len(self.potential.coupling_sites)))
+        for t in range(trials):
+            trial_stream(seed, t).random(out=block[t])
+        return self.model.density.sample(block)
 
     def diagonals(self, omega: np.ndarray) -> np.ndarray:
         """lambda V for a coupling vector, or row by row for a (trials, couplings) block."""

@@ -88,6 +88,7 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     count depends only on its own row, so the counts do not depend on the stacking, nor on
     the number of threads.
     """
+    _require("radius", l=l)
     _require("positive", coupling=model.coupling)
     _require("interval", interval=interval)
     _require("count", trials=trials, threads=threads)

@@ -496,17 +496,18 @@ loaded, codes = {}, {}
 cli.build_parser()
 cli.load_model_config(config)
 loaded["setup"] = scipy_modules()
+random_at_setup = "numpy.random" in sys.modules
 for argv in json.loads(runs):
     codes[argv[0]] = cli.run(argv + ["--config", config, "--out", f"{out}/{argv[0]}"])
     loaded[argv[0]] = scipy_modules()
-print(json.dumps({"loaded": loaded, "codes": codes}))
+print(json.dumps({"loaded": loaded, "codes": codes, "random_at_setup": random_at_setup}))
 """
 
 
 @pytest.fixture(scope="module")
 def scipy_loads(tmp_path_factory):
-    """The scipy modules loaded after each step of one fresh CLI process, each subcommand's exit code,
-    and the config and output directory of its runs."""
+    """The scipy modules loaded after each step of one fresh CLI process, whether numpy.random was loaded
+    after its set-up, each subcommand's exit code, and the config and output directory of its runs."""
     tmp = tmp_path_factory.mktemp("scipy")
     cfg = tmp / "model.json"
     cfg.write_text(json.dumps({"dimension": 1, "lambda": 50.0, "potential": {"support": [[[0], 1.0], [[1], -0.5]]},
@@ -521,6 +522,11 @@ def scipy_loads(tmp_path_factory):
 def test_cli_setup_loads_no_scipy(scipy_loads):
     # pytest itself loads scipy (see filterwarnings), so this runs in a fresh interpreter
     assert scipy_loads["loaded"]["setup"] == []
+
+
+def test_cli_setup_loads_no_numpy_random(scipy_loads):
+    # numpy.random loads on the first stream key, not at import: its import time would land in every start-up
+    assert scipy_loads["random_at_setup"] is False
 
 
 def test_subcommands_without_quadrature_or_banded_solves_load_no_scipy(scipy_loads):

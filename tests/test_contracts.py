@@ -140,8 +140,7 @@ ROWS = [
     ("wegner_mc", "trials", lambda v: wegner_mc(PAIR, 3, (-0.1, 0.1), v, 1), COUNT),
     ("wegner_mc", "threads", lambda v: wegner_mc(PAIR, 3, (-0.1, 0.1), 500, 1, v), COUNT),
     ("wegner_mc", "coupling", lambda v: wegner_mc(ModelConfig(1, v, PAIR_U, U01), 3, (-0.1, 0.1), 10, 1), [0.0]),
-    # the box radius l of wegner_mc is checked by build_box, whose message names it L
-    ("wegner_mc", "L", lambda v: wegner_mc(PAIR, v, (-0.1, 0.1), 10, 1), [NAN, INF, -1, 2.5]),
+    ("wegner_mc", "l", lambda v: wegner_mc(PAIR, v, (-0.1, 0.1), 10, 1), [NAN, INF, -1, 2.5]),
     ("pair_regularity_probability", "interval",
      lambda v: pair_regularity_probability(PAIR, 2, (0,), (6,), v, 3, 0.1, 10, 1), INTERVAL),
     ("pair_regularity_probability", "trials",
@@ -165,6 +164,7 @@ ROWS = [
     # gaussian
     ("negexample_check", "delta", lambda v: negexample_check(PAIR_U, v, 0.05, 100), FINITE),
     ("negexample_check", "delta_prime", lambda v: negexample_check(PAIR_U, 0.05, v, 100), FINITE),
+    ("negexample_check", "attempts", lambda v: negexample_check(PAIR_U, 0.05, 0.05, v), COUNT + [1]),
     ("gaussian_conditional", "sigma", lambda v: gaussian_conditional(0.5, v, 2, 1), FINITE),
     ("gaussian_conditional", "a", lambda v: gaussian_conditional(np.array([0.5, v]), 1.0, 2, 1), FINITE),
     ("gaussian_conditional", "l", lambda v: gaussian_conditional(0.5, 1.0, v, 1), COUNT),
@@ -194,6 +194,10 @@ ROWS = [
      lambda v: DisorderDensity("piecewise_linear", [(0, 0), (0.5, v), (1, 0)]), FINITE),
     ("DisorderDensity(piecewise_linear, abscissa)", "knots",
      lambda v: DisorderDensity("piecewise_linear", [(0, 0), (v, 1), (1, 0)]), FINITE),
+    ("DisorderDensity(piecewise_linear, span)", "knots",
+     lambda v: DisorderDensity("piecewise_linear", [(v[0], 1.0), (v[1], 1.0)]), [(-1e308, 1e308)]),
+    ("DisorderDensity(piecewise_linear, mass)", "knots",
+     lambda v: DisorderDensity("piecewise_linear", [(0.0, v), (10.0, v)]), [0.0, 1e308]),
     ("ModelConfig", "coupling", lambda v: ModelConfig(1, v, PAIR_U, U01), FINITE),
     ("ModelConfig", "dimension", lambda v: ModelConfig(v, 1.0, PAIR_U, U01), [0, NAN, 1.0]),
 ]

@@ -11,8 +11,9 @@ annulus-depleted, one-site and unsorted geometries in d = 1, 2, 3.  The
 mean/stderr reduction is checked column by column, bit for bit, on random
 per-trial sample arrays of up to 5,000 trials.  The per-estimator disorder block, the stacked
 quantile, the gap-construction search, the stacked determinant average and
-the keyed streams (against their np.uint64 SeedSequence construction, over
-the whole 64-bit key range) are each checked bit for bit against the one-trial-at-a-time path they
+the keyed streams (against their np.uint64 SeedSequence construction and,
+state and entropy included, against numpy's own SeedSequence generator over
+their words, over the whole 64-bit key range) are each checked bit for bit against the one-trial-at-a-time path they
 replace, and so are the potential over a coupling block, the multi-source
 Green columns, the estimates that share one disorder block, the decay
 profile and finite-volume sum (against the per-trial loops they ran before
@@ -42,6 +43,7 @@ on either of its neighbouring doubles.
 import argparse
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -538,6 +540,51 @@ def test_keyed_streams_match_the_uint64_construction(seed, trial, site):
     old_site = _uint64_keyed([zigzag(seed), 0, len(site), *map(zigzag, site)])
     assert same_bits(trial_stream(seed, trial).random(4), old_trial.random(4))
     assert same_bits(site_stream(seed, site).random(4), old_site.random(4))
+
+
+def _words(values) -> np.ndarray:
+    """SeedSequence's entropy words for non-negative ints: each one's base-2**32 digits, lowest first, at least one."""
+    return np.array([v >> 32 * k & 0xFFFFFFFF for v in values for k in range(max(1, -(-v.bit_length() // 32)))],
+                    dtype=np.uint32)
+
+
+@PROPERTY
+@given(_SIGNED_64, st.integers(0, 2 ** 64 - 1), st.lists(_SIGNED_64, min_size=1, max_size=3).map(tuple))
+@example(0, 0, (0,))
+@example(2 ** 31, 2 ** 32, (2 ** 31, -(2 ** 31)))  # zigzag(2**31) = 2**32: a value of two words
+@example(-(2 ** 31), 2 ** 32 - 1, (2 ** 31 - 1,))  # 2**32 - 1: the largest value of one word
+@example(-(2 ** 63), 2 ** 64 - 1, (2 ** 63 - 1, -(2 ** 63), 0))
+def test_keyed_streams_are_numpys_seedsequence_generators(seed, trial, site):
+    for stream, values in ((trial_stream(seed, trial), [zigzag(seed), 1, trial]),
+                           (site_stream(seed, site), [zigzag(seed), 0, len(site), *map(zigzag, site)])):
+        oracle = np.random.default_rng(np.random.SeedSequence(_words(values)))
+        assert stream.bit_generator.state == oracle.bit_generator.state
+        entropy, expected = stream.bit_generator.seed_seq.entropy, oracle.bit_generator.seed_seq.entropy
+        assert entropy.dtype == expected.dtype and np.array_equal(entropy, expected)
+        assert same_bits(stream.random(5), oracle.random(5))
+
+
+@PROPERTY
+@given(_SIGNED_64, st.integers(0, 2 ** 64 - 1), st.integers(1, 9),
+       st.sampled_from([np.uint32, np.uint64, "u4", "<u8"]), st.sampled_from([4, 8]))
+@example(0, 0, 4, np.uint64, 4)  # the request PCG64 makes
+@example(0, 0, 4, np.uint32, 4)
+@example(0, 0, 2, np.uint64, 4)
+@example(0, 0, 4, np.uint64, 8)
+def test_the_pool_hash_is_seedsequences_generate_state(seed, trial, n_words, dtype, pool_size):
+    words = _words([zigzag(seed), 1, trial])
+    pool_hash = type(trial_stream(0, 0).bit_generator.seed_seq)
+    got = pool_hash(words, pool_size=pool_size).generate_state(n_words, dtype)
+    expected = np.random.SeedSequence(words, pool_size=pool_size).generate_state(n_words, dtype)
+    assert got.dtype == expected.dtype and got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def test_a_keyed_stream_pickles_and_resumes_where_it_stopped():
+    stream = trial_stream(5, 2 ** 40)
+    stream.random(3)
+    copy = pickle.loads(pickle.dumps(stream))
+    assert copy.bit_generator.state == stream.bit_generator.state
+    assert same_bits(copy.random(4), stream.random(4))
 
 
 @PROPERTY

@@ -16,10 +16,14 @@ working tree, beside what that file already holds.  For each end-to-end
 metric of ``BENCHMARK.json`` it lists every run of each side with their
 median, q1 and q3 (``statistics.quantiles(method="inclusive")``), the
 change-over-parent ratio of the medians, how many pairs the change won (ties
-count for neither) and the parent's interquartile range.  It also lists
-which side ran first in each pair, each side's round-0 output digests,
-whether every run reported correct, the parent's full revision and the
-``env`` line of the change's first run.
+count for neither), the parent's interquartile range, and two verdicts:
+``gain_shown``, the change won at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's interquartile range; and
+``worse_beyond_bound``, the change's median is worse than the parent's by
+more than the metric's ``bound``, taken as a fraction of the parent's median.
+It also lists which side ran first in each pair, each side's round-0 output
+digests, whether every run reported correct, the parent's full revision and
+the ``env`` line of the change's first run.
 """
 
 from __future__ import annotations
@@ -80,14 +84,18 @@ def summarise(values: list[float]) -> dict:
 
 
 def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
-    better = (lambda c, p: c < p) if spec["better"] == "lower" else (lambda c, p: c > p)
+    """One metric's runs of both sides, paired in run order, with the verdicts of the module docstring."""
+    sign = -1 if spec["better"] == "lower" else 1  # sign * (change - parent) > 0: the change is better
     p, c = summarise(parent), summarise(change)
-    wins = sum(better(cv, pv) for cv, pv in zip(change, parent))
+    wins = sum(sign * (cv - pv) > 0 for cv, pv in zip(change, parent))
+    gain, iqr = sign * (c["median"] - p["median"]), p["q3"] - p["q1"]
     return {
         "unit": spec["unit"], "better": spec["better"], "parent": p, "change": c,
         "change_over_parent": round(c["median"] / p["median"], 4) if p["median"] else None,
         "change_wins_pairs": f"{wins} of {len(parent)}",
-        "parent_iqr": round(p["q3"] - p["q1"], 6),
+        "parent_iqr": round(iqr, 6),
+        "gain_shown": 10 * wins >= 9 * len(parent) and gain > iqr,
+        "worse_beyond_bound": -gain > spec["bound"] * abs(p["median"]),
     }
 
 
