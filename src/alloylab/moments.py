@@ -181,7 +181,7 @@ class DisorderSampler:
         """G(z; ., i) for each row i in ``sources``, as (n, len(sources)) from one banded LU; singular H - z raises."""
         k = self.half_bandwidth
         ab = self._band.copy(order="F")  # a plain copy() would be C-ordered
-        ab[2 * k] = diagonal - z
+        np.subtract(diagonal, z, out=ab[2 * k])
         rhs = np.zeros((ab.shape[1], len(sources)), dtype=complex, order="F")
         for j, i in enumerate(sources):  # scalar writes: a fancy-indexed write costs as much as the solve
             rhs[i, j] = 1.0
@@ -197,9 +197,10 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
                      pairs, trials: int, seed: int, threads: int = 1) -> list[MomentEstimate]:
     """Unbiased MC means of |G(z; x, y)|^s over i.i.d. disorder, one per (x, y) pair.
 
-    The pairs share one disorder block and one banded LU per trial; |G|^s is taken once, as
-    np.abs(block) ** s over the stacked (trials, pairs) block of G values.  ``threads`` must be
-    >= 1, but the solves run on the calling thread: scipy's ``zgbsv`` holds the GIL."""
+    The pairs share one disorder block and one banded LU per trial; each trial writes its pairs' G
+    values into its row of one preallocated (trials, pairs) block, with one ``take`` of precomputed
+    flat indices, and |G|^s is taken once, as np.abs(block) ** s.  ``threads`` must be >= 1, but
+    the solves run on the calling thread: scipy's ``zgbsv`` holds the GIL."""
     _require("off_axis", z=z)
     _require("exponent", s_exp=s_exp)
     _require("count", trials=trials, threads=threads)
@@ -209,13 +210,16 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
     geometry.rows([site for pair in pairs for site in pair])  # raises on a site outside the geometry
     sources = list(dict.fromkeys(x for x, _ in pairs))
     source_rows = [geometry.index_of(x) for x in sources]
-    rows = np.array([geometry.index_of(y) for _, y in pairs])
-    js = np.array([sources.index(x) for x, _ in pairs])
+    # pair (x, y) reads entry (row of y, source of x) of the (n, sources) column block, flattened in Fortran order
+    flat = np.array([sources.index(x) * len(geometry) + geometry.index_of(y) for x, y in pairs])
     sampler = DisorderSampler(model, geometry)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
 
-    def values(block: range) -> np.ndarray:  # one banded LU per trial
-        return np.array([sampler.green_column(diagonals[t], z, source_rows)[rows, js] for t in block])
+    def values(block: range) -> np.ndarray:  # one banded LU per trial; one take reads its pairs into its row
+        out = np.empty((len(block), len(pairs)), dtype=complex)
+        for row, t in zip(out, block):  # flat is in range: "clip" skips the buffer of the bounds check
+            sampler.green_column(diagonals[t], z, source_rows).ravel(order="F").take(flat, out=row, mode="clip")
+        return out
 
     means, stderrs = _mean_stderr(np.abs(run_trials(values, trials)) ** s_exp)
     return [MomentEstimate(float(mean), float(stderr), x, y)

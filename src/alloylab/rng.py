@@ -6,14 +6,15 @@ trial or disorder realisation.  Per-site streams, derived from the site
 coordinates, key only the site-keyed configurations that the tests draw as
 an oracle.  Results are therefore independent of evaluation order and of
 how work is distributed over threads.
-Seeds and site coordinates lie in [-2**63, 2**63), trial indices in [0, 2**64).
-Each stream is ``default_rng(SeedSequence(words))`` bit for bit; its faster
-SeedSequence class is made on the first key, so importing this loads no ``numpy.random``.
+Seeds, site coordinates and trial indices are integers (``operator.index``): seeds and site coordinates in
+[-2**63, 2**63), trial indices in [0, 2**64).  Each stream is ``default_rng(SeedSequence(words))`` bit for bit; a seed's
+words are derived once, and the faster SeedSequence class on the first key, so importing this loads no numpy.random.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -27,24 +28,23 @@ def zigzag(n: int) -> int:
 
 @functools.cache
 def _pool_seed_sequence() -> type:
-    """SeedSequence whose generate_state(4, uint64), the one request PCG64 makes, hashes the pool as one array.
+    """SeedSequence whose generate_state(4, uint64), the one request PCG64 makes, hashes the pool in Python ints.
 
-    Word i of eight is (pool[i % 4] ^ X_i) * X_{i+1} mod 2**32, xor-shifted right by 16, X_i = INIT_B * MULT_B**i
-    mod 2**32: numpy's loop on all words at once, paired into uint64 as numpy does; other requests go to that loop.
+    Word i of eight is (pool[i % 4] ^ X_i) * X_{i+1} mod 2**32, xor-shifted right by 16, X_i = INIT_B * MULT_B**i mod
+    2**32: numpy's loop, unrolled, with words 2j, 2j + 1 the low and high halves of uint64 j, both xor-shifted at once.
     """
     init_b, mult_b = 0x8B51F9DD, 0x58F38DED  # INIT_B, MULT_B of numpy's bit_generator.pyx
-    x = np.array([init_b * pow(mult_b, i, 1 << 32) % (1 << 32) for i in range(9)], dtype=np.uint32)
-    xor, mult = x[:8].reshape(2, 4), x[1:].reshape(2, 4)  # row r holds words 4r..4r+3
-    shift, pairs = np.array(16, dtype=np.uint32), np.dtype("<u8")  # a 0-d array shifts faster than the int 16
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = (init_b * pow(mult_b, i, 1 << 32) % (1 << 32) for i in range(9))
+    m, low_halves = 0xFFFFFFFF, 0x0000FFFF0000FFFF
 
     class PoolSeedSequence(np.random.SeedSequence):
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words != 4 or np.dtype(dtype) != np.uint64 or self.pool_size != 4:
                 return super().generate_state(n_words, dtype)
-            v = self.pool ^ xor
-            v *= mult
-            v ^= v >> shift
-            return v.astype("<u4", copy=False).view(pairs).astype(np.uint64, copy=False).ravel()
+            p0, p1, p2, p3 = self.pool.tolist()
+            pairs = ((p0 ^ x0) * x1 & m | ((p1 ^ x1) * x2 & m) << 32, (p2 ^ x2) * x3 & m | ((p3 ^ x3) * x4 & m) << 32,
+                     (p0 ^ x4) * x5 & m | ((p1 ^ x5) * x6 & m) << 32, (p2 ^ x6) * x7 & m | ((p3 ^ x7) * x8 & m) << 32)
+            return np.array([v ^ v >> 16 & low_halves for v in pairs], dtype=np.uint64)
 
     PoolSeedSequence.__qualname__ = "PoolSeedSequence"  # pickle finds it as rng.PoolSeedSequence
     return PoolSeedSequence
@@ -56,29 +56,39 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _keyed(values: list[int], seed, name: str, key) -> np.random.Generator:
-    """Generator seeded with the uint32 words SeedSequence would assemble from np.uint64(values).
+def _words(v: int) -> tuple[int, ...]:
+    """np.uint64(v)'s uint32 words as SeedSequence assembles them: the low word, then the high one when non-zero."""
+    if not 0 <= v < 1 << 64:
+        raise OverflowError  # the stream names the key
+    return (v & 0xFFFFFFFF, v >> 32) if v >> 32 else (v,)
 
-    Each value in [0, 2**64) gives its low 32-bit word, then its high word when that is non-zero.
-    """
-    words = []
-    for v in values:
-        if not 0 <= v < 1 << 64:
-            raise ValueError(f"stream key (seed={seed}, {name}={key}) is outside the 64-bit range: seeds and "
-                             f"site coordinates must lie in [-2**63, 2**63), trial indices in [0, 2**64)")
-        words.append(v & 0xFFFFFFFF)
-        if v >> 32:
-            words.append(v >> 32)
-    return np.random.Generator(np.random.PCG64(_pool_seed_sequence()(np.array(words, dtype=np.uint32))))
+
+@functools.lru_cache(maxsize=64)
+def _seed_words(seed: int) -> tuple[int, ...]:  # an estimator keys all its trials with one seed
+    return _words(zigzag(seed))
+
+
+def _refused(error: Exception, seed, name: str, key) -> ValueError:
+    """The ValueError for a key that is not an integer (TypeError) or lies outside the 64-bit range (OverflowError)."""
+    why = ("must consist of integers" if isinstance(error, TypeError) else "is outside the 64-bit range: seeds and "
+           "site coordinates must lie in [-2**63, 2**63), trial indices in [0, 2**64)")
+    return ValueError(f"stream key (seed={seed!r}, {name}={key!r}) {why}")
 
 
 def site_stream(seed: int, site: tuple[int, ...]) -> np.random.Generator:
     """Generator keyed by (seed, site); identical arguments give identical streams."""
-    # leading 0 tags site streams, keeping them disjoint from trial streams
-    return _keyed([zigzag(int(seed)), 0, len(site), *(zigzag(int(c)) for c in site)], seed, "site", site)
+    try:  # leading 0 tags site streams, keeping them disjoint from trial streams
+        words = [*_seed_words(operator.index(seed)), 0, len(site),
+                 *(w for c in site for w in _words(zigzag(operator.index(c))))]
+    except (TypeError, OverflowError) as error:
+        raise _refused(error, seed, "site", site) from None
+    return np.random.Generator(np.random.PCG64(_pool_seed_sequence()(np.array(words, dtype=np.uint32))))
 
 
 def trial_stream(seed: int, trial: int) -> np.random.Generator:
     """Generator keyed by (seed, trial index), for independent MC trials."""
-    # the constant 1 tags trial streams so they never collide with site streams
-    return _keyed([zigzag(int(seed)), 1, int(trial)], seed, "trial", trial)
+    try:  # the constant 1 tags trial streams so they never collide with site streams
+        words = [*_seed_words(operator.index(seed)), 1, *_words(operator.index(trial))]
+    except (TypeError, OverflowError) as error:
+        raise _refused(error, seed, "trial", trial) from None
+    return np.random.Generator(np.random.PCG64(_pool_seed_sequence()(np.array(words, dtype=np.uint32))))

@@ -45,6 +45,7 @@ from alloylab.moments import (
     run_trials,
 )
 from alloylab.poscomb import compute_R_l, wegner_coefficients
+from alloylab.rng import site_stream, trial_stream
 from alloylab.spectra import pair_regularity_probability, wegner_mc
 
 green = importlib.import_module("alloylab.green")  # the package attribute ``green`` is the function
@@ -70,6 +71,7 @@ FINITE = [NAN, INF, -INF]
 COMPLEX = [complex(NAN, 1.0), complex(INF, 1.0), complex(0.5, -INF), complex(NAN, NAN)]
 POSITIVE = [NAN, INF, 0.0, -1.0, TWO]
 INTERVAL = [(NAN, 0.1), (-INF, 0.1), (-0.1, INF), (0.1, -0.1), (-1e308, 1e308), (0.1,), (-0.1, 0.0, 0.1)]
+KEY = [NAN, INF, -INF, 3.5, -0.5, np.float64(3.9), "3", None]  # int() would take the finite floats and "3"
 
 # (function, argument, call of one bad value, bad values)
 ROWS = [
@@ -177,6 +179,11 @@ ROWS = [
     ("compute_R_l", "C", lambda v: compute_R_l(v, 1.0, 1.0, (0,), 1, 1), POSITIVE),
     ("compute_R_l", "alpha", lambda v: compute_R_l(1.0, v, 1.0, (0,), 1, 1), POSITIVE),
     ("wegner_coefficients", "l", lambda v: wegner_coefficients(PAIR_U, v), [NAN, -1, 1.5]),
+    # rng: every key goes through operator.index
+    ("trial_stream", "seed", lambda v: trial_stream(v, 0), KEY),
+    ("trial_stream", "trial", lambda v: trial_stream(3, v), KEY + [1.5]),
+    ("site_stream", "seed", lambda v: site_stream(v, (0,)), KEY),
+    ("site_stream", "site", lambda v: site_stream(3, (0, v)), KEY),
     # model constructors
     ("build_box", "L", lambda v: build_box(v), [NAN, INF, -1, 1.5]),
     ("SingleSitePotential", "support_values", lambda v: SingleSitePotential({(0,): 1.0, (1,): v}), FINITE),

@@ -53,7 +53,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from alloylab import cli, spectra
+from alloylab import cli, moments, spectra
 from alloylab.averaging import (
     _det_power,
     _mean_stderr,
@@ -68,6 +68,7 @@ from alloylab.averaging import (
 from alloylab.green import (
     _deplete,
     annulus,
+    green,
     schur_B,
     verify_resolvent_identities,
     verify_schur_identity,
@@ -554,6 +555,11 @@ def _words(values) -> np.ndarray:
 @example(2 ** 31, 2 ** 32, (2 ** 31, -(2 ** 31)))  # zigzag(2**31) = 2**32: a value of two words
 @example(-(2 ** 31), 2 ** 32 - 1, (2 ** 31 - 1,))  # 2**32 - 1: the largest value of one word
 @example(-(2 ** 63), 2 ** 64 - 1, (2 ** 63 - 1, -(2 ** 63), 0))
+# seeds A, B, A, then 2**32 in a row: the second A takes its words from the per-seed cache
+@example(123456789, 7, (1,))
+@example(-987654321, 2 ** 40, (-2,))
+@example(123456789, 2 ** 33, (2 ** 32,))
+@example(2 ** 32, 7, (3, 4))
 def test_keyed_streams_are_numpys_seedsequence_generators(seed, trial, site):
     for stream, values in ((trial_stream(seed, trial), [zigzag(seed), 1, trial]),
                            (site_stream(seed, site), [zigzag(seed), 0, len(site), *map(zigzag, site)])):
@@ -562,6 +568,25 @@ def test_keyed_streams_are_numpys_seedsequence_generators(seed, trial, site):
         entropy, expected = stream.bit_generator.seed_seq.entropy, oracle.bit_generator.seed_seq.entropy
         assert entropy.dtype == expected.dtype and np.array_equal(entropy, expected)
         assert same_bits(stream.random(5), oracle.random(5))
+
+
+@PROPERTY
+@given(_SIGNED_64, st.integers(0, 2 ** 64 - 1), st.lists(_SIGNED_64, min_size=1, max_size=3).map(tuple))
+def test_numpy_integer_and_bool_keys_keep_their_streams(seed, trial, site):
+    def same(a, b):
+        return a.bit_generator.state == b.bit_generator.state
+
+    assert same(trial_stream(np.int64(seed), np.uint64(trial)), trial_stream(seed, trial))
+    assert same(site_stream(np.int64(seed), tuple(map(np.int64, site))), site_stream(seed, site))
+    assert same(trial_stream(True, False), trial_stream(1, 0))
+    assert same(site_stream(False, (True, 0)), site_stream(0, (1, 0)))
+
+
+def test_a_refused_seed_is_refused_again_with_the_whole_message():
+    # the per-seed cache keeps no failure: the second call derives the words again and names the trial too
+    for trial in (5, 6):
+        with pytest.raises(ValueError, match=rf"^stream key \(seed=9223372036854775808, trial={trial}\) is outside"):
+            trial_stream(2 ** 63, trial)
 
 
 @PROPERTY
@@ -725,6 +750,40 @@ def test_shared_block_estimates_are_the_one_pair_estimates(setup, z, s, trials, 
         ix, iy = geometry.index_of(x), geometry.index_of(y)
         samples = np.abs(np.array([sampler.green_column(diagonals[t], z, [ix])[iy, 0] for t in range(trials)])) ** s
         assert same_bits(np.array([est.mean, est.stderr]), np.array(_mean_stderr(np.array(samples))))
+
+
+_PAIR_MODELS = {d: ModelConfig(d, 3.0, SingleSitePotential.from_values({(0,) * d: 1.0, (1,) + (0,) * (d - 1): -0.5}),
+                                 DisorderDensity("uniform", (0, 1))) for d in (1, 2)}
+
+
+@st.composite
+def multi_source_pairs(draw):
+    """(d, geometry, pairs): 2-3 sources, interleaved, repeated and unsorted, on a chain of 9 or a 5 x 5 box."""
+    d = draw(st.sampled_from([1, 2]))
+    geometry = build_box(4 if d == 1 else 2, (0,) * d)
+    site = st.sampled_from(geometry.sites)
+    sources = draw(st.lists(site, min_size=2, max_size=3, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(sources), site), min_size=2, max_size=8))
+    assume(len({x for x, _ in pairs}) >= 2)
+    return d, geometry, pairs
+
+
+@PROPERTY
+@given(multi_source_pairs(), energies)
+def test_each_trials_pair_values_are_the_dense_green_entries(setup, z):
+    # with one source the (n, 1) column block reads the same in either order, so only 2-3 sources tell the
+    # Fortran-order index of a pair from its transpose
+    d, geometry, pairs = setup
+    model, trials, seed = _PAIR_MODELS[d], 3, 11
+    blocks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "run_trials", lambda fn, trials: blocks.append(fn(range(trials))) or blocks[-1])
+        estimate_moments(model, geometry, z, 0.5, pairs, trials, seed)
+    sampler = DisorderSampler(model, geometry)
+    for values, diagonal in zip(blocks[0], sampler.diagonals(sampler.omega(seed, trials)), strict=True):
+        G = green(sampler.hamiltonian(diagonal), z)
+        want = [G[geometry.index_of(y), geometry.index_of(x)] for x, y in pairs]
+        assert np.allclose(values, want, rtol=0.0, atol=1e-10)
 
 
 def _per_trial_moment_loop(model, geometry, z, exponent, x, rows, trials, seed):

@@ -1,4 +1,4 @@
-"""Does the test suite notice a wrong explicit constant?  The committed mutant list, applied one at a time.
+"""Does the test suite notice a wrong explicit constant or index?  The committed mutant list, applied one at a time.
 
     python3 tools/mutants.py
 
@@ -95,6 +95,19 @@ MUTANTS = [
     Mutant("count domain: >= 0", "src/alloylab/model.py",
            "operator.index(v) >= 1,", "operator.index(v) >= 0,",
            "trials, threads and the other counts are >= 1"),
+    Mutant("pool hash: MULT_B + 2", "src/alloylab/rng.py",
+           "0x58F38DED", "0x58F38DEF",
+           "X_i = INIT_B MULT_B^i mod 2^32 with numpy's MULT_B = 0x58F38DED"),
+    Mutant("pool hash: >> 15", "src/alloylab/rng.py",
+           "v ^ v >> 16", "v ^ v >> 15",
+           "each hashed word w becomes w ^ (w >> 16)"),
+    Mutant("pool hash: halves swapped", "src/alloylab/rng.py",
+           "(p0 ^ x0) * x1 & m | ((p1 ^ x1) * x2 & m) << 32", "(p1 ^ x1) * x2 & m | ((p0 ^ x0) * x1 & m) << 32",
+           "uint64 j holds word 2j in its low half and word 2j + 1 in its high half"),
+    Mutant("pair index: transposed", "src/alloylab/moments.py",
+           "sources.index(x) * len(geometry) + geometry.index_of(y)",
+           "geometry.index_of(y) * len(sources) + sources.index(x)",
+           "G(y, x) sits at (source of x) * n + (row of y) of the Fortran-ordered (n, sources) column block"),
 ]
 
 
