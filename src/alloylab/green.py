@@ -51,9 +51,16 @@ def green(H: np.ndarray, z: complex) -> np.ndarray:
         raise np.linalg.LinAlgError(f"singular resolvent at z={z}: {err}") from err
 
 
+def _complement(n: int, rows: np.ndarray) -> np.ndarray:
+    """The indices 0..n-1 outside ``rows``, ascending, from a mask: what np.setdiff1d(np.arange(n), rows) gives."""
+    inside = np.zeros(n, dtype=bool)
+    inside[rows] = True
+    return np.flatnonzero(~inside)
+
+
 def _deplete(H: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H^L, T) for L = ``rows``: T = Delta - Delta^L is -H on the blocks between L and the rest."""
-    rest = np.setdiff1d(np.arange(len(H)), rows)
+    rest = _complement(len(H), rows)
     T = np.zeros_like(H)
     T[np.ix_(rows, rest)] = -H[np.ix_(rows, rest)]
     T[np.ix_(rest, rows)] = -H[np.ix_(rest, rows)]
@@ -62,7 +69,7 @@ def _deplete(H: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _schur_B(H: np.ndarray, rows: np.ndarray, z: complex) -> np.ndarray:
     """C (H_ext - z)^{-1} C^T, with C = -H[L, ext] the hopping from L = ``rows`` to the rest."""
-    ext = np.setdiff1d(np.arange(len(H)), rows)
+    ext = _complement(len(H), rows)
     C = -H[np.ix_(rows, ext)]
     return C @ green(H[np.ix_(ext, ext)], z) @ C.T
 

@@ -7,8 +7,10 @@ a fixed profile u.  Hamiltonians are assembled as dense matrices: boxes stay
 at desk scale (a few thousand sites), where dense solves and eigensolves are
 simple and exactly reproducible.  Only the Monte Carlo trials in ``moments``
 solve for a Green column in band storage instead.  A geometry knows its
-lattice facts once: ``rows`` maps a site set to its indices, and the cached
-``bonds`` lists the hopping pairs that the dense and banded layouts scatter.
+lattice facts once: ``rows`` maps a site set to its indices, and three parts are
+built on first use and kept read-only: ``bonds``, the hopping pairs; ``hopping``,
+-Delta as a dense array that every assembly copies; ``site_potential(u)``, one
+coupling map per distinct u, which the dict and the trial assemblies both read.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ def _require(domain: str, **values) -> None:
     """Raise ValueError unless every value lies in ``_DOMAINS[domain]``; each keyword names its argument."""
     holds, message = _DOMAINS[domain]
     for name, value in values.items():
-        with contextlib.suppress(TypeError, ValueError, ArithmeticError):  # a value of the wrong type or shape
+        try:
             if holds(value):
                 continue
+        except (TypeError, ValueError, ArithmeticError):  # a value of the wrong type or shape
+            pass
         raise ValueError(f"{message.format(name)}, got {value!r}")
 
 
@@ -128,6 +132,7 @@ class BoxGeometry:
         if len(set(self.sites)) != len(self.sites):
             raise ValueError("duplicate sites in geometry")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.sites)})
+        object.__setattr__(self, "_potentials", {})  # SingleSitePotential._key -> its SitePotential here
 
     @property
     def dimension(self) -> int:
@@ -168,6 +173,21 @@ class BoxGeometry:
         out = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def hopping(self) -> np.ndarray:
+        """-Delta as a read-only dense (n, n) array: -1.0 on bonds and -0.0 elsewhere, as -adjacency_matrix gives."""
+        out = adjacency_matrix(self)
+        np.negative(out, out=out)
+        out.flags.writeable = False
+        return out
+
+    def site_potential(self, u: "SingleSitePotential") -> "SitePotential":
+        """The SitePotential of u on this geometry, built once per distinct u: equal potentials share one."""
+        try:
+            return self._potentials[u._key]
+        except KeyError:
+            return self._potentials.setdefault(u._key, SitePotential(self, u))
 
 
 def build_box(L: int, center=0) -> BoxGeometry:
@@ -261,6 +281,9 @@ class SingleSitePotential:
             raise ValueError("u must satisfy 0 in supp u (translate the profile)")
         # {site: u(site)} in sorted site order; not a field, so equality and repr see only the fields
         object.__setattr__(self, "_table", dict(sorted(table.items())))
+        # the fields as a hashable value: keys are equal exactly when the potentials are (==)
+        object.__setattr__(self, "_key", (frozenset(stored.items()), self.tail_amplitude, self.tail_rate,
+                                          self.truncation_radius, self.tail_sign))
 
     @property
     def dimension(self) -> int:
@@ -567,6 +590,7 @@ class SitePotential:
         self.coupling_sites: tuple[Site, ...] = tuple(map(tuple, ordered[first].tolist()))
         self.positions = inverse.reshape(len(supp), len(geometry))
         self.values = np.array([u.value(t) for t in supp])
+        self.positions.flags.writeable = self.values.flags.writeable = False  # a geometry shares one map
 
     def __call__(self, omega: np.ndarray) -> np.ndarray:
         """V on the sites, for couplings ordered like ``coupling_sites``, or per row of a (trials, couplings) block."""
@@ -579,9 +603,9 @@ class SitePotential:
 
 def assemble_hamiltonian(model: ModelConfig, omega: dict[Site, float], geometry: BoxGeometry) -> np.ndarray:
     """H = -Delta_Gamma + lambda V_Gamma as a dense real symmetric (n, n) matrix in the geometry's site order."""
-    potential = SitePotential(geometry, model.potential)
+    potential = geometry.site_potential(model.potential)
     omega_vec = np.array([omega[k] for k in potential.coupling_sites])  # KeyError names a missing site
-    H = -adjacency_matrix(geometry)
+    H = geometry.hopping.copy()
     np.fill_diagonal(H, model.coupling * potential(omega_vec))
     return H
 

@@ -29,7 +29,6 @@ from .model import (
     _chain_values,
     _require,
     _site_list,
-    adjacency_matrix,
     explicit_geometry,
     exterior_boundary,
     l1_norm,
@@ -93,9 +92,9 @@ class MomentEstimate:
 class DisorderSampler:
     """Assembly data, each part built on its first use: per trial only the diagonal changes.
 
-    The hopping part of H is fixed by the geometry; the random diagonal is
-    lambda V, with V built by the SitePotential that assemble_hamiltonian also
-    uses, from one coupling per site of ``potential.coupling_sites``.
+    The hopping part of H is the geometry's ``hopping``; the random diagonal
+    is lambda V, with V from the geometry's ``site_potential``, the map that
+    assemble_hamiltonian also reads, one coupling per ``coupling_sites`` site.
     ``omega`` draws all trials' couplings as one block through one density
     transform, and ``diagonals`` makes its lambda V; a trial takes one row.
 
@@ -113,8 +112,8 @@ class DisorderSampler:
 
     @cached_property
     def potential(self) -> SitePotential:
-        """The coupling-to-V map, built on the first draw: a sampler that only assembles never reads it."""
-        return SitePotential(self.geometry, self.model.potential)
+        """The coupling-to-V map, the geometry's own for this potential: ``assemble_hamiltonian`` reads the same."""
+        return self.geometry.site_potential(self.model.potential)
 
     @cached_property
     def half_bandwidth(self) -> int:
@@ -161,18 +160,14 @@ class DisorderSampler:
         """lambda V for a coupling vector, or row by row for a (trials, couplings) block."""
         return self.model.coupling * self.potential(omega)
 
-    @cached_property
-    def hopping(self) -> np.ndarray:
-        """-Delta as a dense n x n matrix, built on first use: only ``hamiltonian`` reads it."""
-        return -adjacency_matrix(self.geometry)
-
     def hamiltonian(self, diagonal: np.ndarray) -> np.ndarray:
         """-Delta + diag(diagonal) as (n, n), or as the (trials, n, n) stack for a (trials, n) block.
 
-        Each matrix is a copy of ``hopping`` with its diagonal written, so
+        Each matrix is a copy of ``geometry.hopping`` with its diagonal written, so
         ``hamiltonian(block)[t]`` equals ``hamiltonian(block[t])`` bit for bit.
         """
-        H = np.broadcast_to(self.hopping, diagonal.shape[:-1] + self.hopping.shape).copy()
+        hopping = self.geometry.hopping
+        H = np.broadcast_to(hopping, diagonal.shape[:-1] + hopping.shape).copy()
         sites = np.arange(len(self.geometry))
         H[..., sites, sites] = diagonal
         return H

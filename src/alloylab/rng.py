@@ -31,20 +31,23 @@ def _pool_seed_sequence() -> type:
     """SeedSequence whose generate_state(4, uint64), the one request PCG64 makes, hashes the pool in Python ints.
 
     Word i of eight is (pool[i % 4] ^ X_i) * X_{i+1} mod 2**32, xor-shifted right by 16, X_i = INIT_B * MULT_B**i mod
-    2**32: numpy's loop, unrolled, with words 2j, 2j + 1 the low and high halves of uint64 j, both xor-shifted at once.
+    2**32: numpy's loop, unrolled, with word i at bits 32i of one 256-bit int whose eight words are xor-shifted at
+    once; its 32 little-endian bytes are the four uint64, word 2j the low and word 2j + 1 the high half of uint64 j.
     """
     init_b, mult_b = 0x8B51F9DD, 0x58F38DED  # INIT_B, MULT_B of numpy's bit_generator.pyx
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = (init_b * pow(mult_b, i, 1 << 32) % (1 << 32) for i in range(9))
-    m, low_halves = 0xFFFFFFFF, 0x0000FFFF0000FFFF
+    m, low_halves = 0xFFFFFFFF, int("0000FFFF" * 8, 16)
 
     class PoolSeedSequence(np.random.SeedSequence):
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64 or self.pool_size != 4:
+            # PCG64 passes np.uint64 itself: the identity test skips np.dtype on every key
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64) or self.pool_size != 4:
                 return super().generate_state(n_words, dtype)
             p0, p1, p2, p3 = self.pool.tolist()
-            pairs = ((p0 ^ x0) * x1 & m | ((p1 ^ x1) * x2 & m) << 32, (p2 ^ x2) * x3 & m | ((p3 ^ x3) * x4 & m) << 32,
-                     (p0 ^ x4) * x5 & m | ((p1 ^ x5) * x6 & m) << 32, (p2 ^ x6) * x7 & m | ((p3 ^ x7) * x8 & m) << 32)
-            return np.array([v ^ v >> 16 & low_halves for v in pairs], dtype=np.uint64)
+            v = ((p0 ^ x0) * x1 & m | ((p1 ^ x1) * x2 & m) << 32 | ((p2 ^ x2) * x3 & m) << 64
+                 | ((p3 ^ x3) * x4 & m) << 96 | ((p0 ^ x4) * x5 & m) << 128 | ((p1 ^ x5) * x6 & m) << 160
+                 | ((p2 ^ x6) * x7 & m) << 192 | ((p3 ^ x7) * x8 & m) << 224)
+            return np.frombuffer(bytearray((v ^ v >> 16 & low_halves).to_bytes(32, "little")), "<u8")
 
     PoolSeedSequence.__qualname__ = "PoolSeedSequence"  # pickle finds it as rng.PoolSeedSequence
     return PoolSeedSequence

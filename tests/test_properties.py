@@ -29,7 +29,12 @@ kinked, singular and discontinuous integrands.  The value table of a
 single-site potential in d = 1, 2, 3 is checked bit for bit against the per-call support and tail
 formula it replaces, and the SitePotential coupling table on lexicographic
 and shuffled geometries in d = 1, 2, 3 against the np.unique construction
-it replaces.  The density transform keeps the 64-step bisection it replaced
+it replaces.  Assembly from a geometry's cached hopping and coupling map
+matches a fresh -adjacency_matrix and SitePotential bit for bit, -0.0 entries
+included, on boxes, explicit site sets and subsets, with two potentials
+interleaved on one geometry; equal potentials share one read-only map and
+unequal ones never do; the mask complement of the Green checks matches
+np.setdiff1d.  The density transform keeps the 64-step bisection it replaced
 as its oracle: raised-cosine and uniform draws match it (or, for
 the uniform, the old a + (b - a) u) bit for bit, and piecewise-linear draws
 match it to 1e-12 where the density is not small, and at every knot mass,
@@ -66,6 +71,7 @@ from alloylab.averaging import (
     resolvent_average_check,
 )
 from alloylab.green import (
+    _complement,
     _deplete,
     annulus,
     green,
@@ -109,8 +115,8 @@ _u_value = st.floats(-2.0, 2.0).filter(lambda v: abs(v) > 1e-3)
 
 
 @st.composite
-def models(draw):
-    d = draw(st.sampled_from([1, 2]))
+def models(draw, d=None):
+    d = draw(st.sampled_from([1, 2])) if d is None else d
     if draw(st.booleans()):
         offsets = draw(st.sets(st.tuples(*[st.integers(-2, 2)] * d), max_size=3))
         sites = sorted({(0,) * d} | offsets)
@@ -169,6 +175,79 @@ def test_trial_hamiltonian_matches_site_keyed_assembly(setup):
     got = sampler.hamiltonian(sampler.diagonals(omega_vec))
     want = assemble_hamiltonian(model, dict(zip(need, omega_vec)), geometry)
     assert same_bits(got, want)
+
+
+@st.composite
+def geometries(draw, d):
+    """A box, an explicit site set or a box's ``subset``, in dimension d."""
+    box = build_box(draw(st.integers(0, 4 if d == 1 else 2)), (0,) * d)
+    kind = draw(st.sampled_from(["box", "explicit", "subset"]))
+    if kind == "box":
+        return box
+    sites = draw(subsets(box.sites))
+    return explicit_geometry(sites) if kind == "explicit" else box.subset(sites)
+
+
+def _fresh_hamiltonian(model, omega, geometry):
+    """-adjacency_matrix plus lambda V from a SitePotential built here: what assembly made before geometries cached."""
+    potential = SitePotential(geometry, model.potential)
+    H = -adjacency_matrix(geometry)
+    np.fill_diagonal(H, model.coupling * potential(np.array([omega[k] for k in potential.coupling_sites])))
+    return H
+
+
+def _twin(u, sign=1):
+    """A new SingleSitePotential with u's fields, its stored sites in reverse order; ``sign`` -1 negates u's values."""
+    tail_sign = u.tail_sign if u.tail_amplitude is None else sign * u.tail_sign  # a finite u keeps every other field
+    return SingleSitePotential({k: sign * v for k, v in reversed(u.support_values.items())}, u.tail_amplitude,
+                               u.tail_rate, u.truncation_radius, tail_sign)
+
+
+@PROPERTY
+@given(st.data())
+def test_cached_assembly_is_the_fresh_one_with_two_potentials_interleaved(data):
+    first = data.draw(models())
+    # the second potential has first's sites with negated values, or is drawn on its own
+    flipped = ModelConfig(first.dimension, data.draw(st.floats(0.0, 50.0)), _twin(first.potential, -1), first.density)
+    second = data.draw(st.one_of(st.just(flipped), models(first.dimension)))
+    geometry = data.draw(geometries(first.dimension))
+    need = sorted(lambda_plus(geometry, first.potential) | lambda_plus(geometry, second.potential))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    omega = dict(zip(need, rng.uniform(-1.0, 1.0, len(need)).tolist()))
+    for model in (first, second, first, second):
+        want = _fresh_hamiltonian(model, omega, geometry)
+        assert same_bits(assemble_hamiltonian(model, omega, geometry), want)
+        sampler = DisorderSampler(model, geometry)
+        omega_vec = np.array([omega[k] for k in sampler.potential.coupling_sites])
+        assert same_bits(sampler.hamiltonian(sampler.diagonals(omega_vec)), want)
+        assert sampler.potential is geometry.site_potential(model.potential)
+
+
+@PROPERTY
+@given(st.data())
+def test_equal_potentials_share_one_read_only_map_and_others_do_not(data):
+    model = data.draw(models())
+    geometry = data.draw(geometries(model.dimension))
+    u, other = model.potential, data.draw(models(model.dimension)).potential
+    twin = _twin(u)
+    assert twin == u and twin is not u
+    cached = geometry.site_potential(u)
+    assert geometry.site_potential(twin) is cached
+    assert (geometry.site_potential(other) is cached) == (other == u)
+    arrays = [v for v in vars(cached).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2  # positions and values
+    for array in [geometry.hopping, *arrays]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+
+
+@PROPERTY
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1)))))
+def test_complement_is_setdiff1d(case):
+    n, rows = case
+    rows = np.array(rows, dtype=np.intp)
+    assert same_bits(_complement(n, rows), np.setdiff1d(np.arange(n), rows))
+    assert same_bits(_complement(n, np.unique(rows)), np.setdiff1d(np.arange(n), rows))
 
 
 @PROPERTY
@@ -312,7 +391,7 @@ def test_band_is_the_dense_nonzero_scan(setup):
     band[2 * k + rows - cols, cols] = hopping[rows, cols]
     assert sampler.half_bandwidth == k
     assert same_bits(sampler._band, band)
-    assert same_bits(sampler.hopping, hopping)
+    assert same_bits(sampler.geometry.hopping, hopping)
 
 
 @PROPERTY

@@ -108,6 +108,15 @@ MUTANTS = [
            "sources.index(x) * len(geometry) + geometry.index_of(y)",
            "geometry.index_of(y) * len(sources) + sources.index(x)",
            "G(y, x) sits at (source of x) * n + (row of y) of the Fortran-ordered (n, sources) column block"),
+    Mutant("hopping: sign dropped", "src/alloylab/model.py",
+           "np.negative(out, out=out)", "np.positive(out, out=out)",
+           "H = -Delta + lambda V: -1 on every bond"),
+    Mutant("complement: keeps the rows", "src/alloylab/green.py",
+           "np.flatnonzero(~inside)", "np.flatnonzero(inside)",
+           "ext = the sites of the geometry outside L"),
+    Mutant("potential memo: key ignores u's values", "src/alloylab/model.py",
+           "frozenset(stored.items())", "frozenset(stored)",
+           "V(x) = sum_k omega_k u(x - k): a map per u, not per supp u"),
 ]
 
 
