@@ -179,8 +179,7 @@ def cmd_moments(args, model, seed, out: Output) -> None:
     z = complex(args.energy, args.imag)
     x = (0,) * model.dimension
     y = tuple([args.dist] + [0] * (model.dimension - 1))
-    est = moments.estimate_moment(model, geometry, z, args.s, x, y,
-                                  args.trials, seed, args.threads)
+    est = moments.estimate_moment(model, geometry, z, args.s, x, y, args.trials, seed)
     out.table(["x", "y", "z", "exponent", "mean", "stderr", "trials"],
               [[x, y, _fmt(z), args.s, est.mean, est.stderr, args.trials]])
     out.check("moment-estimate", est.mean, None, None)
@@ -188,7 +187,7 @@ def cmd_moments(args, model, seed, out: Output) -> None:
 
 def cmd_decay(args, model, seed, out: Output) -> None:
     z = complex(args.energy, args.imag)
-    prof = moments.decay_profile(model, args.box, z, args.s, args.trials, seed, args.threads)
+    prof = moments.decay_profile(model, args.box, z, args.s, args.trials, seed)
     out.table(["distance", "mean", "stderr", "bound", "pass"],
               [[r["distance"], r["mean"], r["stderr"],
                 "" if math.isinf(r["bound"]) else r["bound"], r["pass"]] for r in prof["rows"]])
@@ -201,8 +200,7 @@ def cmd_decay(args, model, seed, out: Output) -> None:
 def cmd_finite_volume(args, model, seed, out: Output) -> None:
     region = build_box(args.region, (0,) * model.dimension)
     z = complex(args.energy, args.imag)
-    res = moments.finite_volume_sum(model, region, (0,) * model.dimension, z,
-                                    args.s, args.L, args.trials, seed, args.threads)
+    res = moments.finite_volume_sum(model, region, (0,) * model.dimension, z, args.s, args.L, args.trials, seed)
     out.table(["boundary_site", "mean", "stderr"],
               [[w, float(mu), float(se)] for w, mu, se in
                zip(res["boundary_sites"], res["means"], res["stderrs"])])
@@ -274,8 +272,7 @@ def cmd_apriori(args, model, seed, out: Output) -> None:
     sites = list(geometry.sites)
     pairs = [(sites[0], sites[-1]), (sites[len(sites) // 2], sites[len(sites) // 2]),
              (sites[0], sites[len(sites) // 2])]
-    estimates = moments.estimate_moments(model, geometry, complex(0.0, args.imag), args.s,
-                                         pairs, args.trials, seed, args.threads)
+    estimates = moments.estimate_moments(model, geometry, complex(0.0, args.imag), args.s, pairs, args.trials, seed)
     for (x, y), est in zip(pairs, estimates):
         passed = est.mean <= info["bound"] + 3 * est.stderr
         ok = ok and passed
@@ -302,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def trial_flags(sp, trials: int):  # only the subcommands that run MC trials
         sp.add_argument("--trials", type=_positive_int, default=trials)
-        sp.add_argument("--threads", type=_positive_int, default=1, help="worker thread cap")
+        sp.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker threads of wegner and regularity; the four moment subcommands "
+                             "accept it and solve on one thread")
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one disorder realization")
     common(sp, True)

@@ -67,7 +67,7 @@ def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
     its index (row ``trial`` of the ``DisorderSampler.omega`` block), so if ``fn`` computes each
     trial on its own, the result is bitwise the same for any number of workers.  Workers pay
     only where ``fn`` releases the GIL, as the numpy eigensolves of ``spectra`` do; the ``zgbsv``
-    solves of ``estimate_moments`` do not, so it calls with one worker.
+    solves of ``estimate_moments`` do not, so it passes no ``threads`` and runs with one worker.
     """
     _require("count", trials=trials, threads=threads)
     workers = min(threads, trials)
@@ -189,16 +189,16 @@ class DisorderSampler:
 
 
 def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
-                     pairs, trials: int, seed: int, threads: int = 1) -> list[MomentEstimate]:
+                     pairs, trials: int, seed: int) -> list[MomentEstimate]:
     """Unbiased MC means of |G(z; x, y)|^s over i.i.d. disorder, one per (x, y) pair.
 
     The pairs share one disorder block and one banded LU per trial; each trial writes its pairs' G
     values into its row of one preallocated (trials, pairs) block, with one ``take`` of precomputed
-    flat indices, and |G|^s is taken once, as np.abs(block) ** s.  ``threads`` must be >= 1, but
-    the solves run on the calling thread: scipy's ``zgbsv`` holds the GIL."""
+    flat indices, and |G|^s is taken once, as np.abs(block) ** s.  The solves run on the calling
+    thread: scipy's ``zgbsv`` holds the GIL, so worker threads would only contend for it."""
     _require("off_axis", z=z)
     _require("exponent", s_exp=s_exp)
-    _require("count", trials=trials, threads=threads)
+    _require("count", trials=trials)
     pairs = [(_as_site(x), _as_site(y)) for x, y in pairs]
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
@@ -223,8 +223,10 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
 
 def estimate_moment(model: ModelConfig, geometry: BoxGeometry, z: complex, s_exp: float,
                     x, y, trials: int, seed: int, threads: int = 1) -> MomentEstimate:
-    """Unbiased MC mean of |G(z; x, y)|^s over i.i.d. disorder; ``threads`` as in ``estimate_moments``."""
-    return estimate_moments(model, geometry, z, s_exp, [(x, y)], trials, seed, threads)[0]
+    """Unbiased MC mean of |G(z; x, y)|^s over i.i.d. disorder; ``threads`` is checked before any key, then unread."""
+    # pinned by bench/test_layertrace.py::test_estimate_moment_spans_one_stream_and_solve_per_trial; ROADMAP item 1
+    _require("count", threads=threads)
+    return estimate_moments(model, geometry, z, s_exp, [(x, y)], trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +363,18 @@ def gap_constants(u: SingleSitePotential, density: DisorderDensity, coupling: fl
 
 
 def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
-                  trials: int, seed: int, threads: int = 1) -> dict:
+                  trials: int, seed: int) -> dict:
     """Moment sweep E|G(z; x, y)|^{s/n} along a 1-D box, with the decay bound.
 
     x is the left end of the box, y sweeps; for connected supp u the exponent
     is s/n and the bound uses the explicit contraction constants, otherwise
     s/(n+r) with the gap constants.  ``fit`` is the slope of a weighted
     least-squares line through log(mean) against distance, or None when fewer
-    than two distances have a fittable mean.  ``threads`` is checked, not used (``estimate_moments``).
+    than two distances have a fittable mean.  The moments come from one ``estimate_moments`` call.
     """
     _require("off_axis", z=z)
     _require("exponent", s=s)
-    _require("count", box_sites=box_sites, trials=trials, threads=threads)
+    _require("count", box_sites=box_sites, trials=trials)
     if model.dimension != 1:
         raise ValueError("decay profiles are one-dimensional")
     if box_sites < 2:
@@ -390,8 +392,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
                                                                 model.coupling, s)
         min_dist = 2 * step
 
-    estimates = estimate_moments(model, geometry, z, exponent, [((0,), y) for y in geometry.sites[1:]],
-                                 trials, seed, threads)
+    estimates = estimate_moments(model, geometry, z, exponent, [((0,), y) for y in geometry.sites[1:]], trials, seed)
 
     fittable = [est for est in estimates if est.mean > 0 and est.stderr < est.mean]
     dists = [est.y[0] for est in fittable]
@@ -427,7 +428,7 @@ def decay_profile(model: ModelConfig, box_sites: int, z: complex, s: float,
 
 
 def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s: float,
-                      L: int, trials: int, seed: int, threads: int = 1) -> dict:
+                      L: int, trials: int, seed: int) -> dict:
     """Screened moment sum across the annulus around x, and its scaled form.
 
     raw = sum over w in the exterior boundary of W_x (within the region,
@@ -435,7 +436,7 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     |G_{region minus W_x}(z; x, w)|^{s/(2|Theta|)}; the scaled value
     multiplies by L^{3(d-1)} Xi_s(lambda) / lambda^{2s/(2|Theta|)}, leaving
     out only the non-explicit prefactor of the criterion, so ``scaled`` is
-    not the criterion itself.  z, ``trials`` and ``threads`` go to ``estimate_moments``, which checks them.
+    not the criterion itself.  z and ``trials`` go to ``estimate_moments``, which checks them.
     """
     _require("exponent", s=s)  # the moments take s / (2 |Theta|), which lies in (0, 1) for more s
     _require("positive", coupling=model.coupling)
@@ -448,7 +449,7 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     theta_count = len(model.potential.support())
     exponent = s / (2 * theta_count)
 
-    estimates = estimate_moments(model, sub, z, exponent, [(x, w) for w in boundary], trials, seed, threads)
+    estimates = estimate_moments(model, sub, z, exponent, [(x, w) for w in boundary], trials, seed)
     means = np.array([est.mean for est in estimates])
     stderrs = np.array([est.stderr for est in estimates])
     raw = float(means.sum())

@@ -610,12 +610,18 @@ def test_missing_seed_rejected(tmp_path, capsys):
 
 
 def test_threads_flag_bitwise_stable(model_cfg, tmp_path):
-    for argv in (["decay", "--trials", "64", "--box", "12"],
-                 ["finite-volume", "--region", "8", "--L", "3", "--trials", "24"],
-                 ["wegner", "--l", "4", "--trials", "40"],
-                 ["regularity", "--L", "3", "--separation", "12", "--grid", "5", "--trials", "12"]):
+    # apriori needs a density with an integrable derivative, which model_cfg's uniform one lacks
+    cosine_cfg = tmp_path / "cosine.json"
+    cosine_cfg.write_text(json.dumps({**json.loads(model_cfg.read_text()),
+                                      "density": {"kind": "raised_cosine", "params": [0, 1]}}))
+    for argv, cfg in ((["moments", "--box", "6", "--dist", "3", "--trials", "32"], model_cfg),
+                      (["decay", "--trials", "64", "--box", "12"], model_cfg),
+                      (["finite-volume", "--region", "8", "--L", "3", "--trials", "24"], model_cfg),
+                      (["wegner", "--l", "4", "--trials", "40"], model_cfg),
+                      (["regularity", "--L", "3", "--separation", "12", "--grid", "5", "--trials", "12"], model_cfg),
+                      (["apriori", "--box", "8", "--trials", "32"], cosine_cfg)):
         out1, out2 = tmp_path / (argv[0] + "1"), tmp_path / (argv[0] + "3")
-        base = argv + ["--config", str(model_cfg), "--seed", "3"]
+        base = argv + ["--config", str(cfg), "--seed", "3"]
         assert run(base + ["--threads", "1", "--out", str(out1)]) == 0
         assert run(base + ["--threads", "3", "--out", str(out2)]) == 0
         assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes(), argv[0]
@@ -626,7 +632,13 @@ def test_threads_flag_only_on_trial_subcommands(model_cfg):
         assert run([name, "--config", str(model_cfg), "--threads", "2"]) == 1, name
 
 
-_COUNT_FLAGS = [(["moments", "--trials", "4"], "--threads", value) for value in ("0", "-2", "abc")] + [
+_TRIAL_COMMANDS = [["moments", "--trials", "4"], ["decay", "--box", "4", "--trials", "4"],
+                   ["finite-volume", "--region", "8", "--L", "3", "--trials", "4"],
+                   ["wegner", "--l", "2", "--trials", "4"],
+                   ["regularity", "--L", "2", "--separation", "8", "--grid", "2", "--trials", "2"],
+                   ["apriori", "--box", "4", "--trials", "4"]]
+# the parser is the only check of --threads on decay, finite-volume and apriori: their library calls take none
+_COUNT_FLAGS = [(argv, "--threads", value) for argv in _TRIAL_COMMANDS for value in ("0", "-2", "abc")] + [
     ([name], "--instances", value) for name in ("green-identities", "averaging") for value in ("0", "-1", "x")] + [
     (["moments"], "--trials", "0"), (["finite-volume", "--region", "8", "--L", "3"], "--trials", "0"),
     (["regularity", "--L", "2", "--separation", "8", "--trials", "2"], "--grid", "0"),
@@ -635,7 +647,7 @@ _COUNT_FLAGS = [(["moments", "--trials", "4"], "--threads", value) for value in 
 
 def _count_flag_id(argv, flag, value):
     if flag == "--threads":
-        return value
+        return value if argv[0] == "moments" else f"{argv[0]}-threads-{value}"
     return {"--trials": f"{argv[0]}-no-trials", "--instances": f"{argv[0]}-instances-{value}",
             "--grid": "regularity-no-grid", "--attempts": "conditional-negative-attempts"}[flag]
 

@@ -106,8 +106,6 @@ ROWS = [
      lambda v: estimate_moments(PAIR, CHAIN, 0.5j, v, [((0,), (3,))], 10, 1), EXPONENT),
     ("estimate_moments", "trials",
      lambda v: estimate_moments(PAIR, CHAIN, 0.5j, 0.3, [((0,), (3,))], v, 1), COUNT),
-    ("estimate_moments", "threads",
-     lambda v: estimate_moments(PAIR, CHAIN, 0.5j, 0.3, [((0,), (3,))], 10, 1, v), COUNT),
     ("estimate_moment", "z", lambda v: estimate_moment(PAIR, CHAIN, v, 0.3, (0,), (3,), 10, 1), OFF_AXIS),
     ("estimate_moment", "s_exp", lambda v: estimate_moment(PAIR, CHAIN, 0.5j, v, (0,), (3,), 10, 1), EXPONENT),
     ("estimate_moment", "trials", lambda v: estimate_moment(PAIR, CHAIN, 0.5j, 0.3, (0,), (3,), v, 1), COUNT),
@@ -116,7 +114,6 @@ ROWS = [
     ("decay_profile", "z", lambda v: decay_profile(GAPPED, 12, v, 0.5, 10, 1), OFF_AXIS),
     ("decay_profile", "s", lambda v: decay_profile(FLAT, 6, 0.5j, v, 10, 1), EXPONENT),
     ("decay_profile", "trials", lambda v: decay_profile(GAPPED, 12, 0.5j, 0.5, v, 1), COUNT),
-    ("decay_profile", "threads", lambda v: decay_profile(GAPPED, 12, 0.5j, 0.5, 10, 1, v), COUNT),
     ("decay_profile", "box_sites", lambda v: decay_profile(PAIR, v, 0.5j, 0.5, 10, 1), COUNT),
     ("finite_volume_sum", "z",
      lambda v: finite_volume_sum(PAIR, build_box(10), (0,), v, 0.3, 3, 10, 1), OFF_AXIS),
@@ -124,8 +121,6 @@ ROWS = [
      lambda v: finite_volume_sum(PAIR, build_box(10), (0,), 0.5j, v, 3, 10, 1), EXPONENT),
     ("finite_volume_sum", "trials",
      lambda v: finite_volume_sum(PAIR, build_box(10), (0,), 0.5j, 0.3, 3, v, 1), COUNT),
-    ("finite_volume_sum", "threads",
-     lambda v: finite_volume_sum(PAIR, build_box(10), (0,), 0.5j, 0.3, 3, 10, 1, v), COUNT),
     ("finite_volume_sum", "L",
      lambda v: finite_volume_sum(PAIR, build_box(10), (0,), 0.5j, 0.3, v, 10, 1), [NAN, INF, 3.5]),
     ("finite_volume_sum", "coupling",

@@ -814,11 +814,10 @@ def moment_setups(draw):
 
 
 @PROPERTY
-@given(moment_setups(), energies, st.floats(0.05, 0.95), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([1, 2]))
-def test_shared_block_estimates_are_the_one_pair_estimates(setup, z, s, trials, seed, threads):
+@given(moment_setups(), energies, st.floats(0.05, 0.95), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_shared_block_estimates_are_the_one_pair_estimates(setup, z, s, trials, seed):
     model, geometry, pairs = setup
-    got = estimate_moments(model, geometry, z, s, pairs, trials, seed, threads)
+    got = estimate_moments(model, geometry, z, s, pairs, trials, seed)
     want = [estimate_moment(model, geometry, z, s, x, y, trials, seed) for x, y in pairs]
     assert [(e.x, e.y) for e in got] == pairs
     assert same_bits(np.array([(e.mean, e.stderr) for e in got]), np.array([(e.mean, e.stderr) for e in want]))
@@ -887,9 +886,9 @@ def chain_models(draw):
 
 @PROPERTY
 @given(chain_models(), st.integers(2, 12), energies, st.floats(0.05, 0.95), st.integers(1, 6),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
-def test_decay_rows_are_the_per_trial_loop(model, box_sites, z, s, trials, seed, threads):
-    prof = decay_profile(model, box_sites, z, s, trials, seed, threads)
+       st.integers(0, 2 ** 32 - 1))
+def test_decay_rows_are_the_per_trial_loop(model, box_sites, z, s, trials, seed):
+    prof = decay_profile(model, box_sites, z, s, trials, seed)
     geometry = explicit_geometry([(k,) for k in range(box_sites)])
     mean, stderr = _per_trial_moment_loop(model, geometry, z, prof["exponent"], (0,), slice(None), trials, seed)
     assert [row["distance"] for row in prof["rows"]] == list(range(1, box_sites))
@@ -899,14 +898,14 @@ def test_decay_rows_are_the_per_trial_loop(model, box_sites, z, s, trials, seed,
 
 @PROPERTY
 @given(models(), st.integers(0, 1), st.integers(1, 3), energies, st.floats(0.05, 0.95), st.integers(1, 6),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.data())
-def test_finite_volume_means_are_the_per_trial_loop(model, extra_L, margin, z, s, trials, seed, threads, data):
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_finite_volume_means_are_the_per_trial_loop(model, extra_L, margin, z, s, trials, seed, data):
     model = ModelConfig(model.dimension, data.draw(st.floats(0.1, 50.0)), model.potential, data.draw(densities()))
     diam = model.potential.diameter_linf()
     L = diam + 2 + extra_L
     d = model.dimension
     region = build_box(L + diam + margin, (0,) * d)
-    res = finite_volume_sum(model, region, (0,) * d, z, s, L, trials, seed, threads)
+    res = finite_volume_sum(model, region, (0,) * d, z, s, L, trials, seed)
     sub = region.subset(region.site_set() - res["annulus"].W_x)
     rows = [sub.index_of(w) for w in res["boundary_sites"]]
     mean, stderr = _per_trial_moment_loop(model, sub, z, res["exponent"], (0,) * d, rows, trials, seed)

@@ -285,6 +285,14 @@ def test_regularity_below_spectrum():
     assert box_regular(m, omega, 4, E, m=0.0)
 
 
+@pytest.mark.parametrize("thresh, regular", [(1.0, True), (np.nextafter(1.0, 0.0), False)])
+def test_regularity_threshold_is_inclusive(thresh, regular):
+    # one eigenpair (2, [1]) at E = 1: |G(E; 0, 0)| = 1 / |2 - 1| = 1 exactly, and (m, E)-regular means
+    # |G(E; x, w)| <= e^{-m L} at every w, so the box is regular at threshold 1 and not one ulp below it
+    vals, vecs = np.array([[2.0]]), np.array([[[1.0]]])
+    assert spectra._regular(vals, vecs, np.array([1.0]), 0, [0], thresh).tolist() == [[regular]]
+
+
 def test_regularity_monotone_in_m():
     u = SingleSitePotential.delta(1)
     m = ModelConfig(1, 50.0, u, uniform01())

@@ -117,6 +117,9 @@ MUTANTS = [
     Mutant("potential memo: key ignores u's values", "src/alloylab/model.py",
            "frozenset(stored.items())", "frozenset(stored)",
            "V(x) = sum_k omega_k u(x - k): a map per u, not per supp u"),
+    Mutant("regularity threshold: strict", "src/alloylab/spectra.py",
+           "np.max(np.abs(rows), axis=2) <= thresh)", "np.max(np.abs(rows), axis=2) < thresh)",
+           "(m, E)-regular: |G(E; x, w)| <= e^{-m L} for every w in the interior boundary"),
 ]
 
 
