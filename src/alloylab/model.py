@@ -129,9 +129,10 @@ class BoxGeometry:
         d = len(self.sites[0])
         if any(len(s) != d for s in self.sites):
             raise ValueError("all sites must share one dimension")
-        if len(set(self.sites)) != len(self.sites):
+        index = dict(zip(self.sites, itertools.count()))
+        if len(index) != len(self.sites):
             raise ValueError("duplicate sites in geometry")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.sites)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_potentials", {})  # SingleSitePotential._key -> its SitePotential here
 
     @property
@@ -163,14 +164,22 @@ class BoxGeometry:
 
     @cached_property
     def bonds(self) -> np.ndarray:
-        """The l1-adjacent index pairs (i, j), i < j, as a read-only (bonds, 2) array in lexicographic order."""
-        pairs = []
-        for i, site in enumerate(self.sites):
-            for axis in range(len(site)):
-                j = self._index.get(site[:axis] + (site[axis] + 1,) + site[axis + 1:])
-                if j is not None:
-                    pairs.append((min(i, j), max(i, j)))
-        out = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+        """The l1-adjacent index pairs (i, j), i < j, as a read-only (bonds, 2) array in lexicographic order.
+
+        Every site's one-step-up neighbour along each axis, axis after axis, is looked up in the site index by C
+        iterators alone (-1 where it lies outside); the pairs found sort as the integer keys min * n + max.
+        """
+        n, columns = len(self.sites), tuple(zip(*self.sites))
+        up = itertools.chain.from_iterable(
+            zip(*columns[:axis], map(operator.add, columns[axis], itertools.repeat(1)), *columns[axis + 1:])
+            for axis in range(len(columns)))
+        ahead = np.fromiter(map(self._index.get, up, itertools.repeat(-1)), dtype=np.intp, count=n * len(columns))
+        (found,) = (ahead >= 0).nonzero()
+        i, j = found % n, ahead[found]
+        key = np.minimum(i, j) * n + np.maximum(i, j)  # ordered as the pairs (min, max) are, since max < n
+        key.sort()
+        out = np.empty((len(key), 2), dtype=np.intp)
+        np.divmod(key, n, out=(out[:, 0], out[:, 1]))
         out.flags.writeable = False
         return out
 

@@ -60,8 +60,9 @@ def test_box_index_roundtrip():
 
 
 def test_geometry_rejects_duplicates():
-    with pytest.raises(ValueError):
-        BoxGeometry(((0,), (0,)))
+    for sites in [((0,), (0,)), ((0, 0), (1, 0), (0, 1), (1, 0))]:
+        with pytest.raises(ValueError, match="^duplicate sites in geometry$"):
+            BoxGeometry(sites)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -7,7 +7,10 @@ Models are drawn in d = 1 and d = 2 with a sign-changing finite profile u on
 sets of a small box, with random couplings omega.  Assembly is compared bit
 for bit; the identities are checked against the pinned 1e-9 tolerance.  The
 banded Green column is checked against a dense solve on boxes, chains, holed,
-annulus-depleted, one-site and unsorted geometries in d = 1, 2, 3.  The
+annulus-depleted, one-site and unsorted geometries in d = 1, 2, 3; the bonds
+and the band of a geometry are checked bit for bit against a per-site
+neighbour loop on these and on shuffled or unshuffled site sets in
+[-50, 50]^d: two joined boxes, scattered sites and single sites.  The
 mean/stderr reduction is checked column by column, bit for bit, on random
 per-trial sample arrays of up to 5,000 trials.  The per-estimator disorder block, the stacked
 quantile, the gap-construction search, the stacked determinant average and
@@ -370,20 +373,50 @@ def _loop_adjacency(geometry):
     return A
 
 
+@st.composite
+def far_geometries(draw):
+    """Geometries in [-50, 50]^d, d = 1, 2, 3, shuffled or not: two boxes joined as pair_regularity_probability joins
+    them (apart, overlapping or one bond apart), a cluster with scattered sites, or one site."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    point = st.tuples(*[st.integers(-50, 50)] * d)
+    kind = draw(st.sampled_from(["two boxes", "scattered", "one-site"]))
+    if kind == "two boxes":
+        L = draw(st.integers(0, {1: 6, 2: 3, 3: 1}[d]))
+        x = draw(point)
+        near = st.tuples(*[st.integers(c - 2 * L - 2, c + 2 * L + 2) for c in x])
+        y = draw(st.one_of(point, near))
+        geometry = explicit_geometry(build_box(L, x).sites + build_box(L, y).sites)
+    elif kind == "scattered":
+        cluster = draw(subsets(build_box(2 if d < 3 else 1, draw(point)).sites))
+        geometry = explicit_geometry(cluster + draw(st.lists(point, max_size=20)))
+    else:
+        geometry = explicit_geometry([draw(point)])
+    if draw(st.booleans()):
+        geometry = BoxGeometry(tuple(draw(st.permutations(geometry.sites))))
+    return geometry
+
+
+def _delta_sampler(geometry):
+    d = geometry.dimension
+    return DisorderSampler(ModelConfig(d, 1.0, SingleSitePotential.delta(d), DisorderDensity("uniform", (0, 1))),
+                           geometry)
+
+
 @PROPERTY
-@given(solve_setups())
-def test_bonds_are_the_neighbour_pairs(setup):
-    geometry = setup[0].geometry
+@given(st.one_of(solve_setups().map(lambda setup: setup[0].geometry), far_geometries()))
+@example(explicit_geometry([(-50,)]))
+@example(explicit_geometry([(-50, 50, 0)]))
+def test_bonds_are_the_neighbour_pairs(geometry):
     A = _loop_adjacency(geometry)
-    want = np.argwhere(np.triu(A))  # (i, j), i < j, in lexicographic order
-    assert same_bits(geometry.bonds, want.astype(geometry.bonds.dtype))
+    want = np.argwhere(np.triu(A))  # (i, j), i < j, in lexicographic order, as an intp array: (0, 2) for one site
+    assert same_bits(geometry.bonds, want)
+    assert not geometry.bonds.flags.writeable
     assert same_bits(adjacency_matrix(geometry), A)
 
 
 @PROPERTY
-@given(solve_setups())
-def test_band_is_the_dense_nonzero_scan(setup):
-    sampler = setup[0]
+@given(st.one_of(solve_setups().map(lambda setup: setup[0]), far_geometries().map(_delta_sampler)))
+def test_band_is_the_dense_nonzero_scan(sampler):
     hopping = -_loop_adjacency(sampler.geometry)
     rows, cols = np.nonzero(hopping)
     k = int(np.max(np.abs(rows - cols), initial=0))

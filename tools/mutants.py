@@ -120,6 +120,12 @@ MUTANTS = [
     Mutant("regularity threshold: strict", "src/alloylab/spectra.py",
            "np.max(np.abs(rows), axis=2) <= thresh)", "np.max(np.abs(rows), axis=2) < thresh)",
            "(m, E)-regular: |G(E; x, w)| <= e^{-m L} for every w in the interior boundary"),
+    Mutant("bonds: pairs left unsorted", "src/alloylab/model.py",
+           "        key.sort()\n", "",
+           "bonds are the l1-adjacent index pairs i < j in lexicographic order"),
+    Mutant("bonds: pairs not normalised", "src/alloylab/model.py",
+           "key = np.minimum(i, j) * n + np.maximum(i, j)", "key = i * n + j",
+           "bonds are the l1-adjacent index pairs i < j, whatever the order of the sites"),
 ]
 
 
