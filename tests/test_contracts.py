@@ -176,7 +176,9 @@ ROWS = [
     ("wegner_coefficients", "l", lambda v: wegner_coefficients(PAIR_U, v), [NAN, -1, 1.5]),
     # rng: every key goes through operator.index
     ("trial_stream", "seed", lambda v: trial_stream(v, 0), KEY),
-    ("trial_stream", "trial", lambda v: trial_stream(3, v), KEY + [1.5]),
+    ("trial_stream(trial=1)", "seed", lambda v: trial_stream(v, 1), KEY + [2 ** 63]),
+    ("trial_stream(trial=2)", "seed", lambda v: trial_stream(v, 2), KEY + [2 ** 63]),  # trials 2 and up: a state block
+    ("trial_stream", "trial", lambda v: trial_stream(3, v), KEY + [1.5, 2 ** 64, -1]),
     ("site_stream", "seed", lambda v: site_stream(v, (0,)), KEY),
     ("site_stream", "site", lambda v: site_stream(3, (0, v)), KEY),
     # model constructors
@@ -233,6 +235,20 @@ def no_work(monkeypatch):
 def test_a_bad_argument_raises_before_any_work(no_work, call, argument, value):
     with pytest.raises(ValueError, match=rf"(?<![\w.]){re.escape(argument)}(?![\w(])"):
         call(value)
+
+
+_OUTSIDE = ("is outside the 64-bit range: seeds and site coordinates must lie in [-2**63, 2**63), "
+            "trial indices in [0, 2**64)")
+
+
+@pytest.mark.parametrize("seed, trial, why", [
+    (2 ** 63, 1, _OUTSIDE), (2 ** 63, 2, _OUTSIDE), (None, 2, "must consist of integers"),
+    (3, 2 ** 64, _OUTSIDE), (3, -1, _OUTSIDE), (3, 1.5, "must consist of integers"),
+    (3, None, "must consist of integers")])
+def test_a_refused_trial_key_gets_the_whole_message(seed, trial, why):
+    with pytest.raises(ValueError) as refused:
+        trial_stream(seed, trial)
+    assert str(refused.value) == f"stream key (seed={seed!r}, trial={trial!r}) {why}"
 
 
 # arguments with a generic domain: each one of a public function needs a row

@@ -16,8 +16,9 @@ per-trial sample arrays of up to 5,000 trials.  The per-estimator disorder block
 quantile, the gap-construction search, the stacked determinant average and
 the keyed streams (against their np.uint64 SeedSequence construction and,
 state and entropy included, against numpy's own SeedSequence generator over
-their words, over the whole 64-bit key range) are each checked bit for bit against the one-trial-at-a-time path they
-replace, and so are the potential over a coupling block, the multi-source
+their words, over the whole 64-bit key range; each hashed block of trial
+states row by row against SeedSequence.generate_state) are each checked bit for bit against the one-trial-at-a-time
+path they replace, and so are the potential over a coupling block, the multi-source
 Green columns, the estimates that share one disorder block, the decay
 profile and finite-volume sum (against the per-trial loops they ran before
 they became estimate_moments calls) and the piecewise-linear cdf.  The
@@ -53,6 +54,7 @@ import itertools
 import math
 import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -107,7 +109,7 @@ from alloylab.moments import (
     finite_volume_sum,
     gap_constants,
 )
-from alloylab.rng import site_stream, trial_stream, zigzag
+from alloylab.rng import BLOCK, _state_block, site_stream, trial_stream, zigzag
 from alloylab.spectra import _sturm_below
 
 from oracles import potential_value
@@ -695,25 +697,43 @@ def test_numpy_integer_and_bool_keys_keep_their_streams(seed, trial, site):
 
 
 def test_a_refused_seed_is_refused_again_with_the_whole_message():
-    # the per-seed cache keeps no failure: the second call derives the words again and names the trial too
-    for trial in (5, 6):
+    # the per-seed cache keeps no failure: the second call derives the words again and names the trial too;
+    # trial 1 takes numpy's SeedSequence, trials 5 and 6 a state block, whose cache keeps no failure either
+    for trial in (1, 5, 6):
         with pytest.raises(ValueError, match=rf"^stream key \(seed=9223372036854775808, trial={trial}\) is outside"):
             trial_stream(2 ** 63, trial)
 
 
 @PROPERTY
-@given(_SIGNED_64, st.integers(0, 2 ** 64 - 1), st.integers(1, 9),
-       st.sampled_from([np.uint32, np.uint64, "u4", "<u8"]), st.sampled_from([4, 8]))
-@example(0, 0, 4, np.uint64, 4)  # the request PCG64 makes
-@example(0, 0, 4, np.uint32, 4)
-@example(0, 0, 2, np.uint64, 4)
-@example(0, 0, 4, np.uint64, 8)
-def test_the_pool_hash_is_seedsequences_generate_state(seed, trial, n_words, dtype, pool_size):
-    words = _words([zigzag(seed), 1, trial])
-    pool_hash = type(trial_stream(0, 0).bit_generator.seed_seq)
-    got = pool_hash(words, pool_size=pool_size).generate_state(n_words, dtype)
-    expected = np.random.SeedSequence(words, pool_size=pool_size).generate_state(n_words, dtype)
-    assert got.dtype == expected.dtype and got.shape == expected.shape and np.array_equal(got, expected)
+@given(_SIGNED_64, st.integers(0, 2 ** 64 - 1))
+@example(0, 1)
+@example(0, 255)
+@example(0, 256)
+@example(0, 257)
+@example(0, 2 ** 32 - 1)  # the last block of one-word trials
+@example(0, 2 ** 32)  # the first block of two-word trials
+@example(0, 2 ** 64 - 1)
+@example(2 ** 31, 2 ** 32 - 1)  # zigzag(2**31) = 2**32: a seed of two words, the pool's fourth word the trial's
+@example(-(2 ** 63), 2 ** 64 - 1)  # two seed words and two trial words: a fifth word mixed into the pool
+def test_a_state_block_is_seedsequences_generate_state_row_by_row(seed, trial):
+    block = _state_block(seed, trial // BLOCK)
+    first = trial - trial % BLOCK
+    expected = [np.random.SeedSequence(_words([zigzag(seed), 1, t])).generate_state(4, np.uint64)
+                for t in range(first, first + BLOCK)]
+    assert block.dtype == np.uint64 and not block.flags.writeable and np.array_equal(block, expected)
+
+
+def test_a_trial_stream_pins_no_state_block():
+    stream = trial_stream(11, 300)
+    block = weakref.ref(_state_block(11, 1))
+    _state_block.cache_clear()
+    assert block() is None and _state_block.cache_info().maxsize == 4
+    assert same_bits(stream.random(3), trial_stream(11, 300).random(3))
+
+
+def test_trial_streams_do_not_spawn():
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        trial_stream(3, 5).spawn(1)
 
 
 def test_a_keyed_stream_pickles_and_resumes_where_it_stopped():

@@ -101,9 +101,12 @@ MUTANTS = [
     Mutant("pool hash: >> 15", "src/alloylab/rng.py",
            "v ^ v >> 16", "v ^ v >> 15",
            "each hashed word w becomes w ^ (w >> 16)"),
-    Mutant("pool hash: halves swapped", "src/alloylab/rng.py",
-           "(p0 ^ x0) * x1 & m | ((p1 ^ x1) * x2 & m) << 32", "(p1 ^ x1) * x2 & m | ((p0 ^ x0) * x1 & m) << 32",
-           "uint64 j holds word 2j in its low half and word 2j + 1 in its high half"),
+    Mutant("pool hash: lanes repeated", "src/alloylab/rng.py",
+           "np.tile(pool, (2, 1))", "np.repeat(pool, 2, axis=0)",
+           "state word i hashes pool word i mod 4"),
+    Mutant("state block: row off by one", "src/alloylab/rng.py",
+           "[self.trial % BLOCK]", "[(self.trial + 1) % BLOCK]",
+           "trial t reads row t mod 256 of its seed's block t div 256"),
     Mutant("pair index: transposed", "src/alloylab/moments.py",
            "sources.index(x) * len(geometry) + geometry.index_of(y)",
            "geometry.index_of(y) * len(sources) + sources.index(x)",
