@@ -149,7 +149,7 @@ def annulus(geometry: BoxGeometry, x, L: int, u: SingleSitePotential) -> Annulus
     by one exterior layer.  Requires L >= diam(supp u) + 2 so the
     annulus cuts x off from far sites.
     """
-    x = _as_site(x)
+    x = _as_site(x, "x")
     diam = u.diameter_linf()
     if L < diam + 2:
         raise ValueError(f"need L >= diam(supp u) + 2 = {diam + 2}, got {L}")

@@ -76,10 +76,12 @@ def _require(domain: str, **values) -> None:
         raise ValueError(f"{message.format(name)}, got {value!r}")
 
 
-def _as_site(x) -> Site:
-    if isinstance(x, int):
-        return (x,)
-    return tuple(map(int, x))
+def _as_site(x, name: str = "site") -> Site:
+    """x as a tuple of integer coordinates, an integer as one coordinate; else ValueError naming ``name``."""
+    try:
+        return tuple(map(operator.index, x)) if hasattr(x, "__iter__") else (operator.index(x),)
+    except TypeError:
+        raise ValueError(f"{name} must have integer coordinates, got {x!r}") from None
 
 
 def l1_norm(x: Site) -> int:
@@ -202,7 +204,7 @@ class BoxGeometry:
 def build_box(L: int, center=0) -> BoxGeometry:
     """All sites with |k - center|_inf <= L, in lexicographic order."""
     _require("radius", L=L)
-    center = _as_site(center)
+    center = _as_site(center, "center")
     ranges = [range(c - L, c + L + 1) for c in center]
     sites = tuple(itertools.product(*ranges))
     return BoxGeometry(sites)
@@ -210,12 +212,12 @@ def build_box(L: int, center=0) -> BoxGeometry:
 
 def explicit_geometry(sites) -> BoxGeometry:
     """Geometry on an explicit site set, sorted lexicographically."""
-    return BoxGeometry(tuple(sorted({_as_site(s) for s in sites})))
+    return BoxGeometry(tuple(sorted({_as_site(s, "sites") for s in sites})))
 
 
 def _site_list(sites) -> list[Site]:
     """A BoxGeometry, or an iterable of ints, lists or tuples, as a list of site tuples in the given order."""
-    return [_as_site(s) for s in (sites.sites if isinstance(sites, BoxGeometry) else sites)]
+    return [_as_site(s, "sites") for s in (sites.sites if isinstance(sites, BoxGeometry) else sites)]
 
 
 def _site_set(sites) -> set[Site]:
@@ -263,7 +265,7 @@ class SingleSitePotential:
     tail_sign: int = 1
 
     def __post_init__(self):
-        stored = {_as_site(k): float(v) for k, v in self.support_values.items()}
+        stored = {_as_site(k, "support_values"): float(v) for k, v in self.support_values.items()}
         _require("real", support_values=list(stored.values()))
         vals = {k: v for k, v in stored.items() if v != 0.0}
         if self.tail_amplitude is None and not vals:
@@ -628,7 +630,7 @@ def sample_configuration(model: ModelConfig, sites, seed: int) -> dict[Site, flo
     this way: they take a realisation as one ``DisorderSampler.omega`` row,
     and site-keyed draws are the tests' oracle.
     """
-    keys = sorted({_as_site(x) for x in sites})
+    keys = sorted({_as_site(x, "sites") for x in sites})
     draws = model.density.sample(np.array([site_stream(seed, s).random() for s in keys]))
     return dict(zip(keys, draws.tolist()))
 

@@ -57,25 +57,30 @@ __all__ = [
 # trial harness
 
 
-def run_trials(fn, trials: int, threads: int = 1) -> np.ndarray:
+def run_trials(fn, trials: int, threads: int = 1, stack: int | None = None) -> np.ndarray:
     """fn(block) on contiguous ranges of trial indices, concatenated in trial order.
 
     ``fn`` takes a ``range`` of trial indices and returns one entry per trial in it: shape
     (len(block),) for scalars, (len(block), k) for rows.  w = min(threads, trials) workers take
-    one contiguous block each (block w is ``range(trials * w // workers, trials * (w + 1) //
-    workers)``); one worker calls ``fn(range(trials))`` with no pool.  A trial depends only on
-    its index (row ``trial`` of the ``DisorderSampler.omega`` block), so if ``fn`` computes each
-    trial on its own, the result is bitwise the same for any number of workers.  Workers pay
-    only where ``fn`` releases the GIL, as the numpy eigensolves of ``spectra`` do; the ``zgbsv``
-    solves of ``estimate_moments`` do not, so it passes no ``threads`` and runs with one worker.
+    contiguous parts (part w is ``range(trials * w // workers, trials * (w + 1) // workers)``),
+    cut into blocks of at most ``stack`` trials (None: whole parts); one worker needs no pool, and
+    a lone block's array is returned as it is.  A trial depends only on its index (row ``trial``
+    of the ``DisorderSampler.omega`` block), so if ``fn`` computes each trial on its own, the
+    result is bitwise the same for any workers and stack.  Workers pay only where ``fn`` releases
+    the GIL, as ``spectra``'s eigensolves do; ``estimate_moments``' ``zgbsv`` solves do not.
     """
-    _require("count", trials=trials, threads=threads)
+    step = trials if stack is None else stack
+    _require("count", trials=trials, threads=threads, stack=step)
     workers = min(threads, trials)
+    parts = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
+    blocks = [range(start, min(start + step, part.stop))
+              for part in parts for start in range(part.start, part.stop, step)]
     if workers == 1:
-        return np.asarray(fn(range(trials)))
-    blocks = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(fn, blocks)))
+        results = [fn(block) for block in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, blocks))
+    return np.asarray(results[0]) if len(results) == 1 else np.concatenate(results)
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ def estimate_moments(model: ModelConfig, geometry: BoxGeometry, z: complex, s_ex
     _require("off_axis", z=z)
     _require("exponent", s_exp=s_exp)
     _require("count", trials=trials)
-    pairs = [(_as_site(x), _as_site(y)) for x, y in pairs]
+    pairs = [(_as_site(x, "pairs"), _as_site(y, "pairs")) for x, y in pairs]
     if not pairs:
         raise ValueError("need at least one (x, y) pair")
     geometry.rows([site for pair in pairs for site in pair])  # raises on a site outside the geometry
@@ -440,7 +445,7 @@ def finite_volume_sum(model: ModelConfig, region: BoxGeometry, x, z: complex, s:
     """
     _require("exponent", s=s)  # the moments take s / (2 |Theta|), which lies in (0, 1) for more s
     _require("positive", coupling=model.coupling)
-    region.rows([x])  # raises on an x outside the region
+    region.rows([_as_site(x, "x")])  # raises on an x outside the region
     ann = annulus(region, x, L, model.potential)
     # x is never in W_x: 0 in supp u puts hat-W_x at sup distance >= L - diam >= 2 from x
     depleted_sites = region.site_set() - ann.W_x
@@ -522,7 +527,7 @@ def w_xy(u: SingleSitePotential, x, y, window) -> dict:
     info = exponential_weights(u)
     sign = -1.0 if info["sign_flipped"] else 1.0
     c = info["c"]
-    x, y = _as_site(x), _as_site(y)
+    x, y = _as_site(x, "x"), _as_site(y, "y")
 
     def alpha(k: Site) -> float:
         return 0.5 * (math.exp(-c * l1_norm(site_sub(k, x)))

@@ -125,7 +125,7 @@ def find_I0(u: SingleSitePotential, degree_cap: int = 12) -> LeadingDerivative:
 def prop1_sum(u: SingleSitePotential, I, x) -> float:
     """sum_k k^I u(x - k) over the effective support (exact finite sum)."""
     I = tuple(int(i) for i in I)
-    x = _as_site(x)
+    x = _as_site(x, "x")
     total = 0.0
     for t in u.support():
         k = site_sub(x, t)

@@ -53,7 +53,7 @@ class WegnerReport:
     bound_satisfied: bool
 
 
-# doubles per stacked eigensolve: sub-stacks of at most 4 MiB of matrices
+# doubles per stacked eigensolve: run_trials blocks of at most 4 MiB of matrices
 _EIGVALSH_STACK = 2 ** 19
 
 
@@ -80,13 +80,11 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
               threads: int = 1) -> WegnerReport:
     """MC mean eigenvalue count in the interval against the exact count bound.
 
-    In d = 1 H is tridiagonal with unit hoppings, so each worker counts its block of trials
-    with ``_sturm_below``, as #{ev < nextafter(b, +inf)} - #{ev < a}, from the diagonals alone.
-    In d >= 2 each worker's block is diagonalized as (trials, n, n) stacks of at most
-    max(1, 2**19 // n**2) matrices, one ``np.linalg.eigvalsh`` call each.  eigvalsh runs the
-    same LAPACK call on every matrix of a stack as on a single matrix.  Either way a trial's
-    count depends only on its own row, so the counts do not depend on the stacking, nor on
-    the number of threads.
+    In d = 1 H is tridiagonal with unit hoppings, so a block of trials is counted with
+    ``_sturm_below``, as #{ev < nextafter(b, +inf)} - #{ev < a}, from the diagonals alone.
+    In d >= 2 ``run_trials`` cuts blocks of at most max(1, 2**19 // n**2) trials, one stacked
+    ``np.linalg.eigvalsh`` call each, which runs the same LAPACK call on every matrix as on one.
+    A trial's count depends only on its own row, so neither the blocks nor the threads move it.
     """
     _require("radius", l=l)
     _require("positive", coupling=model.coupling)
@@ -97,19 +95,17 @@ def wegner_mc(model: ModelConfig, l: int, interval, trials: int, seed: int,
     sampler = DisorderSampler(model, geometry)
     coeff = wegner_coefficients(model.potential, l)
     diagonals = sampler.diagonals(sampler.omega(seed, trials))
-    stack = max(1, _EIGVALSH_STACK // len(geometry) ** 2)
+    stack = None if model.dimension == 1 else max(1, _EIGVALSH_STACK // len(geometry) ** 2)
 
     def counts(block: range) -> np.ndarray:
+        rows = diagonals[block.start:block.stop]
         if model.dimension == 1:
-            below = _sturm_below(diagonals[block.start:block.stop], (a, np.nextafter(b, np.inf)))
+            below = _sturm_below(rows, (a, np.nextafter(b, np.inf)))
             return (below[1] - below[0]).astype(float)
-        parts = []
-        for start in range(block.start, block.stop, stack):
-            ev = np.linalg.eigvalsh(sampler.hamiltonian(diagonals[start:min(start + stack, block.stop)]))
-            parts.append(np.sum((ev >= a) & (ev <= b), axis=1))
-        return np.concatenate(parts).astype(float)
+        ev = np.linalg.eigvalsh(sampler.hamiltonian(rows))
+        return np.sum((ev >= a) & (ev <= b), axis=1).astype(float)
 
-    mean, stderr = map(float, _mean_stderr(run_trials(counts, trials, threads)))
+    mean, stderr = map(float, _mean_stderr(run_trials(counts, trials, threads, stack)))
     bound = (1.0 / (2.0 * model.coupling) * model.density.total_variation
              * (b - a) * coeff["t_l1_total"])
     return WegnerReport(mean, stderr, bound, bool(mean + 3 * stderr <= bound))
@@ -144,20 +140,18 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
                                 threads: int = 1) -> RegularityReport:
     """Frequency of "for every grid energy, one of the two boxes is regular".
 
-    The boxes must be separated enough that their couplings are independent;
-    the continuum of energies is approximated by a finite grid, which biases
-    ``pair_frequency`` upward.  Trial t's couplings are row t
-    of one ``DisorderSampler.omega`` block on the union of the two boxes.  A
-    box's H is its own -Delta (never the union's: at the minimum separation the
-    boxes can be one bond apart) plus its slice ``union.rows(box)`` of the
-    trial's lambda V.  Each worker diagonalizes the x box for sub-stacks of its
-    block, one ``np.linalg.eigh`` call each, as ``wegner_mc`` does; the y box
-    only for the trials that some energy leaves x-irregular.
+    The boxes must be separated enough that their couplings are independent; the continuum of
+    energies is approximated by a finite grid, which biases ``pair_frequency`` upward.  Trial t's
+    couplings are row t of one ``DisorderSampler.omega`` block on the union of the two boxes.  A
+    box's H is its own -Delta (never the union's: at the minimum separation the boxes can be one
+    bond apart) plus its slice ``union.rows(box)`` of the trial's lambda V.  ``run_trials`` cuts
+    the trials into blocks bounded as in ``wegner_mc``; each block diagonalizes the x box in one
+    ``np.linalg.eigh`` call, and the y box only for the trials that some energy leaves x-irregular.
     """
     _require("interval", interval=interval)
     _require("count", grid_points=grid_points, trials=trials, threads=threads)
     _require("real", m=m)
-    x, y = _as_site(x), _as_site(y)
+    x, y = _as_site(x, "x"), _as_site(y, "y")
     if len(x) != model.dimension or len(y) != model.dimension:
         raise ValueError(f"x = {x} and y = {y} must both have the model's dimension {model.dimension}")
     diam = model.potential.diameter_linf()
@@ -182,15 +176,12 @@ def pair_regularity_probability(model: ModelConfig, L: int, x, y, interval,
     regular_x, regular_y = regular(box_x, x), regular(box_y, y)
 
     def flags(block: range) -> np.ndarray:  # per trial: 0/1 per grid energy, then the all-energies flag
-        parts = []
-        for start in range(block.start, block.stop, stack):
-            sub = np.arange(start, min(start + stack, block.stop))
-            ok = regular_x(sub)
-            need = ~ok.all(axis=1)
-            if need.any():
-                ok[need] |= regular_y(sub[need])
-            parts.append(np.column_stack([ok, ok.all(axis=1)]))
-        return np.concatenate(parts).astype(float)
+        sub = np.arange(block.start, block.stop)
+        ok = regular_x(sub)
+        need = ~ok.all(axis=1)
+        if need.any():
+            ok[need] |= regular_y(sub[need])
+        return np.column_stack([ok, ok.all(axis=1)]).astype(float)
 
-    freq, _ = _mean_stderr(run_trials(flags, trials, threads))
+    freq, _ = _mean_stderr(run_trials(flags, trials, threads, stack))
     return RegularityReport(energies, tuple(freq[:-1]), float(freq[-1]))

@@ -72,6 +72,7 @@ COMPLEX = [complex(NAN, 1.0), complex(INF, 1.0), complex(0.5, -INF), complex(NAN
 POSITIVE = [NAN, INF, 0.0, -1.0, TWO]
 INTERVAL = [(NAN, 0.1), (-INF, 0.1), (-0.1, INF), (0.1, -0.1), (-1e308, 1e308), (0.1,), (-0.1, 0.0, 0.1)]
 KEY = [NAN, INF, -INF, 3.5, -0.5, np.float64(3.9), "3", None]  # int() would take the finite floats and "3"
+SITE = [(NAN,), (2.7,), (0.5,), (np.float64(1.0),), ("3",), (None,), 2.5, None]  # int() would truncate 2.7 to 2
 
 # (function, argument, call of one bad value, bad values)
 ROWS = [
@@ -99,6 +100,7 @@ ROWS = [
     # moments
     ("run_trials", "trials", lambda v: run_trials(float, v), COUNT),
     ("run_trials", "threads", lambda v: run_trials(float, 4, v), COUNT),
+    ("run_trials", "stack", lambda v: run_trials(float, 4, 1, v), COUNT),
     ("DisorderSampler.omega", "trials", lambda v: DisorderSampler(PAIR, CHAIN).omega(1, v), COUNT),
     ("estimate_moments", "z",
      lambda v: estimate_moments(PAIR, CHAIN, v, 0.3, [((0,), (3,))], 10, 1), OFF_AXIS),
@@ -106,6 +108,10 @@ ROWS = [
      lambda v: estimate_moments(PAIR, CHAIN, 0.5j, v, [((0,), (3,))], 10, 1), EXPONENT),
     ("estimate_moments", "trials",
      lambda v: estimate_moments(PAIR, CHAIN, 0.5j, 0.3, [((0,), (3,))], v, 1), COUNT),
+    ("estimate_moments(x)", "pairs",
+     lambda v: estimate_moments(PAIR, CHAIN, 0.5j, 0.3, [(v, (3,))], 10, 1), SITE),
+    ("estimate_moments(y)", "pairs",
+     lambda v: estimate_moments(PAIR, CHAIN, 0.5j, 0.3, [((0,), v)], 10, 1), SITE),
     ("estimate_moment", "z", lambda v: estimate_moment(PAIR, CHAIN, v, 0.3, (0,), (3,), 10, 1), OFF_AXIS),
     ("estimate_moment", "s_exp", lambda v: estimate_moment(PAIR, CHAIN, 0.5j, v, (0,), (3,), 10, 1), EXPONENT),
     ("estimate_moment", "trials", lambda v: estimate_moment(PAIR, CHAIN, 0.5j, 0.3, (0,), (3,), v, 1), COUNT),
@@ -123,6 +129,8 @@ ROWS = [
      lambda v: finite_volume_sum(PAIR, build_box(10), (0,), 0.5j, 0.3, 3, v, 1), COUNT),
     ("finite_volume_sum", "L",
      lambda v: finite_volume_sum(PAIR, build_box(10), (0,), 0.5j, 0.3, v, 10, 1), [NAN, INF, 3.5]),
+    ("finite_volume_sum", "x",
+     lambda v: finite_volume_sum(PAIR, build_box(10), v, 0.5j, 0.3, 3, 10, 1), SITE),
     ("finite_volume_sum", "coupling",
      lambda v: finite_volume_sum(ModelConfig(1, v, PAIR_U, U01), build_box(10), (0,), 0.5j, 0.3, 3, 10, 1), [0.0]),
     ("one_d_constants", "s", lambda v: one_d_constants(PAIR_U, U01, 30.0, v), EXPONENT),
@@ -148,6 +156,10 @@ ROWS = [
      lambda v: pair_regularity_probability(PAIR, 2, (0,), (6,), (-1, 1), v, 0.1, 10, 1), COUNT),
     ("pair_regularity_probability", "m",
      lambda v: pair_regularity_probability(PAIR, 2, (0,), (6,), (-1, 1), 3, v, 10, 1), FINITE),
+    ("pair_regularity_probability", "x",
+     lambda v: pair_regularity_probability(PAIR, 2, v, (6,), (-1, 1), 3, 0.1, 10, 1), SITE),
+    ("pair_regularity_probability", "y",
+     lambda v: pair_regularity_probability(PAIR, 2, (0,), v, (-1, 1), 3, 0.1, 10, 1), SITE),
     ("pair_regularity_probability", "L",
      lambda v: pair_regularity_probability(PAIR, v, (0,), (60,), (-1, 1), 3, 0.1, 10, 1), [NAN, 2.5]),
     # green
@@ -183,6 +195,10 @@ ROWS = [
     ("site_stream", "site", lambda v: site_stream(3, (0, v)), KEY),
     # model constructors
     ("build_box", "L", lambda v: build_box(v), [NAN, INF, -1, 1.5]),
+    ("build_box", "center", lambda v: build_box(2, v), SITE),
+    ("explicit_geometry", "sites", lambda v: explicit_geometry([(0,), v]), SITE),
+    ("BoxGeometry.rows", "sites", lambda v: CHAIN.rows([(0,), v]), SITE),
+    ("SingleSitePotential", "support_values", lambda v: SingleSitePotential({(0,): 1.0, v: 0.5}), SITE),
     ("SingleSitePotential", "support_values", lambda v: SingleSitePotential({(0,): 1.0, (1,): v}), FINITE),
     ("SingleSitePotential", "tail_amplitude",
      lambda v: SingleSitePotential({(0,): 1.0}, tail_amplitude=v, tail_rate=1.0, truncation_radius=3), POSITIVE),

@@ -433,6 +433,21 @@ def test_config_loader_names_the_section_of_a_range_error(tmp_path, section, mes
     assert str(err.value) == message
 
 
+def test_config_loader_rejects_a_support_site_of_the_wrong_dimension(tmp_path):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"dimension": 1, "lambda": 1, "potential": {"support": [[[0], 1], [[1, 0], 2]]},
+                               "density": {"kind": "uniform", "params": [0, 1]}}))
+    with pytest.raises(ValueError) as err:
+        load_model_config(cfg)
+    assert str(err.value) == "potential.support[1][0] has 2 coordinates in dimension 1"
+
+
+def test_sites_take_numpy_integers_as_integers():
+    box = build_box(2)
+    assert box.index_of(np.int64(1)) == box.index_of((1,)) == 3 and np.int64(1) in box
+    assert explicit_geometry([np.array([0, 1]), (np.int32(2), 3)]).sites == ((0, 1), (2, 3))
+
+
 def test_config_loader_reports_line(tmp_path):
     cfg = tmp_path / "m.json"
     cfg.write_text('{"dimension": 1,\n "lambda": oops}')

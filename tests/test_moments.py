@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from alloylab import moments
@@ -282,6 +284,13 @@ def test_gap_constants_search_distance():
     # direct evaluation never exceeds the volume-argument closed form
     assert g.D <= g.D_volume * (1 + 1e-12)
     assert g.D_plus <= g.D_plus_volume * (1 + 1e-12)
+
+
+def test_gap_constants_raise_when_the_search_falls_short_of_the_guaranteed_distance():
+    # one candidate direction: at seed 8 it lies closer than d0 / 2 to a hyperplane
+    u = SingleSitePotential.from_values({(0,): 1.0, (2,): -0.3})
+    with pytest.raises(RuntimeError, match="hyperplane search failed to reach the guaranteed distance"):
+        gap_constants(u, uniform01(), 30.0, 0.5, search_samples=1, seed=8)
 
 
 def test_gap_constants_contraction_at_strong_coupling():
@@ -565,12 +574,9 @@ def test_run_trials_rejects_fewer_than_one_thread(threads):
         run_trials(float, 4, threads)
 
 
-@pytest.mark.parametrize("trials, threads, workers",
-                         [(3, 10 ** 9, 3), (5, 2, 2), (7, 3, 3), (1, 10 ** 9, None), (4, 1, None)])
-def test_run_trials_starts_at_most_one_worker_per_trial(monkeypatch, trials, threads, workers):
-    started, blocks = [], []
-
-    class Recorder:  # stands in for the pool, so no thread is started
+def _recording_pool(started: list):
+    """A stand-in for the thread pool that starts no thread: it appends each pool's max_workers and maps in order."""
+    class Recorder:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -583,11 +589,19 @@ def test_run_trials_starts_at_most_one_worker_per_trial(monkeypatch, trials, thr
         def map(self, fn, items):
             return map(fn, items)
 
+    return Recorder
+
+
+@pytest.mark.parametrize("trials, threads, workers",
+                         [(3, 10 ** 9, 3), (5, 2, 2), (7, 3, 3), (1, 10 ** 9, None), (4, 1, None)])
+def test_run_trials_starts_at_most_one_worker_per_trial(monkeypatch, trials, threads, workers):
+    started, blocks = [], []
+
     def scalars(block):
         blocks.append(block)
         return np.array(block, dtype=float)
 
-    monkeypatch.setattr(moments, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", _recording_pool(started))
     assert run_trials(scalars, trials, threads).tolist() == [float(t) for t in range(trials)]
     # no pool for one worker; otherwise one contiguous block per worker, in order, sizes within one
     assert started == ([] if workers is None else [workers])
@@ -595,6 +609,40 @@ def test_run_trials_starts_at_most_one_worker_per_trial(monkeypatch, trials, thr
     assert all(type(block) is range and block.step == 1 for block in blocks)
     assert [t for block in blocks for t in block] == list(range(trials))
     assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+
+
+def _trial_rows(block: range) -> np.ndarray:
+    """Two values per trial, each a function of the trial index alone."""
+    t = np.arange(block.start, block.stop, dtype=float)
+    return np.column_stack([np.sqrt(t), -t / 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=st.integers(1, 600), threads=st.integers(1, 4), data=st.data())
+def test_run_trials_cuts_each_worker_part_into_blocks_of_at_most_stack_trials(trials, threads, data):
+    stack = data.draw(st.none() | st.integers(1, trials), label="stack")
+    started, blocks = [], []
+
+    def rows(block):
+        blocks.append(block)
+        return _trial_rows(block)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "ThreadPoolExecutor", _recording_pool(started))
+        out = run_trials(rows, trials, threads, stack)
+    assert out.tobytes() == _trial_rows(range(trials)).tobytes()
+    workers = min(threads, trials)
+    parts = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
+    assert all(type(block) is range and block.step == 1 and 1 <= len(block) <= (stack or trials) for block in blocks)
+    assert all(any(part.start <= block.start and block.stop <= part.stop for part in parts) for block in blocks)
+    assert [t for block in blocks for t in block] == list(range(trials))
+    assert started == ([] if workers == 1 else [workers])
+
+
+def test_run_trials_returns_a_lone_blocks_array_as_it_is():
+    out = np.arange(5.0)
+    assert run_trials(lambda block: out, 5) is out
+    assert run_trials(lambda block: out, 5, stack=5) is out
 
 
 _DELTA = ModelConfig(1, 2.0, SingleSitePotential.delta(1), uniform01())

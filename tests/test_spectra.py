@@ -33,6 +33,21 @@ def uniform01():
     return DisorderDensity("uniform", (0, 1))
 
 
+@pytest.fixture()
+def recorded(monkeypatch):
+    """spectra's run_trials, every argument passed on; each call appends (its array, its fn's block sizes, sorted)."""
+    calls, run_trials = [], spectra.run_trials
+
+    def recording_run_trials(fn, *args, **kwargs):
+        sizes = []
+        out = run_trials(lambda block: sizes.append(len(block)) or fn(block), *args, **kwargs)
+        calls.append((out, sorted(sizes)))
+        return out
+
+    monkeypatch.setattr(spectra, "run_trials", recording_run_trials)
+    return calls
+
+
 def ldl_count_below(H: np.ndarray, E: float) -> int:
     """Inertia oracle: negative pivots of the LDL factorization of H - E."""
     _, D, _ = scipy.linalg.ldl(H - E * np.eye(H.shape[0]))
@@ -170,21 +185,14 @@ def test_wegner_empirical_linearity():
     assert 1.5 <= r1.mean_count / r2.mean_count <= 2.5
 
 
-def test_wegner_stacked_counts_match_one_eigensolve_per_trial(monkeypatch):
-    # 49 sites: sub-stacks of 2**19 // 49**2 = 218 matrices, so 500 trials cross two stack boundaries
+def test_wegner_stacked_counts_match_one_eigensolve_per_trial(recorded):
+    # 49 sites: blocks of 2**19 // 49**2 = 218 matrices, so 500 trials cross two block boundaries
     m = ModelConfig(2, 1.0, SingleSitePotential.from_values({(0, 0): 1.0, (1, 0): -0.5}), uniform01())
     a, b, trials, seed = -0.5, 0.5, 500, 4
-    recorded, run_trials = [], spectra.run_trials
-
-    def recording_run_trials(fn, trials, threads=1):
-        recorded.append(run_trials(fn, trials, threads))
-        return recorded[-1]
-
-    monkeypatch.setattr(spectra, "run_trials", recording_run_trials)
     reports = [wegner_mc(m, 3, (a, b), trials, seed, threads=threads) for threads in (1, 2, 3)]
-    monkeypatch.undo()
     assert reports[1:] == reports[:1] * 2
-    assert all(r.tobytes() == recorded[0].tobytes() for r in recorded)
+    assert all(r.tobytes() == recorded[0][0].tobytes() for r, _ in recorded)
+    assert [sizes for _, sizes in recorded] == [[64, 218, 218], [32, 32, 218, 218], [166, 167, 167]]
 
     sampler = DisorderSampler(m, build_box(3, (0, 0)))
     block = sampler.diagonals(sampler.omega(seed, trials))
@@ -195,37 +203,32 @@ def test_wegner_stacked_counts_match_one_eigensolve_per_trial(monkeypatch):
     for row in block:
         ev = np.linalg.eigvalsh(sampler.hamiltonian(row))
         want.append(float(np.sum((ev >= a) & (ev <= b))))
-    assert recorded[0].tolist() == want
+    assert recorded[0][0].tolist() == want
     assert 0 < min(want) < max(want)
 
 
-def test_wegner_chain_sturm_counts_match_one_eigensolve_per_trial(monkeypatch):
-    # 17 sites, a tail wide enough that the counts vary; d = 1 builds no H and calls no eigvalsh
+def test_wegner_chain_sturm_counts_match_one_eigensolve_per_trial(monkeypatch, recorded):
+    # 17 sites, a tail wide enough that the counts vary; d = 1 builds no H, calls no eigvalsh and cuts no block
     m = ModelConfig(1, 1.3, SingleSitePotential.exponential(rate=1.2, truncation_radius=12), uniform01())
     a, b, trials, seed = -0.3, 0.4, 500, 4
-    recorded, run_trials = [], spectra.run_trials
-
-    def recording_run_trials(fn, trials, threads=1):
-        recorded.append(run_trials(fn, trials, threads))
-        return recorded[-1]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the d = 1 count must not diagonalize")
 
-    monkeypatch.setattr(spectra, "run_trials", recording_run_trials)
     monkeypatch.setattr(DisorderSampler, "hamiltonian", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     reports = [wegner_mc(m, 8, (a, b), trials, seed, threads=threads) for threads in (1, 2, 3)]
     monkeypatch.undo()
     assert reports[1:] == reports[:1] * 2
-    assert all(r.tobytes() == recorded[0].tobytes() for r in recorded)
+    assert all(r.tobytes() == recorded[0][0].tobytes() for r, _ in recorded)
+    assert [sizes for _, sizes in recorded] == [[500], [250, 250], [166, 167, 167]]
 
     sampler = DisorderSampler(m, build_box(8, (0,)))
     want = []
     for row in sampler.diagonals(sampler.omega(seed, trials)):
         ev = np.linalg.eigvalsh(sampler.hamiltonian(row))
         want.append(float(np.sum((ev >= a) & (ev <= b))))
-    assert recorded[0].tolist() == want
+    assert recorded[0][0].tolist() == want
     assert 0 < min(want) < max(want)
 
 
@@ -358,7 +361,7 @@ def _eigenvalue_of_trial(model, L, x, y, t, seed, k):
 
 
 @pytest.mark.parametrize("case", ["one-bond-apart", "y-before-x", "exact-eigenvalue", "small-stacks"])
-def test_pair_regularity_stacked_flags_match_the_dense_oracle(case, monkeypatch):
+def test_pair_regularity_stacked_flags_match_the_dense_oracle(case, monkeypatch, recorded):
     # one-bond-apart: diam = 0 and |x - y| = 2L + 1, so sites 2 and 3 of the union are bonded; each box
     # must keep its own hopping.  y-before-x: y's box comes first in the union and interleaves with x's
     # in lexicographic order, so each box must take its diagonal by union.rows(box), not by position.
@@ -371,24 +374,19 @@ def test_pair_regularity_stacked_flags_match_the_dense_oracle(case, monkeypatch)
     if case == "exact-eigenvalue":  # trial 3's x box has its middle eigenvalue on the grid
         E = _eigenvalue_of_trial(model, L, x, y, 3, seed, 2)
         interval = (E, E + 0.5)
-    if case == "small-stacks":  # 25 sites and 5 energies: sub-stacks of 3 trials, cut across every worker block
+    if case == "small-stacks":  # 25 sites and 5 energies: blocks of 3 trials, cut inside every worker part
         monkeypatch.setattr(spectra, "_EIGVALSH_STACK", 3 * 25 * 25 + 7)
-    recorded, run_trials = [], spectra.run_trials
-
-    def recording_run_trials(fn, trials, threads=1):
-        recorded.append(run_trials(fn, trials, threads))
-        return recorded[-1]
-
-    monkeypatch.setattr(spectra, "run_trials", recording_run_trials)
     reports = [pair_regularity_probability(model, L, x, y, interval, grid, m, trials, seed, threads=threads)
                for threads in (1, 2, 3)]
     monkeypatch.undo()
     assert reports[1:] == reports[:1] * 2
-    assert all(r.tobytes() == recorded[0].tobytes() for r in recorded)
+    assert all(r.tobytes() == recorded[0][0].tobytes() for r, _ in recorded)
+    assert [sum(sizes) for _, sizes in recorded] == [trials] * 3
+    assert max(max(sizes) for _, sizes in recorded) == (3 if case == "small-stacks" else trials)
 
     flags = regularity_oracle(model, L, x, y, reports[0].energies, m, trials, seed)
     pair = flags[:, 0] | flags[:, 1]
-    assert recorded[0].tolist() == np.column_stack([pair, pair.all(axis=1)]).astype(float).tolist()
+    assert recorded[0][0].tolist() == np.column_stack([pair, pair.all(axis=1)]).astype(float).tolist()
     # both boxes decide some energy either way, and the y box is needed
     assert 0 < flags[:, 0].mean() < 1 and 0 < flags[:, 1].mean() < 1 and not pair.all()
     if case == "exact-eigenvalue":

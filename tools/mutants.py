@@ -107,6 +107,12 @@ MUTANTS = [
     Mutant("state block: row off by one", "src/alloylab/rng.py",
            "[self.trial % BLOCK]", "[(self.trial + 1) % BLOCK]",
            "trial t reads row t mod 256 of its seed's block t div 256"),
+    Mutant("trial blocks: stack + 1", "src/alloylab/moments.py",
+           "step = trials if stack is None else stack\n", "step = trials if stack is None else stack + 1\n",
+           "run_trials hands fn blocks of at most `stack` trials: the estimators' 4 MiB eigensolve bound"),
+    Mutant("trial blocks: cross parts", "src/alloylab/moments.py",
+           "for part in parts for start", "for part in [range(trials)] for start",
+           "each block of run_trials lies inside one worker part"),
     Mutant("pair index: transposed", "src/alloylab/moments.py",
            "sources.index(x) * len(geometry) + geometry.index_of(y)",
            "geometry.index_of(y) * len(sources) + sources.index(x)",
